@@ -11,12 +11,15 @@ probe set is the class applicability at that layer.
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .data.manifest import SplitStore, SubsetLabel
 from .errors import AggregationError, DataError, NumericFailureError
+from .fileio import fmt_float
 from .nn import TrainConfig, backward, forward, predict, replace_head, sgd_step
 from .nn.network import Network, freeze_through, one_hot, split_at
 from .seeding import derive_seed, rng_for
@@ -205,41 +208,34 @@ def run_jobs(net, jobs, splits, cfg, master_seed, workers=1, on_record=None):
 
     Failed jobs are collected, not raised, so a long sweep always
     completes.  ``on_record`` is called in the submitting thread as
-    results arrive (used for journaling).
+    results arrive (used for journaling).  One worker runs the jobs in
+    order in this thread; more run them on a thread pool.
     """
+    def seed_of(job):
+        x, un_j, layer = job
+        return derive_seed(master_seed, 0xA11, x, un_j, layer)
+
     def run_one(job):
         x, un_j, layer = job
-        seed = derive_seed(master_seed, 0xA11, x, un_j, layer)
-        return pair_separability(net, layer, x, un_j, splits, cfg.with_seed(seed))
+        return pair_separability(net, layer, x, un_j, splits,
+                                 cfg.with_seed(seed_of(job)))
 
     records, failures = [], []
-    if workers <= 1:
-        for job in jobs:
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        if pool is None:
+            results = ((job, partial(run_one, job)) for job in jobs)
+        else:
+            futs = {pool.submit(run_one, job): job for job in jobs}
+            results = ((futs[fut], fut.result) for fut in as_completed(futs))
+        for job, result in results:
             try:
-                rec = run_one(job)
+                rec = result()
                 records.append(rec)
                 if on_record:
                     on_record(rec)
             except Exception as exc:  # noqa: BLE001 - sweep must survive any job
-                x, un_j, layer = job
-                failures.append(JobFailure(
-                    x, un_j, layer, derive_seed(master_seed, 0xA11, x, un_j, layer),
-                    str(exc)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(run_one, job): job for job in jobs}
-            for fut in as_completed(futs):
-                job = futs[fut]
-                try:
-                    rec = fut.result()
-                    records.append(rec)
-                    if on_record:
-                        on_record(rec)
-                except Exception as exc:  # noqa: BLE001
-                    x, un_j, layer = job
-                    failures.append(JobFailure(
-                        x, un_j, layer,
-                        derive_seed(master_seed, 0xA11, x, un_j, layer), str(exc)))
+                failures.append(JobFailure(*job, seed_of(job), str(exc)))
     records.sort(key=lambda r: (r.x, r.layer_index, r.un_j))
     failures.sort(key=lambda f: (f.x, f.layer_index, f.un_j))
     return records, failures
@@ -293,17 +289,13 @@ def subset_average(table: ApplicabilityTable, labels=None):
 # CSV persistence
 # ---------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def write_records_csv(path, records):
     rows = sorted(records, key=lambda r: (r.x, r.layer_index, r.un_j))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "un_j", "layer", "xi", "seed"])
         for r in rows:
-            w.writerow([r.x, r.un_j, r.layer_index, _fmt(r.xi), r.seed])
+            w.writerow([r.x, r.un_j, r.layer_index, fmt_float(r.xi), r.seed])
 
 
 def read_records_csv(path):
@@ -322,7 +314,7 @@ def append_record_csv(path, record, write_header=False):
         if write_header:
             w.writerow(["x", "un_j", "layer", "xi", "seed"])
         w.writerow([record.x, record.un_j, record.layer_index,
-                    _fmt(record.xi), record.seed])
+                    fmt_float(record.xi), record.seed])
         fh.flush()
 
 
@@ -336,7 +328,7 @@ def write_table_csv(path, table: ApplicabilityTable):
             w.writerow([cid,
                         meta.class_name if meta else "",
                         meta.subset.value if meta else "",
-                        layer, _fmt(entry.app), table.k, len(entry.records)])
+                        layer, fmt_float(entry.app), table.k, len(entry.records)])
 
 
 _SUBSET_ORDER = [SubsetLabel.OBJECTIVE_KNOWN, SubsetLabel.OBJECTIVE_UNKNOWN,
@@ -350,4 +342,4 @@ def write_curves_csv(path, curves):
         ordered = sorted(curves.items(),
                          key=lambda kv: (_SUBSET_ORDER.index(kv[0][0]), kv[0][1]))
         for (subset, layer), mean in ordered:
-            w.writerow([subset.value, layer, _fmt(mean)])
+            w.writerow([subset.value, layer, fmt_float(mean)])

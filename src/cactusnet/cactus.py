@@ -21,6 +21,7 @@ import numpy as np
 from .applicability import ApplicabilityTable
 from .data.manifest import SubsetLabel
 from .errors import ConfigError, RoutingError, ShapeMismatchError
+from .fileio import write_json
 from .nn import Network, checkpoint_load, checkpoint_save, forward
 from .seeding import derive_seed
 
@@ -153,24 +154,30 @@ class CactusTree:
     def topology(self) -> dict:
         """Stable description of structure + parameters, for comparison
         and persistence."""
-        def describe(node, parent):
-            return {
-                "node_id": node.node_id,
-                "branch_id": node.branch_id,
-                "parent": parent,
-                "provisional": node.provisional,
-                "labels": list(node.labels),
-                "provisional_label": node.provisional_label,
-                "seed": node.seed,
-                "thresholds": node.thresholds.to_dict() if node.thresholds else None,
-                "layers": [s.to_dict() for s in node.block.specs],
-                "param_digest": _param_digest(node.block, node.head),
-                "head_labels": list(node.labels),
-                "children": [describe(c, node.node_id)
-                             for c in sorted(node.children,
-                                             key=lambda c: c.node_id)],
-            }
-        return describe(self.root, None)
+        return _describe(self.root, None, lambda node: {
+            "layers": [s.to_dict() for s in node.block.specs],
+            "param_digest": _param_digest(node.block, node.head),
+            "head_labels": list(node.labels),
+        })
+
+
+def _describe(node, parent, fields):
+    """The one node serializer: the fields every description shares,
+    plus ``fields(node)``, with children in node-id order."""
+    doc = {
+        "node_id": node.node_id,
+        "branch_id": node.branch_id,
+        "parent": parent,
+        "provisional": node.provisional,
+        "labels": list(node.labels),
+        "provisional_label": node.provisional_label,
+        "seed": node.seed,
+        "thresholds": node.thresholds.to_dict() if node.thresholds else None,
+        **fields(node),
+    }
+    doc["children"] = [_describe(c, node.node_id, fields)
+                       for c in sorted(node.children, key=lambda c: c.node_id)]
+    return doc
 
 
 def _param_digest(block: Network, head: Network | None) -> str:
@@ -254,7 +261,7 @@ class RouteDecision:
                 "stopped_at": self.stopped_at}
 
 
-def route_step(node: CactusNode, activation, predicted_apps):
+def route_step(node: CactusNode, predicted_apps):
     """Select among the node's routable children.
 
     Children whose predicted App strictly exceeds their own tau2
@@ -307,7 +314,7 @@ def classify_or_flag(tree: CactusTree, image, mock_app=None) -> RouteDecision:
             apps = [float(mock_app)] * len(candidates)
         else:
             apps = [float(c.predictor(a[0])) for c, a in zip(candidates, cand_acts)]
-        best = route_step(node, act, apps)
+        best = route_step(node, apps)
         if best is None:
             decision.verdict = Verdict.NONOBJECTIVE_UNKNOWN
             decision.stopped_at = node.node_id
@@ -320,15 +327,12 @@ def classify_or_flag(tree: CactusTree, image, mock_app=None) -> RouteDecision:
         depth += 1
         decision.path.append(node.node_id)
         decision.apps.append(app)
-        if depth == tree.decision_depth:
-            verdict = decide(app, node.thresholds)
-            if verdict is Verdict.OBJECTIVE_UNKNOWN:
-                decision.verdict = verdict
-                return decision
-            if verdict is Verdict.NONOBJECTIVE_UNKNOWN:
-                decision.verdict = verdict
-                decision.stopped_at = node.node_id
-                return decision
+        # route_step only picks children with app > tau2, so decide()
+        # here is known or objective unknown, never nonobjective
+        if depth == tree.decision_depth and \
+                decide(app, node.thresholds) is Verdict.OBJECTIVE_UNKNOWN:
+            decision.verdict = Verdict.OBJECTIVE_UNKNOWN
+            return decision
     decision.verdict = Verdict.KNOWN
     decision.label = _classify_leaf(node, act)
     return decision
@@ -480,35 +484,18 @@ def save_tree(tree: CactusTree, out_dir):
     from pathlib import Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    refs = {}
-    for nid, node in sorted(tree.nodes.items()):
-        block_ref = f"node_{nid}.ckpt"
-        checkpoint_save(node.block, out / block_ref)
-        head_ref = None
-        if node.head is not None:
-            head_ref = f"head_{nid}.ckpt"
-            checkpoint_save(node.head, out / head_ref)
-        refs[nid] = (block_ref, head_ref)
 
-    def describe(node, parent):
-        block_ref, head_ref = refs[node.node_id]
-        return {
-            "node_id": node.node_id, "branch_id": node.branch_id,
-            "parent": parent, "provisional": node.provisional,
-            "labels": list(node.labels),
-            "provisional_label": node.provisional_label,
-            "seed": node.seed,
-            "thresholds": node.thresholds.to_dict() if node.thresholds else None,
-            "block": block_ref, "head": head_ref,
-            "children": [describe(c, node.node_id)
-                         for c in sorted(node.children, key=lambda c: c.node_id)],
-        }
+    def refs(node):
+        return {"block": f"node_{node.node_id}.ckpt",
+                "head": None if node.head is None else f"head_{node.node_id}.ckpt"}
 
-    doc = {"decision_depth": tree.decision_depth,
-           "root": describe(tree.root, None)}
-    with open(out / "tree.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for _, node in sorted(tree.nodes.items()):
+        ref = refs(node)
+        checkpoint_save(node.block, out / ref["block"])
+        if ref["head"] is not None:
+            checkpoint_save(node.head, out / ref["head"])
+    write_json(out / "tree.json", {"decision_depth": tree.decision_depth,
+                                   "root": _describe(tree.root, None, refs)})
 
 
 def load_tree(tree_dir, predictors=None) -> CactusTree:

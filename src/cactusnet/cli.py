@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
 Verbs: prepare, train-base, measure, train-predictors, cactus-run,
-report.  Exit codes: 0 success, 2 configuration or validation failure,
-3 runtime numeric failure.
+report.  Exit codes: 0 success, 3 runtime numeric failure, 2 any other
+package error (configuration, validation, a corrupt input file).
 """
 
 import argparse
@@ -10,7 +10,7 @@ import json
 import sys
 
 from .config import load_config
-from .errors import ConfigError, ManifestError, NumericFailureError
+from .errors import CactusNetError, NumericFailureError
 from . import runner
 
 EXIT_OK = 0
@@ -59,12 +59,12 @@ def main(argv=None) -> int:
             result = runner.run_report(cfg)
         else:  # pragma: no cover - argparse guards this
             return EXIT_CONFIG
-    except (ConfigError, ManifestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except CactusNetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 

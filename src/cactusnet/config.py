@@ -7,7 +7,7 @@ the form ``CNL_<FIELD>`` (e.g. ``CNL_MASTER_SEED=7``,
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -117,7 +117,7 @@ DEFAULT_LAYERS = (
 
 DEFAULTS = {
     "manifest": "manifest.json",
-    "dataset": {},
+    "dataset": asdict(DatasetConfig()),
     "architecture": {"input_shape": [20, 20, 1], "layers": list(DEFAULT_LAYERS)},
     "taps": [2, 5, 7, 10],
     "k": 6,
@@ -177,8 +177,6 @@ def config_from_dict(raw: dict, base_dir=Path("."),
         if value is not None:
             merged[key] = value
 
-    ds = dict(DEFAULTS_DATASET)
-    ds.update(merged.get("dataset") or {})
     try:
         arch = merged["architecture"]
         layers = tuple(LayerSpec.from_dict(d) for d in arch["layers"])
@@ -189,7 +187,7 @@ def config_from_dict(raw: dict, base_dir=Path("."),
                                _train_config(train["predictor"]))
         cfg = ExperimentConfig(
             manifest=merged["manifest"],
-            dataset=DatasetConfig(**ds),
+            dataset=DatasetConfig(**(merged["dataset"] or {})),
             input_shape=input_shape,
             layers=layers,
             taps=tuple(merged["taps"]),
@@ -212,21 +210,6 @@ def config_from_dict(raw: dict, base_dir=Path("."),
     return cfg.validate()
 
 
-DEFAULTS_DATASET = {
-    "type": "synthetic",
-    "classes_per_family": 11,
-    "per_class": 300,
-    "image_side": 20,
-    "seed": 3,
-    "num_known": 5,
-    "num_objective_unknown": 3,
-    "num_nonobjective_unknown": 3,
-    "groups": [],
-}
-
-
 def default_config_dict() -> dict:
     """A complete config document with the library defaults."""
-    doc = json.loads(json.dumps(DEFAULTS))  # deep copy
-    doc["dataset"] = dict(DEFAULTS_DATASET)
-    return doc
+    return json.loads(json.dumps(DEFAULTS))  # deep copy

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from ..errors import ManifestError
+from ..fileio import write_json
 from ..seeding import rng_for
 from .synthetic import MANUFACTURED, ORGANIC, SyntheticDataset
 
@@ -106,9 +107,7 @@ class DatasetManifest:
                                d["train_fraction"], d["seed"])
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "DatasetManifest":

@@ -8,13 +8,12 @@ parameter draws; every draw is a pure function of (seed, family, class,
 image), so a dataset is reproducible from its seed alone.
 """
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CheckpointError, DataError
+from ..errors import DataError
+from ..fileio import read_container, write_container
 from ..seeding import rng_for
 
 DATASET_MAGIC = b"CNLDATA1"
@@ -143,7 +142,7 @@ def generate_synthetic(num_classes_per_family: int, per_class: int,
 
 
 # ---------------------------------------------------------------------
-# Binary cache (magic + JSON header + little-endian float payload)
+# Binary cache (a cactusnet.fileio container, one tensor per class)
 # ---------------------------------------------------------------------
 
 def save_dataset(ds: SyntheticDataset, path):
@@ -154,39 +153,20 @@ def save_dataset(ds: SyntheticDataset, path):
         "per_class": ds.per_class,
         "seed": ds.seed,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for c in ds.classes:
-            fh.write(np.ascontiguousarray(ds.images[c.class_id], dtype="<f4").tobytes())
+    write_container(path, DATASET_MAGIC, header,
+                    [ds.images[c.class_id] for c in ds.classes])
+
+
+def _parse_header(header):
+    side, per_class = header["image_side"], header["per_class"]
+    classes = tuple(SyntheticClass(c["class_id"], c["name"], c["family"])
+                    for c in header["classes"])
+    return (classes, side, per_class, header["seed"]), \
+        [(per_class, side, side, 1)] * len(classes)
 
 
 def load_dataset(path) -> SyntheticDataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[:8] != DATASET_MAGIC:
-        raise CheckpointError(
-            f"bad dataset magic {raw[:8]!r}, expected {DATASET_MAGIC!r}",
-            found_magic=raw[:8], expected_magic=DATASET_MAGIC)
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    try:
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt dataset header: {exc}") from exc
-    side = header["image_side"]
-    per_class = header["per_class"]
-    classes = tuple(SyntheticClass(c["class_id"], c["name"], c["family"])
-                    for c in header["classes"])
-    offset = 12 + hlen
-    nbytes = per_class * side * side * 4
-    images = {}
-    for c in classes:
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"truncated dataset payload: {path}")
-        images[c.class_id] = np.frombuffer(chunk, dtype="<f4").reshape(
-            per_class, side, side, 1).copy()
-        offset += nbytes
-    return SyntheticDataset(classes, images, side, per_class, header["seed"])
+    (classes, side, per_class, seed), stacks = read_container(
+        path, DATASET_MAGIC, _parse_header)
+    images = {c.class_id: stack for c, stack in zip(classes, stacks)}
+    return SyntheticDataset(classes, images, side, per_class, seed)

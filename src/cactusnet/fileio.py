@@ -1,0 +1,71 @@
+"""On-disk formats: the binary container, JSON documents, CSV floats.
+
+The container (checkpoints and dataset caches) is an 8-byte magic, a
+little-endian uint32 header length, a UTF-8 JSON header, then raw
+little-endian float32 tensors.
+"""
+
+import json
+import struct
+from math import prod
+
+import numpy as np
+
+from .errors import CheckpointError
+
+
+def write_container(path, magic: bytes, header: dict, tensors):
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<I", len(blob)) + blob)
+        for t in tensors:
+            fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+
+
+def read_container(path, magic: bytes, parse):
+    """Read a container; returns ``(decoded, tensors)``.
+
+    ``parse(header)`` returns ``(decoded, shapes)``, the payload tensor
+    shapes in order.  Any defect, including a ``KeyError``, ``TypeError``
+    or ``ValueError`` in ``parse``, raises ``CheckpointError``.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    found, start = raw[:len(magic)], len(magic) + 4
+    if found != magic:
+        raise CheckpointError(f"bad magic {found!r}, expected {magic!r}: {path}",
+                              found_magic=found, expected_magic=magic)
+    if len(raw) < start:
+        raise CheckpointError(f"truncated header: {path}")
+    offset = start + struct.unpack("<I", raw[start - 4:start])[0]
+    if len(raw) < offset:
+        raise CheckpointError(f"truncated header: {path}")
+    try:
+        decoded, shapes = parse(json.loads(raw[start:offset].decode("utf-8")))
+        shapes = [tuple(int(d) for d in shape) for shape in shapes]
+        if any(d < 0 for shape in shapes for d in shape):
+            raise ValueError(f"negative tensor extent in {shapes}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt header: {exc!r}: {path}") from exc
+    surplus = len(raw) - offset - 4 * sum(prod(shape) for shape in shapes)
+    if surplus < 0:
+        raise CheckpointError(f"truncated payload: {path}")
+    if surplus > 0:
+        raise CheckpointError(f"{surplus} trailing bytes after the payload: {path}")
+    tensors = []
+    for shape in shapes:
+        tensors.append(np.frombuffer(raw, "<f4", prod(shape), offset).reshape(shape).copy())
+        offset += 4 * prod(shape)
+    return decoded, tensors
+
+
+def write_json(path, doc):
+    """Write ``doc`` indented, with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def fmt_float(v) -> str:
+    """The CSV text of a float: its shortest round-trip repr."""
+    return repr(float(v))

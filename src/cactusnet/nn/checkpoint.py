@@ -1,19 +1,11 @@
-"""Binary network checkpoints.
+"""Binary network checkpoints in the ``cactusnet.fileio`` container.
 
-Layout: 8-byte magic, little-endian uint32 header length, UTF-8 JSON
-header, then each parameter tensor as raw little-endian float32 in
-layer order (W before b).  The JSON header records the architecture,
-the input shape, and an optional ``extra`` dict for callers that embed
-their own metadata (predictor checkpoints reuse this with a different
-magic).
+The header holds the architecture, the input and parameter shapes and
+an ``extra`` dict of caller metadata (predictor checkpoints, under their
+own magic); the payload is the parameters in layer order, W before b.
 """
 
-import json
-import struct
-
-import numpy as np
-
-from ..errors import CheckpointError
+from ..fileio import read_container, write_container
 from .layers import LayerSpec
 from .network import Network
 
@@ -31,15 +23,8 @@ def checkpoint_save(net: Network, path, magic: bytes = MAGIC, extra: dict | None
         ],
         "extra": extra or {},
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for p in net.params:
-            if p is not None:
-                fh.write(np.ascontiguousarray(p["W"], dtype="<f4").tobytes())
-                fh.write(np.ascontiguousarray(p["b"], dtype="<f4").tobytes())
+    write_container(path, magic, header,
+                    [p[k] for p in net.params if p is not None for k in ("W", "b")])
 
 
 def checkpoint_load(path, magic: bytes = MAGIC) -> Network:
@@ -48,43 +33,17 @@ def checkpoint_load(path, magic: bytes = MAGIC) -> Network:
     return net
 
 
+def _parse_header(header):
+    specs = [LayerSpec.from_dict(d) for d in header["layers"]]
+    layout = header["param_shapes"]
+    shapes = [entry[k] for entry in layout if entry is not None for k in ("W", "b")]
+    return (specs, tuple(header["input_shape"]), layout,
+            header.get("extra", {})), shapes
+
+
 def checkpoint_load_with_extra(path, magic: bytes = MAGIC):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(magic) + 4:
-        raise CheckpointError(f"checkpoint shorter than its header: {path}")
-    found = raw[:len(magic)]
-    if found != magic:
-        raise CheckpointError(
-            f"bad checkpoint magic {found!r}, expected {magic!r}",
-            found_magic=found, expected_magic=magic)
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    if len(raw) < 12 + hlen:
-        raise CheckpointError(f"truncated checkpoint header: {path}")
-    try:
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-        specs = [LayerSpec.from_dict(d) for d in header["layers"]]
-        input_shape = tuple(header["input_shape"])
-        shapes = header["param_shapes"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-    offset = 12 + hlen
-    params = []
-    for entry in shapes:
-        if entry is None:
-            params.append(None)
-            continue
-        layer = {}
-        for key in ("W", "b"):
-            shape = tuple(entry[key])
-            nbytes = int(np.prod(shape)) * 4
-            chunk = raw[offset:offset + nbytes]
-            if len(chunk) != nbytes:
-                raise CheckpointError(f"truncated parameter payload: {path}")
-            layer[key] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
-            offset += nbytes
-        params.append(layer)
-    if offset != len(raw):
-        raise CheckpointError(
-            f"{len(raw) - offset} trailing bytes after parameters: {path}")
-    return Network(specs, input_shape, params), header.get("extra", {})
+    (specs, input_shape, layout, extra), tensors = read_container(
+        path, magic, _parse_header)
+    it = iter(tensors)
+    params = [None if e is None else {"W": next(it), "b": next(it)} for e in layout]
+    return Network(specs, input_shape, params), extra

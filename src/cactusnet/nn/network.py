@@ -161,16 +161,7 @@ def forward(net: Network, batch) -> list:
     The final entry is the network output.  A single un-batched input is
     promoted to a batch of one.
     """
-    x = net._normalize_batch(batch)
-    trace = []
-    for i, spec in enumerate(net.specs):
-        x = _forward_one(spec, net.params[i], x)[0]
-        if not np.isfinite(x).all():
-            raise NumericFailureError(
-                f"non-finite activation at layer {i} ({spec.kind})",
-                layer_index=i)
-        trace.append(x)
-    return trace
+    return _run_layers(net, net._normalize_batch(batch))[0]
 
 
 def predict(net: Network, batch):
@@ -178,22 +169,32 @@ def predict(net: Network, batch):
     return forward(net, batch)[-1]
 
 
-def _forward_one(spec, params, x):
-    """Forward one layer; returns (output, cache-for-backward)."""
-    if spec.kind == "Conv2D":
-        return L.conv2d(x, params["W"], spec.stride) + params["b"], None
-    if spec.kind == "MaxPool2D":
-        out, idx = L.maxpool2d(x, spec.kernel, spec.stride)
-        return out, idx
-    if spec.kind == "Dense":
-        return L.dense(x, params["W"], params["b"]), None
-    if spec.kind == "ReLU":
-        return L.relu(x), None
-    if spec.kind == "Softmax":
-        return L.softmax(x), None
-    if spec.kind == "Flatten":
-        return x.reshape(x.shape[0], -1), None
-    raise AssertionError(spec.kind)
+def _run_layers(net: Network, x):
+    """The forward loop behind ``forward`` and ``backward``: per-layer
+    outputs and caches (the max-pool argmax, else None).  Raises at the
+    first layer whose output is not finite."""
+    acts, caches = [], []
+    for i, (spec, p) in enumerate(zip(net.specs, net.params)):
+        cache = None
+        if spec.kind == "Conv2D":
+            x = L.conv2d(x, p["W"], spec.stride) + p["b"]
+        elif spec.kind == "MaxPool2D":
+            x, cache = L.maxpool2d(x, spec.kernel, spec.stride)
+        elif spec.kind == "Dense":
+            x = L.dense(x, p["W"], p["b"])
+        elif spec.kind == "ReLU":
+            x = L.relu(x)
+        elif spec.kind == "Softmax":
+            x = L.softmax(x)
+        else:  # Flatten; LayerSpec admits no other kind
+            x = x.reshape(x.shape[0], -1)
+        if not np.isfinite(x).all():
+            raise NumericFailureError(
+                f"non-finite activation at layer {i} ({spec.kind})",
+                layer_index=i)
+        acts.append(x)
+        caches.append(cache)
+    return acts, caches
 
 
 def _loss_and_delta(net, output, targets, loss_kind):
@@ -226,14 +227,10 @@ def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     x = net._normalize_batch(batch)
-    inputs, caches = [], []
-    for i, spec in enumerate(net.specs):
-        inputs.append(x)
-        x, cache = _forward_one(spec, net.params[i], x)
-        caches.append(cache)
-    output = x
+    acts, caches = _run_layers(net, x)
+    inputs = [x] + acts[:-1]
 
-    loss, delta, fused = _loss_and_delta(net, output, targets, loss_kind)
+    loss, delta, fused = _loss_and_delta(net, acts[-1], targets, loss_kind)
     if not np.isfinite(loss):
         raise NumericFailureError("non-finite loss", layer_index=net.layer_count - 1)
 
@@ -270,7 +267,7 @@ def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):
         elif spec.kind == "ReLU":
             delta = L.relu_backward(inputs[i], delta)
         elif spec.kind == "Softmax":
-            delta = L.softmax_backward(L.softmax(inputs[i]), delta)
+            delta = L.softmax_backward(acts[i], delta)
         elif spec.kind == "Flatten":
             delta = delta.reshape(inputs[i].shape)
         if i in grads:
@@ -287,9 +284,9 @@ def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):
     return grads, loss
 
 
-def sgd_step(net: Network, grads, cfg) -> Network:
+def sgd_step(net: Network, grads, cfg: TrainConfig) -> Network:
     """One plain-SGD update; frozen layers are carried over untouched."""
-    lr = cfg.learning_rate if hasattr(cfg, "learning_rate") else float(cfg)
+    lr = cfg.learning_rate
     new_params = list(net.params)
     for i in net.unfrozen_param_layers():
         if i not in grads:

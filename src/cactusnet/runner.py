@@ -20,6 +20,7 @@ from .data import (DatasetManifest, SubsetLabel, build_splits,
                    generate_synthetic, load_dataset, load_idx,
                    synthetic_manifest)
 from .errors import ConfigError
+from .fileio import fmt_float, write_json
 from .nn import (Network, accuracy, checkpoint_load, checkpoint_save, forward,
                  train_classifier)
 from .predictor import (build_predictor, evaluate_predictor, load_predictor,
@@ -38,16 +39,6 @@ GROWTH_LOG = "growth_log.jsonl"
 TREE_DIR = "tree"
 HISTOGRAM_CSV = "verdict_histogram.csv"
 REPORT_DIR = "report"
-
-
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------
@@ -136,7 +127,7 @@ def run_train_base(cfg: ExperimentConfig) -> dict:
         w = csv.writer(fh)
         w.writerow(["epoch", "loss", "accuracy"])
         for row in history:
-            w.writerow([row["epoch"], _fmt(row["loss"]), _fmt(row["accuracy"])])
+            w.writerow([row["epoch"], fmt_float(row["loss"]), fmt_float(row["accuracy"])])
     return {"test_accuracy": test_acc, "epochs": len(history),
             "checkpoint": str(out / BASE_CKPT)}
 
@@ -189,7 +180,7 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     app.write_table_csv(out / TABLE_CSV, table)
     curves = app.subset_average(table)
     app.write_curves_csv(out / CURVES_CSV, curves)
-    _write_json(out / MEASURE_META, {
+    write_json(out / MEASURE_META, {
         "manifest_sha256": _manifest_sha256(cfg),
         "master_seed": cfg.master_seed,
         "taps": list(cfg.taps),
@@ -306,7 +297,7 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
                 "abs_err": row.abs_err,
             })
 
-    _write_json(out / PREDICTOR_SUMMARY,
+    write_json(out / PREDICTOR_SUMMARY,
                 {"layers": summary, "heldout_classes": sorted(heldout)})
     with open(out / PREDICTOR_EVAL, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
@@ -314,8 +305,8 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
                     "mean_predicted", "abs_err"])
         for row in sorted(eval_rows, key=lambda r: (r["class"], r["layer"])):
             w.writerow([row["class"], row["subset"], row["layer"],
-                        _fmt(row["actual_app"]), _fmt(row["mean_predicted"]),
-                        _fmt(row["abs_err"])])
+                        fmt_float(row["actual_app"]), fmt_float(row["mean_predicted"]),
+                        fmt_float(row["abs_err"])])
     return {"layers": summary, "heldout": sorted(heldout)}
 
 
@@ -467,7 +458,7 @@ def run_report(cfg: ExperimentConfig) -> dict:
     log = cactus.load_growth_log(out / GROWTH_LOG)
     counts = {v.value: c for v, c in sorted(
         log.verdict_counts().items(), key=lambda kv: kv[0].value)}
-    _write_json(report / "growth_summary.json", {
+    write_json(report / "growth_summary.json", {
         "inputs": len(log.decisions),
         "verdicts": counts,
         "branches_created": [d.branch_created for d in log.decisions

@@ -171,22 +171,22 @@ class TestRouteStep:
 
     def test_max_app_selected(self):
         node = self.make_node_with_children([(0.97, 0.965), (0.99, 0.965)])
-        child, app = route_step(node, None, [0.97, 0.99])
+        child, app = route_step(node, [0.97, 0.99])
         assert app == 0.99 and child.branch_id == 1
 
     def test_single_below_threshold_is_branch_needed(self):
         node = self.make_node_with_children([(0.95, 0.965)])
-        assert route_step(node, None, [0.95]) is None
+        assert route_step(node, [0.95]) is None
 
     def test_tie_breaks_to_lowest_branch_id(self):
         node = self.make_node_with_children([(0.98, 0.9), (0.98, 0.9)])
-        child, _ = route_step(node, None, [0.98, 0.98])
+        child, _ = route_step(node, [0.98, 0.98])
         assert child.branch_id == 0
 
     def test_count_mismatch(self):
         node = self.make_node_with_children([(0.98, 0.9)])
         with pytest.raises(RoutingError):
-            route_step(node, None, [0.98, 0.97])
+            route_step(node, [0.98, 0.97])
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(4)
@@ -195,12 +195,12 @@ class TestRouteStep:
             taus = rng.uniform(0, 1, size=3)
             node = self.make_node_with_children(
                 [(a, t) for a, t in zip(apps, taus)])
-            before = route_step(node, None, list(apps))
+            before = route_step(node, list(apps))
             # strictly increasing map applied to apps and thresholds alike
             f = lambda v: v ** 3 + 2 * v
             node2 = self.make_node_with_children(
                 [(f(a), f(t)) for a, t in zip(apps, taus)])
-            after = route_step(node2, None, [f(a) for a in apps])
+            after = route_step(node2, [f(a) for a in apps])
             if before is None:
                 assert after is None
             else:

@@ -147,6 +147,13 @@ class TestExitCodes:
         assert run(cfg, "prepare") == 0
         assert run(cfg, "measure") == 2
 
+    def test_corrupt_checkpoint_exits_2(self, tmp_path):
+        cfg = write_tiny_config(tmp_path)
+        assert run(cfg, "prepare") == 0
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "base.ckpt").write_bytes(b"garbage")
+        assert run(cfg, "measure") == 2
+
     def test_leaky_heldout_exits_2(self, tmp_path):
         cfg = write_tiny_config(tmp_path, heldout_classes=[999])
         assert run(cfg, "prepare") == 0

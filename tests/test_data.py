@@ -1,5 +1,6 @@
 """Data layer: IDX round trips, synthetic generation, manifests, splits."""
 
+import json
 import struct
 
 import numpy as np
@@ -84,6 +85,20 @@ class TestSyntheticGenerator:
         path = tmp_path / "ds.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 8)
         with pytest.raises(CheckpointError):
+            load_dataset(path)
+
+    def test_cache_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ds.bin"
+        save_dataset(generate_synthetic(2, 3, 8, seed=1), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_dataset(path)
+
+    def test_cache_header_missing_key_rejected(self, tmp_path):
+        path = tmp_path / "ds.bin"
+        blob = json.dumps({"classes": [], "per_class": 1, "seed": 0}).encode()
+        path.write_bytes(b"CNLDATA1" + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(CheckpointError, match="image_side"):
             load_dataset(path)
 
 

@@ -82,6 +82,19 @@ class TestBackwardLoss:
             backward(net, batch, np.zeros((1, 2), np.float32), "MSE")
         assert exc.value.layer_index is not None
 
+    def test_inf_weight_reports_first_layer(self):
+        # backward shares forward's per-layer check, so the first
+        # non-finite layer is named, not the loss at the last layer
+        net = Network.build([LayerSpec.dense(3), LayerSpec.relu(),
+                             LayerSpec.dense(2), LayerSpec.softmax()], (2,), seed=0)
+        params = list(net.params)
+        params[0] = dict(params[0], W=params[0]["W"].copy())
+        params[0]["W"][0, 0] = np.inf
+        with pytest.raises(NumericFailureError) as exc:
+            backward(net.with_params(params), np.ones((1, 2), np.float32),
+                     np.array([[1.0, 0.0]], np.float32))
+        assert exc.value.layer_index == 0
+
 
 class TestSgdStep:
     def setup_method(self):
