@@ -11,7 +11,6 @@ probe set is the class applicability at that layer.
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,7 +20,7 @@ from .data.manifest import SplitStore, SubsetLabel
 from .errors import AggregationError, DataError, NumericFailureError
 from .fileio import fmt_float
 from .nn import TrainConfig, backward, forward, predict, replace_head, sgd_step
-from .nn.network import Network, freeze_through, one_hot, split_at
+from .nn.network import Network, freeze_through, head_index, one_hot, split_at
 from .seeding import derive_seed, rng_for
 
 
@@ -72,6 +71,75 @@ class ApplicabilityTable:
 
 
 # ---------------------------------------------------------------------
+# Tap features: each (class, split) forwarded once
+# ---------------------------------------------------------------------
+
+def tap_features(net: Network, images, taps) -> dict:
+    """tap -> the output of layer ``tap`` for ``images``.
+
+    One forward through the prefix up to the deepest tap yields every
+    tap; only the tap outputs are kept.
+    """
+    taps = sorted(taps)
+    trace = forward(split_at(net, taps[-1])[0], images)
+    return {tap: trace[tap] for tap in taps}
+
+
+class TapFeatures:
+    """Frozen-prefix outputs of (class, split) image stacks at their taps.
+
+    Every job at a tap freezes the layers at and below it, so their
+    output for an image is a constant of the base network: each stack is
+    forwarded once, and jobs only read: pool threads share it without a
+    lock.
+    """
+
+    def __init__(self, entries):
+        self._entries = entries  # (class_id, split, tap) -> array | Exception
+
+    @classmethod
+    def build(cls, net: Network, splits: SplitStore, taps_by_class) -> "TapFeatures":
+        """Forward the train and test stacks of each class to its taps.
+
+        A stack that fails keeps the error for every tap it could not
+        reach, and each job reading one of those taps raises it: a
+        non-finite activation at layer i fails that stack's taps at and
+        above i; the shallower ones are forwarded again up to the deepest
+        of them.  Any other error fails all of the stack's taps.
+        """
+        entries = {}
+        for cid, taps in sorted(taps_by_class.items()):
+            for split, images_of in (("train", splits.train_images),
+                                     ("test", splits.test_images)):
+                todo = sorted(taps)
+                while todo:
+                    try:
+                        got = tap_features(net, images_of(cid), todo)
+                    except NumericFailureError as exc:
+                        got = {t: exc for t in todo if t >= exc.layer_index}
+                    except Exception as exc:  # noqa: BLE001 - fails its jobs only
+                        got = dict.fromkeys(todo, exc)
+                    entries.update(((cid, split, t), v) for t, v in got.items())
+                    todo = [t for t in todo if t not in got]
+        return cls(entries)
+
+    def get(self, class_id, split, tap):
+        value = self._entries[(class_id, split, tap)]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+
+def _taps_by_class(jobs) -> dict:
+    """class_id -> the taps at which some job reads its features."""
+    taps = {}
+    for x, un_j, layer in jobs:
+        for cid in (x, un_j):
+            taps.setdefault(cid, set()).add(layer)
+    return taps
+
+
+# ---------------------------------------------------------------------
 # Pair separability (one 1-vs-1 job)
 # ---------------------------------------------------------------------
 
@@ -109,45 +177,51 @@ def _pair_accuracy(net, feats_a, feats_b):
     return correct / (feats_a.shape[0] + feats_b.shape[0])
 
 
-def _self_control_pools(splits: SplitStore, x: int, seed: int):
-    """Split one class into two disjoint pseudo-classes, train and test."""
+def _self_control_pools(train, test, seed: int):
+    """Split one class's features into two disjoint pseudo-classes."""
     rng = rng_for(seed, 0x5E1F)
     pools = []
-    for images in (splits.train_images(x), splits.test_images(x)):
-        order = rng.permutation(images.shape[0])
-        half = images.shape[0] // 2
-        pools.append((images[order[:half]], images[order[half:2 * half]]))
+    for feats in (train, test):
+        order = rng.permutation(feats.shape[0])
+        half = feats.shape[0] // 2
+        pools.append((feats[order[:half]], feats[order[half:2 * half]]))
     return pools  # [(train_a, train_b), (test_a, test_b)]
 
 
 def pair_separability(net: Network, layer_index: int, x: int, un_j: int,
-                      splits: SplitStore, cfg: TrainConfig) -> SeparabilityRecord:
+                      splits, cfg: TrainConfig) -> SeparabilityRecord:
     """Fine-tune a 2-way head with layers <= ``layer_index`` frozen.
 
     Returns the balanced held-out accuracy as the separability xi.
     Passing ``un_j == x`` runs the chance-level self-control: the class
-    is split against itself with disjointly re-drawn pools.
+    is split against itself with disjointly re-drawn pools.  ``splits``
+    is a ``TapFeatures`` holding this job's features, or a
+    ``SplitStore``, whose stacks of x and un_j are then forwarded for
+    this job alone.
     """
-    if not 0 <= layer_index < net.layer_count - 1:
-        raise DataError(f"layer_index {layer_index} out of range")
+    if not 0 <= layer_index < head_index(net):
+        raise DataError(f"layer_index {layer_index} out of range: the "
+                        f"2-way head needs a trainable layer above the tap")
+    if not isinstance(splits, TapFeatures):
+        splits = TapFeatures.build(net, splits, _taps_by_class([(x, un_j, layer_index)]))
     job_seed = cfg.seed
-    if x == un_j:
-        (tr_a, tr_b), (te_a, te_b) = _self_control_pools(splits, x, job_seed)
-    else:
-        tr_a, tr_b = _balanced_pair(splits.train_images(x), splits.train_images(un_j))
-        te_a, te_b = _balanced_pair(splits.test_images(x), splits.test_images(un_j))
-    if min(tr_a.shape[0], te_a.shape[0]) == 0:
-        raise DataError(f"empty split for pair ({x}, {un_j})")
-
     frozen = freeze_through(net, layer_index)
     frozen = replace_head(frozen, 2, seed=derive_seed(job_seed, 1))
-    prefix, suffix = split_at(frozen, layer_index)
+    suffix = split_at(frozen, layer_index)[1]
+    feats = partial(splits.get, tap=layer_index)
 
     try:
-        feats = [forward(prefix, arr)[-1] for arr in (tr_a, tr_b, te_a, te_b)]
+        if x == un_j:
+            (tr_a, tr_b), (te_a, te_b) = _self_control_pools(
+                feats(x, "train"), feats(x, "test"), job_seed)
+        else:
+            tr_a, tr_b = _balanced_pair(feats(x, "train"), feats(un_j, "train"))
+            te_a, te_b = _balanced_pair(feats(x, "test"), feats(un_j, "test"))
+        if min(tr_a.shape[0], te_a.shape[0]) == 0:
+            raise DataError(f"empty split for pair ({x}, {un_j})")
         trained = _train_balanced_pair(
-            suffix, feats[0], feats[1], cfg.with_seed(derive_seed(job_seed, 2)))
-        xi = _pair_accuracy(trained, feats[2], feats[3])
+            suffix, tr_a, tr_b, cfg.with_seed(derive_seed(job_seed, 2)))
+        xi = _pair_accuracy(trained, te_a, te_b)
     except NumericFailureError as exc:
         raise NumericFailureError(
             f"1-vs-1 job (x={x}, un_j={un_j}, layer={layer_index}) diverged: {exc}",
@@ -206,23 +280,28 @@ def sweep_jobs(classes_to_measure, probe_set, layers):
 def run_jobs(net, jobs, splits, cfg, master_seed, workers=1, on_record=None):
     """Execute 1-vs-1 jobs, each seeded purely from its identity.
 
-    Failed jobs are collected, not raised, so a long sweep always
-    completes.  ``on_record`` is called in the submitting thread as
-    results arrive (used for journaling).  One worker runs the jobs in
-    order in this thread; more run them on a thread pool.
+    The features of every (class, split) the jobs touch are forwarded
+    once, before any job runs (``TapFeatures``).  Failed jobs are
+    collected, not raised, so a long sweep always completes.
+    ``on_record`` is called in the submitting thread as results arrive
+    (used for journaling); an error it raises stops the sweep.  One
+    worker runs the jobs in order in this thread; more run them on a
+    thread pool.
     """
     def seed_of(job):
         x, un_j, layer = job
         return derive_seed(master_seed, 0xA11, x, un_j, layer)
 
+    features = TapFeatures.build(net, splits, _taps_by_class(jobs))
+
     def run_one(job):
         x, un_j, layer = job
-        return pair_separability(net, layer, x, un_j, splits,
+        return pair_separability(net, layer, x, un_j, features,
                                  cfg.with_seed(seed_of(job)))
 
     records, failures = [], []
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    with pool or nullcontext():
+    try:
         if pool is None:
             results = ((job, partial(run_one, job)) for job in jobs)
         else:
@@ -231,11 +310,15 @@ def run_jobs(net, jobs, splits, cfg, master_seed, workers=1, on_record=None):
         for job, result in results:
             try:
                 rec = result()
-                records.append(rec)
-                if on_record:
-                    on_record(rec)
             except Exception as exc:  # noqa: BLE001 - sweep must survive any job
                 failures.append(JobFailure(*job, seed_of(job), str(exc)))
+                continue
+            records.append(rec)
+            if on_record:
+                on_record(rec)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     records.sort(key=lambda r: (r.x, r.layer_index, r.un_j))
     failures.sort(key=lambda f: (f.x, f.layer_index, f.un_j))
     return records, failures
@@ -299,20 +382,18 @@ def write_records_csv(path, records):
 
 
 def read_records_csv(path):
-    records = []
+    """Records of the newline-terminated rows; a last row cut short by a
+    kill is dropped, so its job runs again."""
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(SeparabilityRecord(
-                int(row["x"]), int(row["un_j"]), int(row["layer"]),
-                float(row["xi"]), int(row["seed"])))
-    return records
+        lines = [line for line in fh if line.endswith("\n")]
+    return [SeparabilityRecord(int(row["x"]), int(row["un_j"]), int(row["layer"]),
+                               float(row["xi"]), int(row["seed"]))
+            for row in csv.DictReader(lines)]
 
 
-def append_record_csv(path, record, write_header=False):
+def append_record_csv(path, record):
     with open(path, "a", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        if write_header:
-            w.writerow(["x", "un_j", "layer", "xi", "seed"])
         w.writerow([record.x, record.un_j, record.layer_index,
                     fmt_float(record.xi), record.seed])
         fh.flush()

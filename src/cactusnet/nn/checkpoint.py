@@ -7,7 +7,7 @@ own magic); the payload is the parameters in layer order, W before b.
 
 from ..fileio import read_container, write_container
 from .layers import LayerSpec
-from .network import Network
+from .network import Network, param_shapes
 
 MAGIC = b"CNLCKPT1"
 
@@ -35,10 +35,16 @@ def checkpoint_load(path, magic: bytes = MAGIC) -> Network:
 
 def _parse_header(header):
     specs = [LayerSpec.from_dict(d) for d in header["layers"]]
+    input_shape = tuple(header["input_shape"])
     layout = header["param_shapes"]
+    expected = param_shapes(specs, input_shape)
+    found = [None if e is None else {k: tuple(e[k]) for k in ("W", "b")}
+             for e in layout]
+    if found != expected:
+        raise ValueError(f"param_shapes {layout} do not match the layers, "
+                         f"which need {expected}")
     shapes = [entry[k] for entry in layout if entry is not None for k in ("W", "b")]
-    return (specs, tuple(header["input_shape"]), layout,
-            header.get("extra", {})), shapes
+    return (specs, input_shape, layout, header.get("extra", {})), shapes
 
 
 def checkpoint_load_with_extra(path, magic: bytes = MAGIC):

@@ -78,21 +78,35 @@ def _want_rank(shape, rank, index, spec):
             f"got shape {shape}")
 
 
+def _weight_shape(spec, in_shape):
+    """W of a Conv2D is (kh, kw, c_in, filters); of a Dense, (in, units)."""
+    if spec.kind == "Conv2D":
+        return (*spec.kernel, in_shape[2], spec.filters)
+    return (in_shape[0], spec.units)
+
+
+def param_shapes(specs, input_shape):
+    """Per-layer ``{"W": shape, "b": shape}``, or None for a layer
+    without parameters."""
+    in_shapes = [tuple(input_shape)] + output_shapes(specs, input_shape)[:-1]
+    out = []
+    for spec, in_shape in zip(specs, in_shapes):
+        if spec.parameterized:
+            w = _weight_shape(spec, in_shape)
+            out.append({"W": w, "b": w[-1:]})
+        else:
+            out.append(None)
+    return out
+
+
 def _init_params(spec, in_shape, rng, dtype):
     """Glorot-uniform weights, zero biases."""
-    if spec.kind == "Conv2D":
-        kh, kw = spec.kernel
-        c_in = in_shape[2]
-        fan_in, fan_out = kh * kw * c_in, kh * kw * spec.filters
-        shape = (kh, kw, c_in, spec.filters)
-        b = np.zeros(spec.filters, dtype=dtype)
-    else:  # Dense
-        fan_in, fan_out = in_shape[0], spec.units
-        shape = (in_shape[0], spec.units)
-        b = np.zeros(spec.units, dtype=dtype)
+    shape = _weight_shape(spec, in_shape)
+    window = prod(shape[:-2])  # kh * kw for a Conv2D, 1 for a Dense
+    fan_in, fan_out = window * shape[-2], window * shape[-1]
     s = sqrt(6.0 / (fan_in + fan_out))
     w = rng.uniform(-s, s, size=shape).astype(dtype)
-    return {"W": w, "b": b}
+    return {"W": w, "b": np.zeros(shape[-1], dtype=dtype)}
 
 
 class Network:
@@ -187,7 +201,7 @@ def _run_layers(net: Network, x):
         elif spec.kind == "Softmax":
             x = L.softmax(x)
         else:  # Flatten; LayerSpec admits no other kind
-            x = x.reshape(x.shape[0], -1)
+            x = x.reshape(x.shape[0], prod(x.shape[1:]))
         if not np.isfinite(x).all():
             raise NumericFailureError(
                 f"non-finite activation at layer {i} ({spec.kind})",
@@ -311,9 +325,10 @@ def freeze_through(net: Network, layer_index: int) -> Network:
 def split_at(net: Network, layer_index: int):
     """Split into (layers[0..i], layers[i+1..]) as two networks.
 
-    Useful for training only the suffix of a partially frozen network:
-    the prefix output can be computed once and reused, which changes no
-    arithmetic because frozen layers never move.
+    The sweep trains only the suffix of a network frozen through layer
+    i; the prefix output of each image stack is computed once per sweep
+    (``applicability.TapFeatures``) and read by every job, which changes
+    no arithmetic because frozen layers never move.
     """
     if not 0 <= layer_index < net.layer_count - 1:
         raise ShapeMismatchError(
@@ -325,12 +340,8 @@ def split_at(net: Network, layer_index: int):
     return prefix, suffix
 
 
-def replace_head(net: Network, num_outputs: int, seed: int) -> Network:
-    """Swap the final Dense block for a fresh one of width ``num_outputs``.
-
-    The final layer must be Dense, optionally followed by Softmax; every
-    earlier parameter tensor is carried over unchanged.
-    """
+def head_index(net: Network) -> int:
+    """Index of the final Dense layer, which may be followed by Softmax."""
     idx = net.layer_count - 1
     if net.specs[idx].kind == "Softmax":
         idx -= 1
@@ -338,6 +349,16 @@ def replace_head(net: Network, num_outputs: int, seed: int) -> Network:
         raise UnsupportedArchitectureError(
             "replace_head needs a final Dense layer (optionally + Softmax), "
             f"got {[s.kind for s in net.specs]}")
+    return idx
+
+
+def replace_head(net: Network, num_outputs: int, seed: int) -> Network:
+    """Swap the final Dense block for a fresh one of width ``num_outputs``.
+
+    The final layer must be Dense, optionally followed by Softmax; every
+    earlier parameter tensor is carried over unchanged.
+    """
+    idx = head_index(net)
     in_shape = net.shapes[idx - 1] if idx > 0 else net.input_shape
     dtype = net.params[idx]["W"].dtype
     new_spec = LayerSpec.dense(num_outputs)

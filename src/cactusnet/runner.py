@@ -9,6 +9,7 @@ outputs byte for byte.
 import csv
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,9 @@ from .data import (DatasetManifest, SubsetLabel, build_splits,
                    synthetic_manifest)
 from .errors import ConfigError
 from .fileio import fmt_float, write_json
-from .nn import (Network, accuracy, checkpoint_load, checkpoint_save, forward,
-                 train_classifier)
+# perfbench's tracer patches and checks the runner.forward binding
+from .nn import (Network, accuracy, checkpoint_load, checkpoint_save,  # noqa: F401
+                 forward, train_classifier)
 from .predictor import (build_predictor, evaluate_predictor, load_predictor,
                         predict_applicability, save_predictor, train_predictor)
 from .seeding import derive_seed
@@ -155,19 +157,15 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     if records_path.is_file():
         completed_records = app.read_records_csv(records_path)
     completed = {(r.x, r.un_j, r.layer_index) for r in completed_records}
-
-    journal_new = not records_path.is_file()
-    first = [journal_new]
-
-    def journal(record):
-        app.append_record_csv(records_path, record, write_header=first[0])
-        first[0] = False
+    # rewrite the journal without a torn last row, so appends start a line
+    app.write_records_csv(records_path, completed_records)
 
     result = app.layer_sweep(
         net, manifest.measured_ids, manifest.probe_set, splits,
         cfg.train.pair, cfg.taps, master_seed=cfg.master_seed,
         classes={c.class_id: c for c in manifest.classes},
-        workers=cfg.workers, completed=completed, on_record=journal)
+        workers=cfg.workers, completed=completed,
+        on_record=partial(app.append_record_csv, records_path))
 
     all_records = sorted(set(completed_records) | set(result.records),
                          key=lambda r: (r.x, r.layer_index, r.un_j))
@@ -206,11 +204,6 @@ def load_table(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------
 # train-predictors
 # ---------------------------------------------------------------------
-
-def _tap_activations(net, images, taps):
-    trace = forward(net, images)
-    return {tap: trace[tap] for tap in taps}
-
 
 def _auto_heldout(manifest, table, taps) -> list:
     """One held-out class per subset: the most representative member.
@@ -253,9 +246,9 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"held-out classes {bad} are not measured classes")
     train_ids = [c for c in manifest.measured_ids if c not in heldout]
 
-    train_acts = {cid: _tap_activations(net, splits.train_images(cid), cfg.taps)
+    train_acts = {cid: app.tap_features(net, splits.train_images(cid), cfg.taps)
                   for cid in manifest.measured_ids}
-    test_acts = {cid: _tap_activations(net, splits.test_images(cid), cfg.taps)
+    test_acts = {cid: app.tap_features(net, splits.test_images(cid), cfg.taps)
                  for cid in heldout}
 
     summary = []

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from cactusnet.applicability import (ApplicabilityTable, SeparabilityRecord,
-                                     class_applicability, layer_sweep,
-                                     pair_separability, read_records_csv,
+                                     TapFeatures, class_applicability,
+                                     layer_sweep, pair_separability,
+                                     read_records_csv, run_jobs,
                                      subset_average, sweep_jobs,
                                      write_records_csv, write_table_csv)
 from cactusnet.data import (SubsetLabel, build_splits, generate_synthetic,
                             synthetic_manifest)
 from cactusnet.errors import AggregationError, DataError
-from cactusnet.nn import LayerSpec, Network, TrainConfig
+from cactusnet.nn import LayerSpec, Network, TrainConfig, forward
+from cactusnet.nn.network import split_at
+from cactusnet.seeding import derive_seed
 
 # The ten separability values of one probe row, frozen from the source
 # experiment record; the independent oracle below recomputes their mean.
@@ -106,6 +109,24 @@ class TestPairSeparability:
         with pytest.raises(DataError):
             pair_separability(net, 99, manifest.measured_ids[0],
                               manifest.probe_set[0], splits, cfg)
+
+    def test_tap_at_the_head_rejected(self, small_world):
+        # freezing through the head (layer 6) would leave nothing to train
+        manifest, splits, net, cfg = small_world
+        with pytest.raises(DataError, match="trainable layer above the tap"):
+            pair_separability(net, 6, manifest.measured_ids[0],
+                              manifest.probe_set[0], splits, cfg)
+
+    def test_empty_split_is_a_data_error(self, small_world):
+        from cactusnet.data.manifest import ClassSplit, SplitStore
+        manifest, splits, net, cfg = small_world
+        x, un = manifest.measured_ids[0], manifest.probe_set[0]
+        emptied = SplitStore({cid: ClassSplit(splits.entry(cid),
+                                              splits.train_images(cid),
+                                              splits.test_images(cid)[:0])
+                              for cid in (x, un)})
+        with pytest.raises(DataError, match="empty split"):
+            pair_separability(net, 2, x, un, emptied, cfg)
 
     def test_divergence_reports_job_identity(self, small_world, monkeypatch):
         from cactusnet.errors import NumericFailureError
@@ -233,6 +254,108 @@ class TestSweep:
                         manifest.probe_set, splits, cfg, TAPS, master_seed=1)
 
 
+class TestTapFeatures:
+    def test_each_tap_equals_its_prefix_forward(self, small_world):
+        manifest, splits, net, _ = small_world
+        cid = manifest.measured_ids[0]
+        store = TapFeatures.build(net, splits, {cid: TAPS})
+        for split, images in (("train", splits.train_images(cid)),
+                              ("test", splits.test_images(cid))):
+            for tap in TAPS:
+                want = forward(split_at(net, tap)[0], images)[-1]
+                got = store.get(cid, split, tap)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def count_forwards(monkeypatch):
+        """Patch the forward the sweep calls; count calls in and out of jobs."""
+        import cactusnet.applicability as appmod
+        counts = {"outside": 0, "inside": 0}
+        in_job = [0]
+        real_forward, real_job = appmod.forward, appmod.pair_separability
+
+        def counting_forward(*args, **kwargs):
+            counts["inside" if in_job[0] else "outside"] += 1
+            return real_forward(*args, **kwargs)
+
+        def counting_job(*args, **kwargs):
+            in_job[0] += 1
+            try:
+                return real_job(*args, **kwargs)
+            finally:
+                in_job[0] -= 1
+
+        monkeypatch.setattr(appmod, "forward", counting_forward)
+        monkeypatch.setattr(appmod, "pair_separability", counting_job)
+        return counts
+
+    def test_one_forward_per_class_and_split(self, small_world, monkeypatch):
+        manifest, splits, net, cfg = small_world
+        counts = self.count_forwards(monkeypatch)
+        result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
+                             splits, cfg, TAPS, master_seed=17)
+        assert result.failures == ()
+        classes = set(manifest.measured_ids) | set(manifest.probe_set)
+        assert counts == {"outside": 2 * len(classes), "inside": 0}
+
+    def test_completed_resume_runs_no_forward(self, small_world, monkeypatch):
+        manifest, splits, net, cfg = small_world
+        done = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)
+        counts = self.count_forwards(monkeypatch)
+        result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
+                             splits, cfg, TAPS, master_seed=17, completed=done)
+        assert result.records == () and result.failures == ()
+        assert counts == {"outside": 0, "inside": 0}
+
+    def test_non_finite_between_taps_fails_only_deeper_jobs(self, small_world,
+                                                            monkeypatch):
+        import cactusnet.nn.layers as L
+        manifest, splits, net, cfg = small_world
+        victim = manifest.measured_ids[0]
+        # layer 4 (Dense) sits between taps 2 and 5; poison it for the
+        # victim's train stack only
+        flat = forward(split_at(net, 3)[0], splits.train_images(victim))[-1]
+        real_dense = L.dense
+
+        def poisoned(x, w, b):
+            out = real_dense(x, w, b)
+            return np.full_like(out, np.inf) if np.array_equal(x, flat) else out
+
+        monkeypatch.setattr(L, "dense", poisoned)
+        result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
+                             splits, cfg, TAPS, master_seed=17)
+        probes = sorted(manifest.probe_set)
+        assert [(f.x, f.un_j, f.layer_index, f.seed) for f in result.failures] == [
+            (victim, un_j, 5, derive_seed(17, 0xA11, victim, un_j, 5))
+            for un_j in probes]
+        for f in result.failures:
+            assert f"(x={victim}, un_j={f.un_j}, layer=5)" in f.error
+            assert "non-finite activation at layer 4" in f.error
+        assert len(result.records) == 3 * 2 * 2 - len(probes)
+        assert (victim, 2) in result.table.entries
+        assert (victim, 5) not in result.table.entries
+
+
+class TestRunJobs:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_journal_error_stops_the_sweep(self, small_world, workers):
+        manifest, splits, net, cfg = small_world
+        jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)[:4]
+        seen = []
+
+        def on_record(rec):
+            seen.append(rec)
+            if len(seen) == 1:
+                raise OSError("journal write failed")
+
+        with pytest.raises(OSError, match="journal write failed"):
+            run_jobs(net, jobs, splits, cfg, 17, workers=workers,
+                     on_record=on_record)
+        # the failed append is neither swallowed nor followed by more
+        assert len(seen) == 1
+
+
 class TestSubsetAverage:
     def table_with(self, rows):
         from cactusnet.data import ClassEntry
@@ -270,6 +393,14 @@ class TestCsvRoundTrip:
         write_records_csv(path, recs)
         assert read_records_csv(path) == sorted(
             recs, key=lambda r: (r.x, r.layer_index, r.un_j))
+
+    def test_torn_last_row_dropped(self, tmp_path):
+        recs = records_for([0.25, 0.5])
+        recs[1] = SeparabilityRecord(1, 101, 5, 0.5, seed=6903379388690687955)
+        path = tmp_path / "records.csv"
+        write_records_csv(path, recs)
+        path.write_bytes(path.read_bytes()[:-6])  # cut mid-seed, no newline
+        assert read_records_csv(path) == recs[:1]
 
     def test_table_csv_schema(self, tmp_path, small_world):
         manifest, splits, net, cfg = small_world

@@ -251,6 +251,24 @@ class TestDeterminism:
         assert run(cfg, "measure") == 0
         assert records.read_bytes() == full
 
+    def test_torn_journal_row_is_rerun(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir(), b.mkdir()
+        run_full(a)
+        run_full(b)
+        records = b / "out" / "records.csv"
+        lines = records.read_text().splitlines(keepends=True)
+        # a kill mid-append: the 8th record lost its newline and the
+        # last digits of its seed, and nothing after it was written
+        records.write_text("".join(lines[:8]) + lines[8][:-5])
+        cfg = write_tiny_config(b)
+        assert run(cfg, "measure") == 0
+        assert run(cfg, "train-predictors") == 0
+        assert run(cfg, "cactus-run", str(b / "stream.json")) == 0
+        assert run(cfg, "report") == 0
+        for name in COMPARED:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_rerun_after_completion_is_idempotent(self, tmp_path):
         base = tmp_path / "i"
         base.mkdir()

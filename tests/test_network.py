@@ -213,3 +213,27 @@ class TestCheckpoint:
             checkpoint_load(path)
         assert exc.value.found_magic == b"WRONGMAG"
         assert exc.value.expected_magic == b"CNLCKPT1"
+
+    def test_param_shapes_checked_against_layers(self, tmp_path):
+        net = Network.build([LayerSpec.dense(3), LayerSpec.relu()], (4,), seed=0)
+        path = tmp_path / "net.ckpt"
+        checkpoint_save(net, path)
+        blob = path.read_bytes()
+        # relabel W from [4, 3] to [3, 4]: same byte count, wrong layout
+        assert blob.count(b"[4, 3]") == 1
+        path.write_bytes(blob.replace(b"[4, 3]", b"[3, 4]"))
+        with pytest.raises(CheckpointError, match="param_shapes"):
+            checkpoint_load(path)
+
+    def test_param_entry_on_parameterless_layer_rejected(self, tmp_path):
+        net = Network.build([LayerSpec.dense(3), LayerSpec.relu()], (4,), seed=0)
+        path = tmp_path / "net.ckpt"
+        checkpoint_save(net, path)
+        blob = path.read_bytes()
+        # move the Dense layer's shapes onto the ReLU: same tensors, same length
+        old = b'"param_shapes": [{"W": [4, 3], "b": [3]}, null]'
+        new = b'"param_shapes": [null, {"W": [4, 3], "b": [3]}]'
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(CheckpointError, match="param_shapes"):
+            checkpoint_load(path)
