@@ -98,36 +98,56 @@ class TapFeatures:
         self._entries = entries  # (class_id, split, tap) -> array | Exception
 
     @classmethod
-    def build(cls, net: Network, splits: SplitStore, taps_by_class) -> "TapFeatures":
+    def build(cls, net: Network, splits: SplitStore, taps_by_class,
+              pool=None) -> "TapFeatures":
         """Forward the train and test stacks of each class to its taps.
 
-        A stack that fails keeps the error for every tap it could not
-        reach, and each job reading one of those taps raises it: a
-        non-finite activation at layer i fails that stack's taps at and
-        above i; the shallower ones are forwarded again up to the deepest
-        of them.  Any other error fails all of the stack's taps.
+        Each stack is forwarded on ``pool`` when one is given, else in
+        this thread; the result is keyed by (class, split, tap), so it is
+        the same either way.  A stack that fails keeps the error for
+        every tap it could not reach, and each job reading one of those
+        taps raises it: a non-finite activation at layer i fails that
+        stack's taps at and above i; the shallower ones are forwarded
+        again up to the deepest of them.  Any other error fails all of
+        the stack's taps.
         """
-        entries = {}
-        for cid, taps in sorted(taps_by_class.items()):
-            for split, images_of in (("train", splits.train_images),
-                                     ("test", splits.test_images)):
-                todo = sorted(taps)
-                while todo:
-                    try:
-                        got = tap_features(net, images_of(cid), todo)
-                    except NumericFailureError as exc:
-                        got = {t: exc for t in todo if t >= exc.layer_index}
-                    except Exception as exc:  # noqa: BLE001 - fails its jobs only
-                        got = dict.fromkeys(todo, exc)
-                    entries.update(((cid, split, t), v) for t, v in got.items())
-                    todo = [t for t in todo if t not in got]
-        return cls(entries)
+        images_of = {"train": splits.train_images, "test": splits.test_images}
+        stacks = [(cid, split, sorted(taps))
+                  for cid, taps in sorted(taps_by_class.items())
+                  for split in ("train", "test")]
+        work = [partial(_stack_features, net, partial(images_of[split], cid), taps)
+                for cid, split, taps in stacks]
+        if pool is None:
+            got = [run() for run in work]
+        else:
+            got = [fut.result() for fut in [pool.submit(run) for run in work]]
+        return cls({(cid, split, tap): value
+                    for (cid, split, _), feats in zip(stacks, got)
+                    for tap, value in feats.items()})
 
     def get(self, class_id, split, tap):
         value = self._entries[(class_id, split, tap)]
         if isinstance(value, Exception):
             raise value
         return value
+
+
+def _stack_features(net, images, taps) -> dict:
+    """tap -> features of one stack, or the error that kept it from
+    that tap (see ``TapFeatures.build``); ``images`` is called for the
+    stack inside the guard, so a missing stack fails only its taps."""
+    entries = {}
+    todo = taps
+    while todo:
+        try:
+            got = tap_features(net, images(), todo)
+        except NumericFailureError as exc:
+            got = {t: exc for t in todo if t >= exc.layer_index}
+        except Exception as exc:  # noqa: BLE001 - fails its jobs only
+            got = dict.fromkeys(todo, exc)
+        entries.update(got)
+        todo = [t for t in todo if t not in got]
+    return entries
 
 
 def _taps_by_class(jobs) -> dict:
@@ -204,29 +224,29 @@ def pair_separability(net: Network, layer_index: int, x: int, un_j: int,
                         f"2-way head needs a trainable layer above the tap")
     if not isinstance(splits, TapFeatures):
         splits = TapFeatures.build(net, splits, _taps_by_class([(x, un_j, layer_index)]))
-    job_seed = cfg.seed
+    seed = cfg.seed
     frozen = freeze_through(net, layer_index)
-    frozen = replace_head(frozen, 2, seed=derive_seed(job_seed, 1))
+    frozen = replace_head(frozen, 2, seed=derive_seed(seed, 1))
     suffix = split_at(frozen, layer_index)[1]
     feats = partial(splits.get, tap=layer_index)
 
     try:
         if x == un_j:
             (tr_a, tr_b), (te_a, te_b) = _self_control_pools(
-                feats(x, "train"), feats(x, "test"), job_seed)
+                feats(x, "train"), feats(x, "test"), seed)
         else:
             tr_a, tr_b = _balanced_pair(feats(x, "train"), feats(un_j, "train"))
             te_a, te_b = _balanced_pair(feats(x, "test"), feats(un_j, "test"))
         if min(tr_a.shape[0], te_a.shape[0]) == 0:
             raise DataError(f"empty split for pair ({x}, {un_j})")
         trained = _train_balanced_pair(
-            suffix, tr_a, tr_b, cfg.with_seed(derive_seed(job_seed, 2)))
+            suffix, tr_a, tr_b, cfg.with_seed(derive_seed(seed, 2)))
         xi = _pair_accuracy(trained, te_a, te_b)
     except NumericFailureError as exc:
         raise NumericFailureError(
             f"1-vs-1 job (x={x}, un_j={un_j}, layer={layer_index}) diverged: {exc}",
             layer_index=exc.layer_index, job=(x, un_j, layer_index)) from exc
-    return SeparabilityRecord(x, un_j, layer_index, float(xi), job_seed)
+    return SeparabilityRecord(x, un_j, layer_index, float(xi), seed)
 
 
 # ---------------------------------------------------------------------
@@ -277,31 +297,31 @@ def sweep_jobs(classes_to_measure, probe_set, layers):
             for un_j in sorted(probe_set)]
 
 
+def job_seed(master_seed, x, un_j, layer) -> int:
+    """The seed of job (x, un_j, layer): a pure function of its identity."""
+    return derive_seed(master_seed, 0xA11, x, un_j, layer)
+
+
 def run_jobs(net, jobs, splits, cfg, master_seed, workers=1, on_record=None):
     """Execute 1-vs-1 jobs, each seeded purely from its identity.
 
     The features of every (class, split) the jobs touch are forwarded
-    once, before any job runs (``TapFeatures``).  Failed jobs are
-    collected, not raised, so a long sweep always completes.
-    ``on_record`` is called in the submitting thread as results arrive
-    (used for journaling); an error it raises stops the sweep.  One
-    worker runs the jobs in order in this thread; more run them on a
-    thread pool.
+    once, on the jobs' pool, before any job runs (``TapFeatures``).
+    Failed jobs are collected, not raised, so a long sweep always
+    completes.  ``on_record`` is called in the submitting thread as
+    results arrive (used for journaling); an error it raises stops the
+    sweep.  One worker runs the jobs in order in this thread; more run
+    them on a thread pool.
     """
-    def seed_of(job):
-        x, un_j, layer = job
-        return derive_seed(master_seed, 0xA11, x, un_j, layer)
-
-    features = TapFeatures.build(net, splits, _taps_by_class(jobs))
-
     def run_one(job):
         x, un_j, layer = job
         return pair_separability(net, layer, x, un_j, features,
-                                 cfg.with_seed(seed_of(job)))
+                                 cfg.with_seed(job_seed(master_seed, *job)))
 
     records, failures = [], []
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
+        features = TapFeatures.build(net, splits, _taps_by_class(jobs), pool)
         if pool is None:
             results = ((job, partial(run_one, job)) for job in jobs)
         else:
@@ -311,7 +331,8 @@ def run_jobs(net, jobs, splits, cfg, master_seed, workers=1, on_record=None):
             try:
                 rec = result()
             except Exception as exc:  # noqa: BLE001 - sweep must survive any job
-                failures.append(JobFailure(*job, seed_of(job), str(exc)))
+                failures.append(JobFailure(*job, job_seed(master_seed, *job),
+                                           str(exc)))
                 continue
             records.append(rec)
             if on_record:

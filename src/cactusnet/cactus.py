@@ -101,7 +101,7 @@ class CactusNode:
     node_id: int
     branch_id: int
     block: Network
-    predictor: object = None          # callable activation -> float
+    predictor: object = None          # callable [n, *tap] -> n apps
     thresholds: Thresholds | None = None
     children: list = field(default_factory=list)
     head: Network | None = None       # leaf classifier
@@ -197,7 +197,8 @@ def build_tree(net: Network, tap_indices, predictors, thresholds,
                labels, decision_depth: int) -> CactusTree:
     """Cut a trained network into trunk blocks at its tap indices.
 
-    ``predictors`` maps tap index -> callable; ``thresholds`` is one
+    ``predictors`` maps tap index -> batch callable (activations
+    ``[n, *tap]`` in, ``n`` apps out); ``thresholds`` is one
     Thresholds for all depths or a mapping tap index -> Thresholds.
     The residue after the last tap (the classifier head) is attached to
     the deepest trunk node together with its ``labels``.
@@ -283,15 +284,107 @@ def route_step(node: CactusNode, predicted_apps):
     return best
 
 
-def _classify_leaf(node: CactusNode, activation):
+# Rows of a stream routed together.  A chunk holds every layer output of
+# the block it runs, for its rows: at the default config the root block
+# is the largest, about 23 KB a row, so 32 rows stay under 1 MB.
+ROUTE_CHUNK = 32
+
+
+def classify_batch(tree: CactusTree, images, mock_apps=None) -> list:
+    """Route a batch of inputs depth by depth; one RouteDecision each.
+
+    The root block runs once on the batch.  At every node each routable
+    candidate's block runs once, and its predictor is called once, on
+    the rows that reached that node: a predictor maps activations
+    ``[n, *tap]`` to ``n`` applicabilities.  A row whose ``mock_apps``
+    entry is not None takes that value for every candidate (regime
+    replays and dry runs) and is never shown to a predictor.  Each row
+    picks its child by ``route_step``; the three-way verdict is rendered
+    at the decision depth, and rows that reach a leaf are labelled by
+    its head, once per leaf.
+    """
+    x = np.asarray(images, dtype=np.float32)
+    n = len(x)
+    mocks = [None] * n if mock_apps is None else list(mock_apps)
+    if len(mocks) != n:
+        raise RoutingError(f"{len(mocks)} mock apps for {n} inputs")
+    decisions = [RouteDecision(Verdict.KNOWN, path=[tree.root.node_id])
+                 for _ in range(n)]
+    if not n:
+        return decisions
+    level = [(tree.root, np.arange(n), forward(tree.root.block, x)[-1])]
+    depth = 0
+    while level:
+        depth += 1
+        below = []
+        for node, rows, act in level:
+            if node.is_leaf:
+                _label_rows(node, rows, act, decisions)
+                continue
+            candidates = [c for c in node.children if c.routable]
+            if not candidates:
+                raise ConfigError(
+                    f"node {node.node_id} has children but none routable "
+                    "(untrained predictors on the path)")
+            cand_acts = [forward(c.block, act)[-1] for c in candidates]
+            apps = _candidate_apps(candidates, cand_acts,
+                                   [mocks[r] for r in rows])
+            chosen = {}  # candidate index -> positions in rows
+            for i, row in enumerate(rows):
+                decision = decisions[row]
+                row_apps = apps[i].tolist()
+                best = route_step(node, row_apps)
+                if best is None:
+                    decision.verdict = Verdict.NONOBJECTIVE_UNKNOWN
+                    decision.stopped_at = node.node_id
+                    decision.apps.append(max(row_apps))
+                    continue
+                child, app = best
+                decision.path.append(child.node_id)
+                decision.apps.append(app)
+                # route_step only picks children with app > tau2, so
+                # decide() here is known or objective unknown, never
+                # nonobjective
+                if depth == tree.decision_depth and \
+                        decide(app, child.thresholds) is Verdict.OBJECTIVE_UNKNOWN:
+                    decision.verdict = Verdict.OBJECTIVE_UNKNOWN
+                    continue
+                chosen.setdefault(candidates.index(child), []).append(i)
+            for j, picked in sorted(chosen.items()):
+                below.append((candidates[j], rows[picked], cand_acts[j][picked]))
+        level = below
+    return decisions
+
+
+def _candidate_apps(candidates, cand_acts, mocks):
+    """``[rows, candidates]`` applicabilities: one predictor call per
+    candidate on the unmocked rows; mocked rows take their value."""
+    apps = np.empty((len(mocks), len(candidates)))
+    live = np.array([m is None for m in mocks])
+    apps[~live] = np.array([m for m in mocks if m is not None],
+                           dtype=np.float64)[:, None]
+    if live.any():
+        for j, (cand, act) in enumerate(zip(candidates, cand_acts)):
+            got = np.asarray(cand.predictor(act[live]), dtype=np.float64)
+            got = got.reshape(-1)
+            if got.shape[0] != live.sum():
+                raise RoutingError(
+                    f"predictor of node {cand.node_id} returned {got.shape[0]} "
+                    f"apps for {live.sum()} rows")
+            apps[live, j] = got
+    return apps
+
+
+def _label_rows(node: CactusNode, rows, act, decisions):
     if node.head is None or not node.labels:
         raise ConfigError(f"leaf node {node.node_id} has no trained head")
-    out = forward(node.head, activation)[-1]
-    return node.labels[int(out[0].argmax())]
+    out = forward(node.head, act)[-1]
+    for row, k in zip(rows, out.argmax(axis=1)):
+        decisions[row].label = node.labels[int(k)]
 
 
 def classify_or_flag(tree: CactusTree, image, mock_app=None) -> RouteDecision:
-    """Descend the tree and render the three-way verdict.
+    """Descend the tree with one input and render the three-way verdict.
 
     ``mock_app`` substitutes the given value for every predictor call
     on this input (used for regime replays and dry runs).
@@ -299,43 +392,7 @@ def classify_or_flag(tree: CactusTree, image, mock_app=None) -> RouteDecision:
     x = np.asarray(image, dtype=np.float32)
     if x.ndim == len(tree.root.block.input_shape):
         x = x[None]
-    act = forward(tree.root.block, x)[-1]
-    node = tree.root
-    decision = RouteDecision(Verdict.KNOWN, path=[node.node_id])
-    depth = 0
-    while not node.is_leaf:
-        candidates = [c for c in node.children if c.routable]
-        if not candidates:
-            raise ConfigError(
-                f"node {node.node_id} has children but none routable "
-                "(untrained predictors on the path)")
-        cand_acts = [forward(c.block, act)[-1] for c in candidates]
-        if mock_app is not None:
-            apps = [float(mock_app)] * len(candidates)
-        else:
-            apps = [float(c.predictor(a[0])) for c, a in zip(candidates, cand_acts)]
-        best = route_step(node, apps)
-        if best is None:
-            decision.verdict = Verdict.NONOBJECTIVE_UNKNOWN
-            decision.stopped_at = node.node_id
-            decision.apps.append(max(apps))
-            return decision
-        child, app = best
-        idx = candidates.index(child)
-        act = cand_acts[idx]
-        node = child
-        depth += 1
-        decision.path.append(node.node_id)
-        decision.apps.append(app)
-        # route_step only picks children with app > tau2, so decide()
-        # here is known or objective unknown, never nonobjective
-        if depth == tree.decision_depth and \
-                decide(app, node.thresholds) is Verdict.OBJECTIVE_UNKNOWN:
-            decision.verdict = Verdict.OBJECTIVE_UNKNOWN
-            return decision
-    decision.verdict = Verdict.KNOWN
-    decision.label = _classify_leaf(node, act)
-    return decision
+    return classify_batch(tree, x, [mock_app])[0]
 
 
 # ---------------------------------------------------------------------
@@ -417,12 +474,20 @@ def grow(tree: CactusTree, input_stream, growth_config: GrowthConfig) -> GrowthL
     created (up to ``max_branches_per_node``), so a homogeneous burst of
     novel inputs consolidates into a single branch instead of one per
     image.  Every input is logged; the log replays to the same tree.
+    The stream is routed ``ROUTE_CHUNK`` rows at a time, then growth
+    folds over the decisions in input order.
     """
+    items = [_stream_item(item) for item in input_stream]
     log = GrowthLog(growth_config)
+    for lo in range(0, len(items), ROUTE_CHUNK):
+        images, mocks = zip(*items[lo:lo + ROUTE_CHUNK])
+        log.decisions.extend(classify_batch(tree, images, mocks))
+    # Folding after routing is exact: growth never changes routing.  A
+    # created branch is provisional and has no predictor, so it is never
+    # routable (CactusNode.routable), and it only hangs off a node that
+    # already had children.
     created = 0
-    for index, item in enumerate(input_stream):
-        image, mock_app = _stream_item(item)
-        decision = classify_or_flag(tree, image, mock_app=mock_app)
+    for index, decision in enumerate(log.decisions):
         decision.input_index = index
         if decision.verdict is Verdict.OBJECTIVE_UNKNOWN:
             decision.provisional_label = f"objective-unknown-{index}"
@@ -449,7 +514,6 @@ def grow(tree: CactusTree, input_stream, growth_config: GrowthConfig) -> GrowthL
                 decision.provisional_label = f"new-class-{bid}"
             else:
                 decision.unrouted = True
-        log.decisions.append(decision)
     return log
 
 

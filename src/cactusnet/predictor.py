@@ -165,17 +165,12 @@ def train_predictor(spec: PredictorSpec, samples, cfg, heldout=None,
 def predict_applicability(model: PredictorModel, activation) -> float:
     """Predicted applicability for one activation, clamped to [0, 1]."""
     arr = np.asarray(activation, dtype=np.float32)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, 1, -1)
-    if arr.shape != model.spec.tap_shape:
-        raise ShapeMismatchError(
-            f"activation shape {arr.shape} does not match tap "
-            f"{model.spec.tap_shape}")
-    out = predict(model.net, model.normalize(arr[None]))[0, 0]
-    return float(np.clip(out, 0.0, 1.0))
+    return float(predict_batch(model, arr[None])[0])
 
 
 def predict_batch(model: PredictorModel, activations) -> np.ndarray:
+    """Predicted applicabilities for ``[n, *tap]`` activations (flat taps
+    may come as ``[n, d]``), clamped to [0, 1]."""
     arr = np.asarray(activations, dtype=np.float32)
     if arr.ndim == 2:
         arr = arr.reshape(arr.shape[0], 1, 1, -1)

@@ -26,7 +26,7 @@ from .fileio import fmt_float, write_json
 from .nn import (Network, accuracy, checkpoint_load, checkpoint_save,  # noqa: F401
                  forward, train_classifier)
 from .predictor import (build_predictor, evaluate_predictor, load_predictor,
-                        predict_applicability, save_predictor, train_predictor)
+                        predict_batch, save_predictor, train_predictor)
 from .seeding import derive_seed
 
 BASE_CKPT = "base.ckpt"
@@ -156,6 +156,15 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     completed_records = []
     if records_path.is_file():
         completed_records = app.read_records_csv(records_path)
+    for r in completed_records:
+        # a journal of another run must not be resumed into this one
+        want = app.job_seed(cfg.master_seed, r.x, r.un_j, r.layer_index)
+        if r.seed != want:
+            raise ConfigError(
+                f"{records_path} holds another run's record (x={r.x}, "
+                f"un_j={r.un_j}, layer={r.layer_index}): seed {r.seed}, but "
+                f"master seed {cfg.master_seed} gives {want}; use a fresh "
+                "out_dir or the run's own seed")
     completed = {(r.x, r.un_j, r.layer_index) for r in completed_records}
     # rewrite the journal without a torn last row, so appends start a line
     app.write_records_csv(records_path, completed_records)
@@ -330,23 +339,14 @@ def build_cactus_tree(cfg: ExperimentConfig, mock=False):
             ckpt = out / predictor_ckpt_name(tap)
             if not ckpt.is_file():
                 raise ConfigError(f"predictor checkpoint missing: {ckpt}")
-            model = load_predictor(ckpt)
-            predictors[tap] = _PredictorFn(model)
+            predictors[tap] = partial(predict_batch, load_predictor(ckpt))
     return cactus.build_tree(net, cfg.taps, predictors, thresholds,
                              labels=manifest.known_ids,
                              decision_depth=cfg.decision_depth), manifest
 
 
-class _PredictorFn:
-    def __init__(self, model):
-        self.model = model
-
-    def __call__(self, activation):
-        return predict_applicability(self.model, activation)
-
-
 class _MockSentinel:
-    def __call__(self, activation):
+    def __call__(self, activations):
         raise ConfigError("mock stream items must carry a mock_app value")
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cactusnet.applicability import ApplicabilityTable
-from cactusnet.cactus import (GrowthConfig, Thresholds, Verdict,
+from cactusnet.cactus import (ROUTE_CHUNK, GrowthConfig, Thresholds, Verdict,
                               baseline_from_tables, build_tree,
-                              classify_or_flag, compute_thresholds,
+                              classify_batch, classify_or_flag,
+                              compute_thresholds,
                               create_branch, decide, grow, load_growth_log,
                               load_tree, replay_log, route_step,
                               save_growth_log, save_tree)
@@ -147,13 +148,13 @@ def deep_tree():
 
 
 class FixedApps:
-    """Stand-in predictor emitting scripted values per call."""
+    """Stand-in predictor emitting one scripted value per (one-row) call."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def __call__(self, _activation):
-        return self.values.pop(0)
+    def __call__(self, _activations):
+        return [self.values.pop(0)]
 
 
 class TestRouteStep:
@@ -233,6 +234,81 @@ class TestClassifyOrFlag:
         d = classify_or_flag(tree, np.zeros((10, 10, 1)))
         assert d.verdict is Verdict.KNOWN
         assert d.apps == [0.99]
+
+
+def scorer(seed):
+    """A batch predictor smooth in its input: apps in (0.95, 1.0)."""
+    w = np.random.default_rng(seed).normal(size=8)
+
+    def predictor(acts):
+        z = acts.reshape(len(acts), -1) @ w
+        return 0.95 + 0.05 / (1 + np.exp(-4 * z))
+    return predictor
+
+
+def scored_tree():
+    tree = deep_tree()
+    for node_id in (1, 2, 3):
+        tree.nodes[node_id].predictor = scorer(node_id)
+    return tree
+
+
+class TestClassifyBatch:
+    # a zero window never absorbs, so branches run out and inputs go
+    # unrouted; a wide one absorbs into the branch it made
+    @pytest.mark.parametrize("gcfg", [
+        GrowthConfig(max_branches_per_node=2, consolidation_window=0, seed=3),
+        GrowthConfig(max_branches_per_node=4, consolidation_window=25, seed=3)])
+    def test_chunked_stream_matches_one_input_at_a_time(self, gcfg):
+        images = np.random.default_rng(11).normal(
+            size=(2 * ROUTE_CHUNK + 7, 8)).astype(np.float32)
+        log = grow(scored_tree(), images, gcfg)
+        created = [d.input_index for d in log.decisions
+                   if d.branch_created is not None]
+        assert created and created[0] < ROUTE_CHUNK
+        assert {d.verdict for d in log.decisions[ROUTE_CHUNK:]} == set(Verdict)
+        assert {d.stopped_at for d in log.decisions} >= {0, 1, 2}
+        assert any(d.unrouted if gcfg.consolidation_window == 0 else
+                   d.routed_branch is not None and d.branch_created is None
+                   for d in log.decisions[ROUTE_CHUNK:])
+
+        alone = scored_tree()  # grown one input at a time, as it goes
+        for image, d in zip(images, log.decisions):
+            one = classify_or_flag(alone, image)
+            assert (d.verdict, d.label, d.path, d.stopped_at) == \
+                (one.verdict, one.label, one.path, one.stopped_at)
+            np.testing.assert_allclose(d.apps, one.apps, rtol=0, atol=1e-6)
+            step = grow(alone, [image], gcfg).decisions[0]
+            assert (d.branch_created, d.routed_branch, d.unrouted) == \
+                (step.branch_created, step.routed_branch, step.unrouted)
+
+    def test_mocked_rows_never_reach_a_predictor(self):
+        tree = small_tree()
+        seen = []
+
+        def recording(acts):
+            seen.append(acts)
+            return np.full(len(acts), 0.99)
+
+        tree.nodes[1].predictor = recording
+        rng = np.random.default_rng(5)
+        images = rng.random((ROUTE_CHUNK + 9, 10, 10, 1), dtype=np.float32)
+        mocks = [None if i % 3 else 0.95 for i in range(len(images))]
+        log = grow(tree, list(zip(images, mocks)), GrowthConfig(seed=3))
+        live = np.array([m is None for m in mocks])
+        want = forward(tree.nodes[1].block,
+                       forward(tree.root.block, images[live])[-1])[-1]
+        np.testing.assert_allclose(np.concatenate(seen), want, rtol=0, atol=1e-6)
+        assert [d.verdict for d in log.decisions] == [
+            Verdict.KNOWN if m is None else Verdict.NONOBJECTIVE_UNKNOWN
+            for m in mocks]
+        labels = [d.label for d in log.decisions]
+        assert len(set(labels) - {None}) > 1
+        assert labels == [classify_or_flag(tree, image, mock_app=m).label
+                          for image, m in zip(images, mocks)]
+
+    def test_empty_batch(self):
+        assert classify_batch(small_tree(), np.zeros((0, 10, 10, 1))) == []
 
 
 class TestCreateBranch:

@@ -173,12 +173,20 @@ class TestExitCodes:
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+
+    import cactusnet
+    # the child imports the package this test imported, installed or not
+    src = str(Path(cactusnet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "cactusnet", "--config",
          str(tmp_path / "missing.json"), "train-base"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "not found" in proc.stderr
 
@@ -268,6 +276,22 @@ class TestDeterminism:
         assert run(cfg, "report") == 0
         for name in COMPARED:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_resume_under_another_seed_is_refused(self, tmp_path, capsys):
+        base = tmp_path / "s"
+        base.mkdir()
+        cfg = write_tiny_config(base)
+        for verb in ("prepare", "train-base", "measure"):
+            assert run(cfg, verb) == 0
+        out = base / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        first = (out / "records.csv").read_text().splitlines()[1]
+        x, un_j, layer = first.split(",")[:3]
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--seed", "7", "measure"]) == 2
+        assert f"(x={x}, un_j={un_j}, layer={layer})" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert after == before
 
     def test_rerun_after_completion_is_idempotent(self, tmp_path):
         base = tmp_path / "i"
