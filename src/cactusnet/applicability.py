@@ -18,7 +18,7 @@ import numpy as np
 
 from .data.manifest import SplitStore, SubsetLabel
 from .errors import AggregationError, DataError, NumericFailureError
-from .fileio import fmt_float
+from .fileio import atomic_open, fmt_float
 from .nn import TrainConfig, backward, forward, predict, replace_head, sgd_step
 from .nn.network import Network, freeze_through, head_index, one_hot, split_at
 from .seeding import derive_seed, rng_for
@@ -395,7 +395,7 @@ def subset_average(table: ApplicabilityTable, labels=None):
 
 def write_records_csv(path, records):
     rows = sorted(records, key=lambda r: (r.x, r.layer_index, r.un_j))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "un_j", "layer", "xi", "seed"])
         for r in rows:
@@ -421,7 +421,7 @@ def append_record_csv(path, record):
 
 
 def write_table_csv(path, table: ApplicabilityTable):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["class_id", "class_name", "subset", "layer", "app", "k",
                     "n_records"])
@@ -438,7 +438,7 @@ _SUBSET_ORDER = [SubsetLabel.OBJECTIVE_KNOWN, SubsetLabel.OBJECTIVE_UNKNOWN,
 
 
 def write_curves_csv(path, curves):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["subset", "layer", "mean_app"])
         ordered = sorted(curves.items(),

@@ -21,7 +21,7 @@ import numpy as np
 from .applicability import ApplicabilityTable
 from .data.manifest import SubsetLabel
 from .errors import ConfigError, RoutingError, ShapeMismatchError
-from .fileio import write_json
+from .fileio import atomic_open, write_json
 from .nn import Network, checkpoint_load, checkpoint_save, forward
 from .seeding import derive_seed
 
@@ -598,7 +598,7 @@ def load_tree(tree_dir, predictors=None) -> CactusTree:
 # ---------------------------------------------------------------------
 
 def save_growth_log(log: GrowthLog, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         header = {"max_branches_per_node": log.config.max_branches_per_node,
                   "consolidation_window": log.config.consolidation_window,
                   "seed": log.config.seed}

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 
 from ..errors import DataError
+from ..fileio import atomic_open
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -58,7 +59,7 @@ def write_idx_images(path, images):
     if arr.ndim != 3:
         raise DataError(f"expected [n, rows, cols] images, got {arr.shape}")
     arr = arr.astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(struct.pack(">i", IMAGE_MAGIC))
         fh.write(struct.pack(">3i", *arr.shape))
         fh.write(arr.tobytes())
@@ -68,7 +69,7 @@ def write_idx_labels(path, labels):
     arr = np.asarray(labels).astype(np.uint8)
     if arr.ndim != 1:
         raise DataError(f"expected a label vector, got {arr.shape}")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(struct.pack(">i", LABEL_MAGIC))
         fh.write(struct.pack(">i", arr.shape[0]))
         fh.write(arr.tobytes())

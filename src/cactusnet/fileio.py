@@ -2,21 +2,42 @@
 
 The container (checkpoints and dataset caches) is an 8-byte magic, a
 little-endian uint32 header length, a UTF-8 JSON header, then raw
-little-endian float32 tensors.
+little-endian float32 tensors.  Every whole file is written through
+``atomic_open``.
 """
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from math import prod
+from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError
 
 
+@contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """Write a file beside ``path`` and move it onto ``path`` when the
+    block exits cleanly.  A write that raises, or a killed process,
+    leaves the old ``path`` as it was, and a raise removes the temp file.
+    There is no fsync: this survives the process, not a power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_container(path, magic: bytes, header: dict, tensors):
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(magic + struct.pack("<I", len(blob)) + blob)
         for t in tensors:
             fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
@@ -61,7 +82,7 @@ def read_container(path, magic: bytes, parse):
 
 def write_json(path, doc):
     """Write ``doc`` indented, with sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -166,29 +166,48 @@ def conv2d_backward(x, kernels, dout, stride=1, need_dx=True):
 # Max pooling
 # ---------------------------------------------------------------------
 
+def _window_slices(kernel, stride, h_out, w_out):
+    """For each flat window position ``t = i * kw + j``, the strided slice
+    of the input that holds element (i, j) of every window."""
+    kh, kw = kernel
+    return [(slice(None), slice(i, i + stride * (h_out - 1) + 1, stride),
+             slice(j, j + stride * (w_out - 1) + 1, stride))
+            for i in range(kh) for j in range(kw)]
+
+
 def maxpool2d(x, kernel, stride):
-    """Max pooling over ``[n, h, w, c]``. Returns (output, argmax indices)."""
+    """Max pooling over ``[n, h, w, c]``. Returns (output, argmax indices).
+
+    A running maximum over the kh*kw strided slices of ``x``; no window
+    is copied.  The index of a window is the flat position of its first
+    maximum, as ``argmax`` gives it, and a NaN in a window propagates.
+    """
     kh, kw = kernel
     n, h, w, c = x.shape
     if kh > h or kw > w:
         raise ShapeMismatchError(f"pool window {kernel} exceeds input {x.shape}")
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    flat = windows.reshape(windows.shape[:4] + (kh * kw,))
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    slices = _window_slices(kernel, stride, (h - kh) // stride + 1,
+                            (w - kw) // stride + 1)
+    out = x[slices[0]].copy()
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for t, sl in enumerate(slices[1:], start=1):
+        s = x[sl]
+        np.putmask(idx, s > out, t)  # strictly greater: the first max wins
+        np.maximum(s, out, out=out)
     return out, idx
 
 
 def maxpool2d_backward(x_shape, idx, dout, kernel, stride):
-    """Scatter pooled gradients back to the argmax positions."""
-    kh, kw = kernel
-    n, h_out, w_out, c = dout.shape
+    """Add pooled gradients back at the argmax positions.
+
+    Windows overlap when stride < kernel.  Visiting the window positions
+    in reverse adds each input cell's shares in the order ``np.add.at``
+    over the windows would, so the sums are the same to the last bit.
+    """
     dx = np.zeros(x_shape, dtype=dout.dtype)
-    nn, oh, ow, cc = np.ogrid[:n, :h_out, :w_out, :c]
-    ih = oh * stride + idx // kw
-    iw = ow * stride + idx % kw
-    # windows may overlap when stride < kernel, so accumulate
-    np.add.at(dx, (nn, ih, iw, cc), dout)
+    slices = _window_slices(kernel, stride, *dout.shape[1:3])
+    for t in range(len(slices) - 1, -1, -1):
+        dx[slices[t]] += np.where(idx == t, dout, 0)
     return dx
 
 

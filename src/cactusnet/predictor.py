@@ -75,6 +75,13 @@ def build_predictor(tap_shape) -> PredictorSpec:
 
 @dataclass
 class TrainingReport:
+    """What a predictor fit reports.
+
+    ``epoch_losses[e]`` is the mean of epoch e's minibatch MSEs, each
+    taken before that minibatch's SGD step.  ``final_train_mse`` is the
+    MSE of the trained predictor over the whole training set, and
+    ``heldout_mse`` the same over the held-out samples, when given.
+    """
     epoch_losses: list
     n_samples: int
     final_train_mse: float
@@ -145,15 +152,17 @@ def train_predictor(spec: PredictorSpec, samples, cfg, heldout=None,
     epoch_losses = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        losses = []
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
-            grads, _ = backward(net, xn[sel], targets[sel], "MSE")
+            grads, loss = backward(net, xn[sel], targets[sel], "MSE")
             net = sgd_step(net, grads, cfg)
-        epoch_losses.append(_mse(net, xn, y))
+            losses.append(loss)
+        epoch_losses.append(float(np.mean(losses)))
 
     model = PredictorModel(spec, net, layer_index, mean, scale,
                            tuple(train_class_ids))
-    report = TrainingReport(epoch_losses, n, epoch_losses[-1])
+    report = TrainingReport(epoch_losses, n, _mse(net, xn, y))
     if heldout is not None:
         hx, hy = _stack_samples(spec, heldout)
         hn = model.normalize(hx)

@@ -21,7 +21,7 @@ from .data import (DatasetManifest, SubsetLabel, build_splits,
                    generate_synthetic, load_dataset, load_idx,
                    synthetic_manifest)
 from .errors import ConfigError
-from .fileio import fmt_float, write_json
+from .fileio import atomic_open, fmt_float, write_json
 # perfbench's tracer patches and checks the runner.forward binding
 from .nn import (Network, accuracy, checkpoint_load, checkpoint_save,  # noqa: F401
                  forward, train_classifier)
@@ -35,6 +35,7 @@ RECORDS_CSV = "records.csv"
 TABLE_CSV = "applicability.csv"
 CURVES_CSV = "subset_curves.csv"
 MEASURE_META = "measure_meta.json"
+RUN_FINGERPRINT = "records_run.json"
 PREDICTOR_SUMMARY = "predictor_summary.json"
 PREDICTOR_EVAL = "predictor_eval.csv"
 GROWTH_LOG = "growth_log.jsonl"
@@ -125,7 +126,7 @@ def run_train_base(cfg: ExperimentConfig) -> dict:
     out = cfg.out_path
     out.mkdir(parents=True, exist_ok=True)
     checkpoint_save(net, out / BASE_CKPT)
-    with open(out / BASE_METRICS, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out / BASE_METRICS, encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "loss", "accuracy"])
         for row in history:
@@ -138,8 +139,48 @@ def run_train_base(cfg: ExperimentConfig) -> dict:
 # measure
 # ---------------------------------------------------------------------
 
-def _manifest_sha256(cfg) -> str:
-    return hashlib.sha256(cfg.manifest_path.read_bytes()).hexdigest()
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _measure_settings(cfg, manifest) -> dict:
+    """What a sweep's records depend on, apart from the base net."""
+    return {"manifest_sha256": _sha256(cfg.manifest_path),
+            "master_seed": cfg.master_seed,
+            "taps": list(cfg.taps),
+            "k": manifest.k,
+            "pair_budget": {"learning_rate": cfg.train.pair.learning_rate,
+                            "epochs": cfg.train.pair.epochs,
+                            "batch_size": cfg.train.pair.batch_size}}
+
+
+def _check_resume(records_path, records, fingerprint_path, fingerprint):
+    """Refuse to resume a journal written by another run."""
+    for r in records:
+        want = app.job_seed(fingerprint["master_seed"], r.x, r.un_j, r.layer_index)
+        if r.seed != want:
+            raise ConfigError(
+                f"{records_path} holds another run's record (x={r.x}, "
+                f"un_j={r.un_j}, layer={r.layer_index}): seed {r.seed}, but "
+                f"master seed {fingerprint['master_seed']} gives {want}; use a "
+                "fresh out_dir or the run's own seed")
+    found = None
+    if fingerprint_path.is_file():
+        try:
+            found = json.loads(fingerprint_path.read_text(encoding="utf-8"))
+        except ValueError:
+            pass
+    if not isinstance(found, dict):
+        raise ConfigError(
+            f"{records_path} has no readable run fingerprint "
+            f"({fingerprint_path.name}), so it cannot be told apart from "
+            "another run's; use a fresh out_dir or delete the journal")
+    differ = sorted(key for key in fingerprint if found.get(key) != fingerprint[key])
+    if differ:
+        raise ConfigError(
+            f"{records_path} was written by another run: {', '.join(differ)} "
+            f"differ from {fingerprint_path.name}; use a fresh out_dir or "
+            "the run's own settings")
 
 
 def run_measure(cfg: ExperimentConfig) -> dict:
@@ -152,19 +193,17 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     net = checkpoint_load(base_path)
     splits = _splits(cfg, manifest)
 
+    settings = _measure_settings(cfg, manifest)
+    fingerprint = {**settings, "base_ckpt_sha256": _sha256(base_path)}
     records_path = out / RECORDS_CSV
+    fingerprint_path = out / RUN_FINGERPRINT
     completed_records = []
     if records_path.is_file():
         completed_records = app.read_records_csv(records_path)
-    for r in completed_records:
-        # a journal of another run must not be resumed into this one
-        want = app.job_seed(cfg.master_seed, r.x, r.un_j, r.layer_index)
-        if r.seed != want:
-            raise ConfigError(
-                f"{records_path} holds another run's record (x={r.x}, "
-                f"un_j={r.un_j}, layer={r.layer_index}): seed {r.seed}, but "
-                f"master seed {cfg.master_seed} gives {want}; use a fresh "
-                "out_dir or the run's own seed")
+        _check_resume(records_path, completed_records, fingerprint_path, fingerprint)
+    else:
+        # written before the journal, so a journal always has one
+        write_json(fingerprint_path, fingerprint)
     completed = {(r.x, r.un_j, r.layer_index) for r in completed_records}
     # rewrite the journal without a torn last row, so appends start a line
     app.write_records_csv(records_path, completed_records)
@@ -188,13 +227,7 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     curves = app.subset_average(table)
     app.write_curves_csv(out / CURVES_CSV, curves)
     write_json(out / MEASURE_META, {
-        "manifest_sha256": _manifest_sha256(cfg),
-        "master_seed": cfg.master_seed,
-        "taps": list(cfg.taps),
-        "k": manifest.k,
-        "pair_budget": {"learning_rate": cfg.train.pair.learning_rate,
-                        "epochs": cfg.train.pair.epochs,
-                        "batch_size": cfg.train.pair.batch_size},
+        **settings,
         "jobs": len(all_records),
         "failures": [{"x": f.x, "un_j": f.un_j, "layer": f.layer_index,
                       "error": f.error} for f in result.failures],
@@ -301,7 +334,7 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
 
     write_json(out / PREDICTOR_SUMMARY,
                 {"layers": summary, "heldout_classes": sorted(heldout)})
-    with open(out / PREDICTOR_EVAL, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out / PREDICTOR_EVAL, encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["class", "subset", "layer", "actual_app",
                     "mean_predicted", "abs_err"])
@@ -407,7 +440,7 @@ def run_cactus(cfg: ExperimentConfig, stream_path) -> dict:
     for (item, subset), decision in zip(items, log.decisions):
         key = (subset, decision.verdict.value)
         counts[key] = counts.get(key, 0) + 1
-    with open(out / HISTOGRAM_CSV, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out / HISTOGRAM_CSV, encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["subset", "verdict", "count"])
         for (subset, verdict), count in sorted(counts.items()):
@@ -432,15 +465,16 @@ def run_report(cfg: ExperimentConfig) -> dict:
     report.mkdir(parents=True, exist_ok=True)
 
     # subset curves: schema subset,layer,mean_app
-    (report / "curves.csv").write_bytes((out / CURVES_CSV).read_bytes())
+    with atomic_open(report / "curves.csv", "wb") as fh:
+        fh.write((out / CURVES_CSV).read_bytes())
 
     # predictor fidelity: one row per held-out class, taken at the
     # reference tap (the full per-layer sweep stays in predictor_eval.csv)
     with open(out / PREDICTOR_EVAL, encoding="utf-8", newline="") as fh:
         eval_rows = [r for r in csv.DictReader(fh)
                      if int(r["layer"]) == cfg.threshold_reference_tap]
-    with open(report / "predictor_fidelity.csv", "w", encoding="utf-8",
-              newline="") as fh:
+    with atomic_open(report / "predictor_fidelity.csv", encoding="utf-8",
+                     newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["class", "subset", "actual_app", "mean_predicted",
                     "abs_err"])

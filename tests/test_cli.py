@@ -293,6 +293,53 @@ class TestDeterminism:
         after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
         assert after == before
 
+    @pytest.mark.parametrize("change", ["pair_budget", "taps", "base_ckpt",
+                                        "no_fingerprint"])
+    def test_resume_of_another_run_is_refused(self, tmp_path, capsys, change):
+        base = tmp_path / "f"
+        base.mkdir()
+        cfg = write_tiny_config(base)
+        for verb in ("prepare", "train-base", "measure"):
+            assert run(cfg, verb) == 0
+        out = base / "out"
+        # an interrupted sweep, so a resume would have jobs left to run
+        records = out / "records.csv"
+        records.write_text("".join(records.read_text().splitlines(keepends=True)[:5]))
+        if change == "pair_budget":
+            train = json.loads(json.dumps(TINY["train"]))
+            train["pair"]["epochs"] = 5
+            cfg = write_tiny_config(base, train=train)
+        elif change == "taps":
+            cfg = write_tiny_config(base, taps=[2, 4, 5, 7])
+        elif change == "base_ckpt":
+            ckpt = out / "base.ckpt"
+            ckpt.write_bytes(ckpt.read_bytes()[:-4] + b"\0\0\0\0")
+        else:
+            (out / "records_run.json").unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert run(cfg, "measure") == 2
+        err = capsys.readouterr().err
+        assert "records.csv" in err
+        if change != "no_fingerprint":
+            assert change in err
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert after == before
+
+    def test_fresh_sweep_after_a_changed_budget_runs(self, tmp_path):
+        base = tmp_path / "g"
+        base.mkdir()
+        cfg = write_tiny_config(base)
+        for verb in ("prepare", "train-base", "measure"):
+            assert run(cfg, verb) == 0
+        (base / "out" / "records.csv").unlink()
+        train = json.loads(json.dumps(TINY["train"]))
+        train["pair"]["epochs"] = 5
+        assert run(write_tiny_config(base, train=train), "measure") == 0
+        meta = json.loads((base / "out" / "measure_meta.json").read_text())
+        run_doc = json.loads((base / "out" / "records_run.json").read_text())
+        assert meta["pair_budget"]["epochs"] == run_doc["pair_budget"]["epochs"] == 5
+
     def test_rerun_after_completion_is_idempotent(self, tmp_path):
         base = tmp_path / "i"
         base.mkdir()

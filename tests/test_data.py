@@ -6,12 +6,14 @@ import struct
 import numpy as np
 import pytest
 
+from cactusnet.applicability import SeparabilityRecord, write_records_csv
 from cactusnet.data import (ClassEntry, DatasetManifest, SubsetLabel,
                             build_splits, generate_synthetic, load_dataset,
                             load_idx, sample_probe_set, save_dataset,
                             synthetic_manifest, write_idx_images,
                             write_idx_labels)
 from cactusnet.errors import CheckpointError, DataError, ManifestError
+from cactusnet.fileio import write_container, write_json
 from cactusnet.nn import LayerSpec, Network, TrainConfig, accuracy, train_classifier
 
 
@@ -223,3 +225,37 @@ class TestSyntheticManifest:
                           SubsetLabel.NONOBJECTIVE_UNKNOWN}
         # probes never overlap measured classes
         assert not set(m.probe_set) & set(m.measured_ids)
+
+
+class TestAtomicWrites:
+    """A whole-file write that raises halfway leaves the old file as it
+    was and no temp file beside it."""
+
+    @staticmethod
+    def _tensors_then_fail():
+        yield np.ones(4, dtype=np.float32)
+        raise RuntimeError("killed mid-payload")
+
+    @pytest.mark.parametrize("writer", ["container", "json", "records"])
+    def test_failed_write_keeps_the_old_bytes(self, tmp_path, writer):
+        path = tmp_path / "target"
+        path.write_bytes(b"old bytes")
+        fail = {
+            "container": lambda: write_container(path, b"CNLTEST1", {"n": 2},
+                                                 self._tensors_then_fail()),
+            "json": lambda: write_json(path, {"a": 1, "b": object()}),
+            "records": lambda: write_records_csv(path, [
+                SeparabilityRecord(0, 1, 2, 0.5, 7),
+                SeparabilityRecord(1, 1, 2, object(), 8)]),
+        }[writer]
+        with pytest.raises((RuntimeError, TypeError)):
+            fail()
+        assert path.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+    def test_successful_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("stale")
+        write_json(path, {"a": 1})
+        assert json.loads(path.read_text()) == {"a": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]

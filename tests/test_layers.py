@@ -6,8 +6,9 @@ is central finite differences through the network's own forward pass.
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from cactusnet.errors import ShapeMismatchError
+from cactusnet.errors import NumericFailureError, ShapeMismatchError
 from cactusnet.nn import LayerSpec, Network, backward, conv2d, forward
 from cactusnet.nn.layers import maxpool2d, maxpool2d_backward, softmax
 
@@ -97,6 +98,71 @@ class TestMaxPool:
         dout = np.ones_like(out)
         dx = maxpool2d_backward(x.shape, idx, dout, (2, 2), 2)
         np.testing.assert_array_equal(dx.reshape(2, 2), [[0, 0], [1, 0]])
+
+
+def window_maxpool(x, kernel, stride):
+    """Reference pooling: copy every window, take its first argmax."""
+    kh, kw = kernel
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    flat = windows.reshape(windows.shape[:4] + (kh * kw,))
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    return out, idx
+
+
+def scatter_maxpool_backward(x_shape, idx, dout, kernel, stride):
+    """Reference gradient: ``np.add.at`` at the argmax positions."""
+    kh, kw = kernel
+    n, h_out, w_out, c = dout.shape
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    nn, oh, ow, cc = np.ogrid[:n, :h_out, :w_out, :c]
+    np.add.at(dx, (nn, oh * stride + idx // kw, ow * stride + idx % kw, cc), dout)
+    return dx
+
+
+def bits(a):
+    """The float32 bit patterns, so -0.0 and 0.0 count as different."""
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.int32)
+
+
+class TestMaxPoolMatchesWindowReference:
+    @pytest.mark.parametrize("kernel,stride,side", [
+        ((2, 2), 2, 9), ((2, 2), 2, 7), ((2, 2), 2, 8), ((2, 2), 1, 8),
+        ((3, 3), 2, 9), ((2, 3), 2, 9), ((3, 2), 1, 7)])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_bitwise_equal(self, kernel, stride, side, relu):
+        rng = np.random.default_rng(side * 10 + stride)
+        for _ in range(5):
+            x = rng.standard_normal((3, side, side + 1, 4)).astype(np.float32)
+            if relu:  # many windows tie at 0
+                x = np.maximum(x, 0)
+            want_out, want_idx = window_maxpool(x, kernel, stride)
+            out, idx = maxpool2d(x, kernel, stride)
+            assert out.shape == want_out.shape and idx.dtype == want_idx.dtype
+            np.testing.assert_array_equal(bits(out), bits(want_out))
+            np.testing.assert_array_equal(idx, want_idx)
+            dout = rng.standard_normal(out.shape).astype(np.float32)
+            np.testing.assert_array_equal(
+                bits(maxpool2d_backward(x.shape, idx, dout, kernel, stride)),
+                bits(scatter_maxpool_backward(x.shape, want_idx, dout, kernel, stride)))
+
+    def test_ties_take_the_first_position(self):
+        x = np.zeros((1, 4, 4, 2), dtype=np.float32)
+        x[0, 1, 1, 1] = 1.0
+        out, idx = maxpool2d(x, (2, 2), 2)
+        want_out, want_idx = window_maxpool(x, (2, 2), 2)
+        np.testing.assert_array_equal(idx, want_idx)
+        assert idx[0, 0, 0, 1] == 3 and (idx[..., 0] == 0).all()
+        np.testing.assert_array_equal(bits(out), bits(want_out))
+
+    def test_nan_input_to_a_leading_pool_raises(self):
+        net = Network.build([LayerSpec.maxpool(2), LayerSpec.flatten(),
+                             LayerSpec.dense(2)], (4, 4, 1), seed=0)
+        x = np.ones((2, 4, 4, 1), dtype=np.float32)
+        x[1, 3, 2, 0] = np.nan  # not the first element of its window
+        with pytest.raises(NumericFailureError) as exc:
+            forward(net, x)
+        assert exc.value.layer_index == 0
 
 
 class TestSoftmax:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cactusnet import predictor
 from cactusnet.errors import DataError, LeakageError, ShapeMismatchError
 from cactusnet.nn import Network, TrainConfig
 from cactusnet.predictor import (PredictorModel, build_predictor,
@@ -131,6 +132,39 @@ class TestTrainPredictor:
         assert spec.plan == "conv"
         _, report = train_predictor(spec, samples, TrainConfig(0.05, 30, 8, 7))
         assert report.final_train_mse <= 0.02
+
+
+class TestTrainingReport:
+    CFG = TrainConfig(0.05, 7, 16, seed=3)
+
+    def test_one_loss_per_epoch(self):
+        samples = linear_signal_samples(50, 8, seed=11)
+        _, report = train_predictor(build_predictor((1, 1, 8)), samples, self.CFG)
+        assert len(report.epoch_losses) == self.CFG.epochs
+        assert all(isinstance(v, float) for v in report.epoch_losses)
+
+    def test_final_mse_is_the_full_set_mse_of_the_returned_net(self):
+        samples = linear_signal_samples(50, 8, seed=12)
+        spec = build_predictor((1, 1, 8))
+        model, report = train_predictor(spec, samples, self.CFG)
+        x, y = predictor._stack_samples(spec, samples)
+        assert report.final_train_mse == predictor._mse(model.net, model.normalize(x), y)
+
+    @pytest.mark.parametrize("with_heldout", [False, True])
+    def test_full_set_forwards(self, monkeypatch, with_heldout):
+        calls = []
+
+        def counting_predict(net, batch):
+            calls.append(len(batch))
+            return real_predict(net, batch)
+
+        real_predict = predictor.predict
+        monkeypatch.setattr(predictor, "predict", counting_predict)
+        samples = linear_signal_samples(50, 8, seed=13)
+        heldout = linear_signal_samples(20, 8, seed=14) if with_heldout else None
+        train_predictor(build_predictor((1, 1, 8)), samples, self.CFG,
+                        heldout=heldout)
+        assert calls == ([50, 20] if with_heldout else [50])
 
 
 def constant_model(bias, tap=(1, 1, 8)):
