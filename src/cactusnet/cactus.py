@@ -13,8 +13,10 @@ decision depth, with strictly-greater comparisons at both thresholds.
 
 import json
 import math
-from dataclasses import dataclass, field
+import shutil
+from dataclasses import asdict, dataclass, field
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -40,14 +42,6 @@ class Thresholds:
     y2: float
     tau1: float
     tau2: float
-
-    def to_dict(self):
-        return {"q": self.q, "y1": self.y1, "y2": self.y2,
-                "tau1": self.tau1, "tau2": self.tau2}
-
-    @staticmethod
-    def from_dict(d):
-        return Thresholds(d["q"], d["y1"], d["y2"], d["tau1"], d["tau2"])
 
 
 def compute_thresholds(q: float, y1: float, y2: float) -> Thresholds:
@@ -161,20 +155,26 @@ class CactusTree:
         })
 
 
+# CactusNode fields every description persists: name -> (to JSON, from
+# JSON).  None is stored as null and read back as None.
+_NODE_FIELDS = {
+    "node_id": (int, int), "branch_id": (int, int), "seed": (int, int),
+    "provisional": (bool, bool), "provisional_label": (str, str),
+    "labels": (list, tuple),
+    "thresholds": (asdict, lambda d: Thresholds(**d)),
+}
+
+
+def _or_none(convert, value):
+    return None if value is None else convert(value)
+
+
 def _describe(node, parent, fields):
-    """The one node serializer: the fields every description shares,
-    plus ``fields(node)``, with children in node-id order."""
-    doc = {
-        "node_id": node.node_id,
-        "branch_id": node.branch_id,
-        "parent": parent,
-        "provisional": node.provisional,
-        "labels": list(node.labels),
-        "provisional_label": node.provisional_label,
-        "seed": node.seed,
-        "thresholds": node.thresholds.to_dict() if node.thresholds else None,
-        **fields(node),
-    }
+    """The one node serializer: ``_NODE_FIELDS`` and the parent id, plus
+    ``fields(node)``, with children in node-id order."""
+    doc = {name: _or_none(save, getattr(node, name))
+           for name, (save, _) in _NODE_FIELDS.items()}
+    doc.update(parent=parent, **fields(node))
     doc["children"] = [_describe(c, node.node_id, fields)
                        for c in sorted(node.children, key=lambda c: c.node_id)]
     return doc
@@ -253,13 +253,8 @@ class RouteDecision:
     stopped_at: int | None = None      # node where routing found no child
 
     def to_dict(self):
-        return {"verdict": self.verdict.value, "label": self.label,
-                "path": list(self.path), "apps": [float(a) for a in self.apps],
-                "branch_created": self.branch_created,
-                "routed_branch": self.routed_branch,
-                "unrouted": self.unrouted, "input_index": self.input_index,
-                "provisional_label": self.provisional_label,
-                "stopped_at": self.stopped_at}
+        return {**vars(self), "verdict": self.verdict.value,
+                "path": list(self.path), "apps": [float(a) for a in self.apps]}
 
 
 def route_step(node: CactusNode, predicted_apps):
@@ -544,10 +539,15 @@ def replay_log(tree: CactusTree, log: GrowthLog) -> CactusTree:
 # ---------------------------------------------------------------------
 
 def save_tree(tree: CactusTree, out_dir):
-    """JSON topology plus one checkpoint per node block/head."""
-    from pathlib import Path
+    """JSON topology plus one checkpoint per node block/head, written to
+    a sibling temp directory that then replaces ``out_dir`` whole: no
+    older file survives, and a killed save leaves one whole tree (at
+    ``.<name>.old`` if killed between the renames), never a mix."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    tmp, old = (out.with_name(f".{out.name}.{tag}") for tag in ("tmp", "old"))
+    for stale in (tmp, old):
+        shutil.rmtree(stale, ignore_errors=True)
+    tmp.mkdir(parents=True)
 
     def refs(node):
         return {"block": f"node_{node.node_id}.ckpt",
@@ -555,11 +555,15 @@ def save_tree(tree: CactusTree, out_dir):
 
     for _, node in sorted(tree.nodes.items()):
         ref = refs(node)
-        checkpoint_save(node.block, out / ref["block"])
+        checkpoint_save(node.block, tmp / ref["block"])
         if ref["head"] is not None:
-            checkpoint_save(node.head, out / ref["head"])
-    write_json(out / "tree.json", {"decision_depth": tree.decision_depth,
+            checkpoint_save(node.head, tmp / ref["head"])
+    write_json(tmp / "tree.json", {"decision_depth": tree.decision_depth,
                                    "root": _describe(tree.root, None, refs)})
+    if out.exists():
+        out.rename(old)
+    tmp.rename(out)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_tree(tree_dir, predictors=None) -> CactusTree:
@@ -568,25 +572,17 @@ def load_tree(tree_dir, predictors=None) -> CactusTree:
     ``predictors`` maps node_id -> callable to rewire predictors (they
     are checkpointed separately by the experiment runner).
     """
-    from pathlib import Path
     root_dir = Path(tree_dir)
     with open(root_dir / "tree.json", encoding="utf-8") as fh:
         doc = json.load(fh)
 
     def restore(desc):
         node = CactusNode(
-            node_id=desc["node_id"], branch_id=desc["branch_id"],
             block=checkpoint_load(root_dir / desc["block"]),
-            thresholds=Thresholds.from_dict(desc["thresholds"])
-            if desc["thresholds"] else None,
-            labels=tuple(desc["labels"]),
-            provisional=desc["provisional"],
-            provisional_label=desc["provisional_label"],
-            seed=desc["seed"])
-        if desc["head"]:
-            node.head = checkpoint_load(root_dir / desc["head"])
-        if predictors and desc["node_id"] in predictors:
-            node.predictor = predictors[desc["node_id"]]
+            head=checkpoint_load(root_dir / desc["head"]) if desc["head"] else None,
+            predictor=(predictors or {}).get(desc["node_id"]),
+            **{name: _or_none(load, desc[name])
+               for name, (_, load) in _NODE_FIELDS.items()})
         node.children = [restore(c) for c in desc["children"]]
         return node
 
@@ -599,10 +595,7 @@ def load_tree(tree_dir, predictors=None) -> CactusTree:
 
 def save_growth_log(log: GrowthLog, path):
     with atomic_open(path, encoding="utf-8") as fh:
-        header = {"max_branches_per_node": log.config.max_branches_per_node,
-                  "consolidation_window": log.config.consolidation_window,
-                  "seed": log.config.seed}
-        fh.write(json.dumps({"config": header}, sort_keys=True) + "\n")
+        fh.write(json.dumps({"config": asdict(log.config)}, sort_keys=True) + "\n")
         for d in log.decisions:
             fh.write(json.dumps(d.to_dict(), sort_keys=True) + "\n")
 
@@ -610,15 +603,7 @@ def save_growth_log(log: GrowthLog, path):
 def load_growth_log(path) -> GrowthLog:
     with open(path, encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
-    cfg = lines[0]["config"]
-    log = GrowthLog(GrowthConfig(cfg["max_branches_per_node"],
-                                 cfg["consolidation_window"], cfg["seed"]))
-    for doc in lines[1:]:
-        log.decisions.append(RouteDecision(
-            Verdict(doc["verdict"]), label=doc["label"], path=doc["path"],
-            apps=doc["apps"], branch_created=doc["branch_created"],
-            routed_branch=doc["routed_branch"], unrouted=doc["unrouted"],
-            input_index=doc["input_index"],
-            provisional_label=doc["provisional_label"],
-            stopped_at=doc["stopped_at"]))
+    log = GrowthLog(GrowthConfig(**lines[0]["config"]))
+    log.decisions = [RouteDecision(**{**doc, "verdict": Verdict(doc["verdict"])})
+                     for doc in lines[1:]]
     return log

@@ -4,17 +4,36 @@ All kernels are pure functions over numpy arrays.  Images and feature
 maps are channels-last: a single image is ``[h, w, c]``, a batch is
 ``[n, h, w, c]``; dense activations are ``[n, d]``.  Convolutions are
 "valid" (no padding), so output sides are ``floor((s - k) / stride) + 1``.
+
+Each layer kind has one entry in ``KINDS`` (at the end of this module):
+its serialised fields, their defaults, its shape rules and its forward
+and backward steps.  The steps call the kernels by their module-level
+names at call time, so rebinding ``layers.conv2d`` (as a tracer does)
+reaches every network.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
+from math import prod
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeMismatchError
 
-KINDS = ("Conv2D", "MaxPool2D", "Dense", "ReLU", "Softmax", "Flatten")
-PARAMETERIZED_KINDS = ("Conv2D", "Dense")
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+_COUNT = (_is_count, "an int >= 1")
+# every serialised field: (check, what a valid value is)
+FIELD_CHECKS = {
+    "filters": _COUNT, "units": _COUNT, "stride": _COUNT,
+    "kernel": (lambda v: isinstance(v, tuple) and len(v) == 2
+               and all(map(_is_count, v)), "two ints >= 1"),
+    "frozen": (lambda v: isinstance(v, bool), "a bool"),
+}
 
 
 @dataclass(frozen=True)
@@ -23,7 +42,8 @@ class LayerSpec:
 
     ``kernel`` is ``(kh, kw)`` for Conv2D/MaxPool2D, ``units`` the output
     width for Dense.  ``frozen`` excludes the layer's parameters from
-    gradient updates and is only meaningful for Conv2D and Dense.
+    gradient updates.  A kind sets only the fields its ``KINDS`` entry
+    lists; every other field keeps its default.
     """
 
     kind: str
@@ -34,28 +54,20 @@ class LayerSpec:
     frozen: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "Conv2D":
-            if self.filters < 1:
-                raise ValueError("Conv2D needs filters >= 1")
-            self._check_window()
-        elif self.kind == "MaxPool2D":
-            self._check_window()
-        elif self.kind == "Dense":
-            if self.units < 1:
-                raise ValueError("Dense needs units >= 1")
-        if self.frozen and not self.parameterized:
-            raise ValueError(f"frozen is meaningless for {self.kind}")
-
-    def _check_window(self):
-        kh, kw = self.kernel
-        if kh < 1 or kw < 1 or self.stride < 1:
-            raise ValueError("kernel sides and stride must be >= 1")
+        kind = _kind(self.kind)
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name in kind.fields:
+                check, valid = FIELD_CHECKS[f.name]
+                if not check(value):
+                    raise ValueError(f"{self.kind} {f.name} must be {valid}, "
+                                     f"got {value!r}")
+            elif value != f.default:
+                raise ValueError(f"{f.name} is meaningless for {self.kind}")
 
     @property
     def parameterized(self) -> bool:
-        return self.kind in PARAMETERIZED_KINDS
+        return KINDS[self.kind].weight_shape is not None
 
     # -- constructors ------------------------------------------------
     @staticmethod
@@ -86,33 +98,34 @@ class LayerSpec:
     def flatten():
         return LayerSpec("Flatten")
 
-    def with_frozen(self, frozen: bool) -> "LayerSpec":
-        return LayerSpec(self.kind, filters=self.filters, kernel=self.kernel,
-                         stride=self.stride, units=self.units, frozen=frozen)
-
     # -- serialization -----------------------------------------------
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        if self.kind == "Conv2D":
-            d.update(filters=self.filters, kernel=list(self.kernel),
-                     stride=self.stride, frozen=self.frozen)
-        elif self.kind == "MaxPool2D":
-            d.update(kernel=list(self.kernel), stride=self.stride)
-        elif self.kind == "Dense":
-            d.update(units=self.units, frozen=self.frozen)
+        for name in KINDS[self.kind].fields:
+            value = getattr(self, name)
+            d[name] = list(value) if isinstance(value, tuple) else value
         return d
 
     @staticmethod
     def from_dict(d: dict) -> "LayerSpec":
-        kind = d["kind"]
-        if kind == "Conv2D":
-            return LayerSpec.conv(d["filters"], tuple(d["kernel"]),
-                                  d.get("stride", 1), d.get("frozen", False))
-        if kind == "MaxPool2D":
-            return LayerSpec.maxpool(tuple(d["kernel"]), d.get("stride"))
-        if kind == "Dense":
-            return LayerSpec.dense(d["units"], d.get("frozen", False))
-        return LayerSpec(kind)
+        """Parse a layer dict, the form configs and checkpoints hold.
+
+        A field the kind does not have, a missing required field or an
+        ill-typed value raises ``ValueError``; absent optional fields
+        take the kind's defaults.
+        """
+        kind = _kind(d["kind"])
+        unknown = sorted(set(d) - {"kind", *kind.fields})
+        missing = [f for f, default in kind.fields.items()
+                   if default is None and f not in d]
+        if unknown or missing:
+            raise ValueError(f"{d['kind']} layer: unknown fields {unknown}, "
+                             f"missing fields {missing}")
+        spec = LayerSpec(**{k: tuple(v) if isinstance(v, list) else v
+                            for k, v in d.items()})
+        return replace(spec, **{f: default(spec) if callable(default) else default
+                                for f, default in kind.fields.items()
+                                if default is not None and f not in d})
 
 
 # ---------------------------------------------------------------------
@@ -248,3 +261,81 @@ def softmax_backward(y, dout):
     # y is the softmax output; dL/dx_i = y_i * (dout_i - sum_j dout_j y_j)
     inner = (dout * y).sum(axis=1, keepdims=True)
     return y * (dout - inner)
+
+
+# ---------------------------------------------------------------------
+# The kind table
+# ---------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LayerKind:
+    """Everything one layer kind means, in one place.
+
+    ``forward(spec, params, x)`` returns ``(y, cache)``;
+    ``backward(spec, params, x, y, cache, dy, need_dx)`` returns
+    ``(dx, grads)``, where ``grads`` is ``{"W", "b"}`` or None for a kind
+    without parameters, and ``dx`` may be None when ``need_dx`` is false.
+    """
+    forward: Callable
+    backward: Callable
+    # serialised fields besides "kind", in order: name -> default, which
+    # is None for a required field or may be a function of the spec
+    fields: dict = field(default_factory=dict)
+    rank: int | None = None       # input rank it needs; None takes any
+    out_shape: Callable = lambda spec, shape: shape
+    weight_shape: Callable | None = None  # None: no parameters
+
+
+def _kind(name) -> LayerKind:
+    if name not in KINDS:
+        raise ValueError(f"unknown layer kind {name!r}")
+    return KINDS[name]
+
+
+def _window_out(spec, shape, depth):
+    (h, w), (kh, kw) = shape[:2], spec.kernel
+    return (h - kh) // spec.stride + 1, (w - kw) // spec.stride + 1, depth
+
+
+def _conv_backward(spec, p, x, y, cache, dy, need_dx):
+    dx, dw = conv2d_backward(x, p["W"], dy, spec.stride, need_dx)
+    return dx, {"W": dw, "b": dy.sum(axis=(0, 1, 2))}
+
+
+def _dense_backward(spec, p, x, y, cache, dy, need_dx):
+    dx, dw, db = dense_backward(x, p["W"], dy)
+    return dx, {"W": dw, "b": db}
+
+
+KINDS = {
+    "Conv2D": LayerKind(
+        forward=lambda spec, p, x: (conv2d(x, p["W"], spec.stride) + p["b"], None),
+        backward=_conv_backward,
+        fields={"filters": None, "kernel": None, "stride": 1, "frozen": False},
+        rank=3,
+        out_shape=lambda spec, shape: _window_out(spec, shape, spec.filters),
+        weight_shape=lambda spec, shape: (*spec.kernel, shape[2], spec.filters)),
+    "MaxPool2D": LayerKind(
+        forward=lambda spec, p, x: maxpool2d(x, spec.kernel, spec.stride),
+        backward=lambda spec, p, x, y, cache, dy, need_dx: (maxpool2d_backward(
+            x.shape, cache, dy, spec.kernel, spec.stride), None),
+        fields={"kernel": None, "stride": lambda spec: spec.kernel[0]}, rank=3,
+        out_shape=lambda spec, shape: _window_out(spec, shape, shape[2])),
+    "Dense": LayerKind(
+        forward=lambda spec, p, x: (dense(x, p["W"], p["b"]), None),
+        backward=_dense_backward,
+        fields={"units": None, "frozen": False}, rank=1,
+        out_shape=lambda spec, shape: (spec.units,),
+        weight_shape=lambda spec, shape: (shape[0], spec.units)),
+    "ReLU": LayerKind(
+        forward=lambda spec, p, x: (relu(x), None),
+        backward=lambda spec, p, x, y, cache, dy, need_dx: (relu_backward(x, dy), None)),
+    "Softmax": LayerKind(
+        forward=lambda spec, p, x: (softmax(x), None),
+        backward=lambda spec, p, x, y, cache, dy, need_dx: (softmax_backward(y, dy), None),
+        rank=1),
+    "Flatten": LayerKind(
+        forward=lambda spec, p, x: (x.reshape(x.shape[0], prod(x.shape[1:])), None),
+        backward=lambda spec, p, x, y, cache, dy, need_dx: (dy.reshape(x.shape), None),
+        out_shape=lambda spec, shape: (prod(shape),)),
+}

@@ -5,7 +5,7 @@ snapshot that shares the parameter arrays of untouched (e.g. frozen)
 layers, so concurrent readers of an old snapshot are always safe.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod, sqrt
 
 import numpy as np
@@ -41,48 +41,17 @@ def output_shapes(specs, input_shape):
     shapes = []
     cur = tuple(input_shape)
     for i, spec in enumerate(specs):
-        if spec.kind == "Conv2D":
-            _want_rank(cur, 3, i, spec)
-            h, w, c = cur
-            kh, kw = spec.kernel
-            ho = (h - kh) // spec.stride + 1
-            wo = (w - kw) // spec.stride + 1
-            if kh > h or kw > w:
-                raise ShapeMismatchError(
-                    f"layer {i}: kernel {spec.kernel} exceeds input {cur}")
-            cur = (ho, wo, spec.filters)
-        elif spec.kind == "MaxPool2D":
-            _want_rank(cur, 3, i, spec)
-            h, w, c = cur
-            kh, kw = spec.kernel
-            if kh > h or kw > w:
-                raise ShapeMismatchError(
-                    f"layer {i}: pool window {spec.kernel} exceeds input {cur}")
-            cur = ((h - kh) // spec.stride + 1, (w - kw) // spec.stride + 1, c)
-        elif spec.kind == "Flatten":
-            cur = (prod(cur),)
-        elif spec.kind == "Dense":
-            _want_rank(cur, 1, i, spec)
-            cur = (spec.units,)
-        elif spec.kind == "Softmax":
-            _want_rank(cur, 1, i, spec)
-        # ReLU keeps the shape
+        kind = L.KINDS[spec.kind]
+        if kind.rank is not None and len(cur) != kind.rank:
+            raise ShapeMismatchError(
+                f"layer {i} ({spec.kind}) expects rank-{kind.rank} input, "
+                f"got shape {cur}")
+        if spec.kernel and (spec.kernel[0] > cur[0] or spec.kernel[1] > cur[1]):
+            raise ShapeMismatchError(
+                f"layer {i} ({spec.kind}): window {spec.kernel} exceeds input {cur}")
+        cur = kind.out_shape(spec, cur)
         shapes.append(cur)
     return shapes
-
-
-def _want_rank(shape, rank, index, spec):
-    if len(shape) != rank:
-        raise ShapeMismatchError(
-            f"layer {index} ({spec.kind}) expects rank-{rank} input, "
-            f"got shape {shape}")
-
-
-def _weight_shape(spec, in_shape):
-    """W of a Conv2D is (kh, kw, c_in, filters); of a Dense, (in, units)."""
-    if spec.kind == "Conv2D":
-        return (*spec.kernel, in_shape[2], spec.filters)
-    return (in_shape[0], spec.units)
 
 
 def param_shapes(specs, input_shape):
@@ -91,17 +60,13 @@ def param_shapes(specs, input_shape):
     in_shapes = [tuple(input_shape)] + output_shapes(specs, input_shape)[:-1]
     out = []
     for spec, in_shape in zip(specs, in_shapes):
-        if spec.parameterized:
-            w = _weight_shape(spec, in_shape)
-            out.append({"W": w, "b": w[-1:]})
-        else:
-            out.append(None)
+        w = spec.parameterized and L.KINDS[spec.kind].weight_shape(spec, in_shape)
+        out.append({"W": w, "b": w[-1:]} if w else None)
     return out
 
 
-def _init_params(spec, in_shape, rng, dtype):
-    """Glorot-uniform weights, zero biases."""
-    shape = _weight_shape(spec, in_shape)
+def _init_params(shape, rng, dtype):
+    """Glorot-uniform weights of ``shape``, zero biases."""
     window = prod(shape[:-2])  # kh * kw for a Conv2D, 1 for a Dense
     fan_in, fan_out = window * shape[-2], window * shape[-1]
     s = sqrt(6.0 / (fan_in + fan_out))
@@ -121,16 +86,9 @@ class Network:
     @classmethod
     def build(cls, specs, input_shape, seed, dtype=np.float32):
         """Initialize a network deterministically from ``seed``."""
-        specs = tuple(specs)
-        shapes = output_shapes(specs, input_shape)
-        rng = rng_for(seed)
-        params = []
-        for i, spec in enumerate(specs):
-            if spec.parameterized:
-                in_shape = tuple(input_shape) if i == 0 else shapes[i - 1]
-                params.append(_init_params(spec, in_shape, rng, dtype))
-            else:
-                params.append(None)
+        specs, rng = tuple(specs), rng_for(seed)
+        params = [None if shapes is None else _init_params(shapes["W"], rng, dtype)
+                  for shapes in param_shapes(specs, input_shape)]
         return cls(specs, input_shape, params)
 
     # -- small accessors ----------------------------------------------
@@ -189,19 +147,7 @@ def _run_layers(net: Network, x):
     first layer whose output is not finite."""
     acts, caches = [], []
     for i, (spec, p) in enumerate(zip(net.specs, net.params)):
-        cache = None
-        if spec.kind == "Conv2D":
-            x = L.conv2d(x, p["W"], spec.stride) + p["b"]
-        elif spec.kind == "MaxPool2D":
-            x, cache = L.maxpool2d(x, spec.kernel, spec.stride)
-        elif spec.kind == "Dense":
-            x = L.dense(x, p["W"], p["b"])
-        elif spec.kind == "ReLU":
-            x = L.relu(x)
-        elif spec.kind == "Softmax":
-            x = L.softmax(x)
-        else:  # Flatten; LayerSpec admits no other kind
-            x = x.reshape(x.shape[0], prod(x.shape[1:]))
+        x, cache = L.KINDS[spec.kind].forward(spec, p, x)
         if not np.isfinite(x).all():
             raise NumericFailureError(
                 f"non-finite activation at layer {i} ({spec.kind})",
@@ -259,40 +205,19 @@ def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):
         start -= 1  # delta already sits at the softmax input
     for i in range(start, -1, -1):
         spec = net.specs[i]
-        need_dx = i > lowest
-        if spec.kind == "Conv2D":
-            if spec.frozen:
-                if need_dx:
-                    delta, _ = L.conv2d_backward(
-                        inputs[i], net.params[i]["W"], delta, spec.stride)
-            else:
-                dx, dw = L.conv2d_backward(
-                    inputs[i], net.params[i]["W"], delta, spec.stride, need_dx)
-                grads[i] = {"W": dw, "b": delta.sum(axis=(0, 1, 2))}
-                delta = dx
-        elif spec.kind == "Dense":
-            dx, dw, db = L.dense_backward(inputs[i], net.params[i]["W"], delta)
-            if not spec.frozen:
-                grads[i] = {"W": dw, "b": db}
-            delta = dx
-        elif spec.kind == "MaxPool2D":
-            delta = L.maxpool2d_backward(
-                inputs[i].shape, caches[i], delta, spec.kernel, spec.stride)
-        elif spec.kind == "ReLU":
-            delta = L.relu_backward(inputs[i], delta)
-        elif spec.kind == "Softmax":
-            delta = L.softmax_backward(acts[i], delta)
-        elif spec.kind == "Flatten":
-            delta = delta.reshape(inputs[i].shape)
-        if i in grads:
-            for g in grads[i].values():
-                if not np.isfinite(g).all():
+        # frozen layers pass the gradient through; their own is dropped
+        delta, g = L.KINDS[spec.kind].backward(
+            spec, net.params[i], inputs[i], acts[i], caches[i], delta, i > lowest)
+        if g is not None and not spec.frozen:
+            for v in g.values():
+                if not np.isfinite(v).all():
                     raise NumericFailureError(
                         f"non-finite gradient at layer {i} ({spec.kind})",
                         layer_index=i)
+            grads[i] = g
         if i == lowest:
             break
-        if delta is not None and not np.isfinite(delta).all():
+        if not np.isfinite(delta).all():
             raise NumericFailureError(
                 f"non-finite delta below layer {i} ({spec.kind})", layer_index=i)
     return grads, loss
@@ -317,7 +242,7 @@ def sgd_step(net: Network, grads, cfg: TrainConfig) -> Network:
 
 def freeze_through(net: Network, layer_index: int) -> Network:
     """Freeze every parameterized layer at index <= ``layer_index``."""
-    specs = [s.with_frozen(True) if s.parameterized and i <= layer_index
+    specs = [replace(s, frozen=True) if s.parameterized and i <= layer_index
              else s for i, s in enumerate(net.specs)]
     return Network(specs, net.input_shape, net.params)
 
@@ -365,7 +290,8 @@ def replace_head(net: Network, num_outputs: int, seed: int) -> Network:
     specs = list(net.specs)
     specs[idx] = new_spec
     params = list(net.params)
-    params[idx] = _init_params(new_spec, in_shape, rng_for(seed), dtype)
+    params[idx] = _init_params(param_shapes([new_spec], in_shape)[0]["W"],
+                               rng_for(seed), dtype)
     return Network(specs, net.input_shape, params)
 
 

@@ -383,19 +383,15 @@ class _MockSentinel:
         raise ConfigError("mock stream items must carry a mock_app value")
 
 
-def read_stream(cfg: ExperimentConfig, manifest, stream_path):
-    """Decode a stream file into ((image, mock_app), subset_tag) items.
+def read_stream(cfg: ExperimentConfig, manifest, doc):
+    """Decode a parsed stream document into ((image, mock_app),
+    subset_tag) items.
 
     Formats: {"type": "mock", "apps": [...]} replays scripted
     applicability values; {"type": "manifest", "classes": [...],
     "per_class": n} draws test images of manifest classes;
     {"type": "dataset", "path": ...} walks a binary dataset cache.
     """
-    stream_path = Path(stream_path)
-    if not stream_path.is_file():
-        raise ConfigError(f"stream file not found: {stream_path}")
-    with open(stream_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
     kind = doc.get("type")
     side = cfg.input_shape
     if kind == "mock":
@@ -424,9 +420,9 @@ def run_cactus(cfg: ExperimentConfig, stream_path) -> dict:
     stream_path = Path(stream_path)
     if not stream_path.is_file():
         raise ConfigError(f"stream file not found: {stream_path}")
-    mock = json.loads(stream_path.read_text(encoding="utf-8")).get("type") == "mock"
-    tree, manifest = build_cactus_tree(cfg, mock=mock)
-    items = read_stream(cfg, manifest, stream_path)
+    doc = json.loads(stream_path.read_text(encoding="utf-8"))
+    tree, manifest = build_cactus_tree(cfg, mock=doc.get("type") == "mock")
+    items = read_stream(cfg, manifest, doc)
 
     gcfg = cactus.GrowthConfig(
         max_branches_per_node=int(cfg.growth["max_branches_per_node"]),

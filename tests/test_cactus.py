@@ -408,6 +408,33 @@ class TestPersistence:
         assert loaded.topology() == tree.topology()
         assert loaded.decision_depth == tree.decision_depth
 
+    def test_a_save_replaces_the_whole_tree(self, tmp_path):
+        save_tree(deep_tree(), tmp_path / "tree")  # four nodes
+        tree = small_tree()                        # two nodes
+        save_tree(tree, tmp_path / "tree")
+        expected = {"tree.json"} | {f"node_{i}.ckpt" for i in tree.nodes} | {
+            f"head_{i}.ckpt" for i, n in tree.nodes.items() if n.head is not None}
+        assert {p.name for p in (tmp_path / "tree").iterdir()} == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["tree"]
+        assert load_tree(tmp_path / "tree").topology() == tree.topology()
+
+    def test_a_failed_save_leaves_the_old_tree(self, tmp_path, monkeypatch):
+        import cactusnet.cactus as cactus_module
+        old = deep_tree()
+        save_tree(old, tmp_path / "tree")
+        real_save, saved = cactus_module.checkpoint_save, []
+
+        def save_then_fail(net, path):
+            saved.append(path)
+            if len(saved) == 2:
+                raise OSError("disk full")
+            real_save(net, path)
+
+        monkeypatch.setattr(cactus_module, "checkpoint_save", save_then_fail)
+        with pytest.raises(OSError):
+            save_tree(small_tree(), tmp_path / "tree")
+        assert load_tree(tmp_path / "tree").topology() == old.topology()
+
     def test_growth_log_round_trip(self, tmp_path):
         tree = small_tree()
         log = grow(tree, mock_stream([0.99, 0.95, 0.975]), GrowthConfig(seed=3))

@@ -142,6 +142,18 @@ class TestExitCodes:
         cfg = write_tiny_config(tmp_path, decision_depth=99)
         assert run(cfg, "prepare") == 2
 
+    @pytest.mark.parametrize("field, value", [("frozen", "no"), ("stide", 2),
+                                              ("filters", 4.5)])
+    def test_malformed_layer_dict_exits_2(self, tmp_path, capsys, field, value):
+        assert run(write_tiny_config(tmp_path), "prepare") == 0
+        arch = json.loads(json.dumps(TINY["architecture"]))
+        arch["layers"][0][field] = value
+        cfg = write_tiny_config(tmp_path, architecture=arch)
+        capsys.readouterr()
+        assert run(cfg, "train-base") == 2
+        assert "Conv2D" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "base.ckpt").exists()
+
     def test_measure_before_train_base_exits_2(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         assert run(cfg, "prepare") == 0

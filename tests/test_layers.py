@@ -313,3 +313,84 @@ def test_frozen_layers_produce_no_gradients():
     targets = np.eye(2, dtype=np.float32)
     grads, _ = backward(net, batch, targets)
     assert set(grads) == {2}
+
+
+# One valid dict per layer kind, holding every field the kind has.
+VALID_LAYERS = {
+    "Conv2D": {"kind": "Conv2D", "filters": 4, "kernel": [3, 2], "stride": 2,
+               "frozen": True},
+    "MaxPool2D": {"kind": "MaxPool2D", "kernel": [2, 3], "stride": 1},
+    "Dense": {"kind": "Dense", "units": 5, "frozen": True},
+    "ReLU": {"kind": "ReLU"},
+    "Softmax": {"kind": "Softmax"},
+    "Flatten": {"kind": "Flatten"},
+}
+# every field some kind has: (a valid value, ill-typed values)
+COUNT_VALUES = (3, [0, -1, 4.5, True, "4", None])
+FIELD_VALUES = {
+    "filters": COUNT_VALUES, "units": COUNT_VALUES, "stride": COUNT_VALUES,
+    "kernel": ([2, 2], [[3], [3, 3, 3], [3, 0], [3, 2.0], [True, 2], 3, "33", None]),
+    "frozen": (False, ["no", 0, 1, None]),
+}
+REQUIRED = ("filters", "kernel", "units")
+
+
+def malformed_variants(d):
+    yield "misspelt stride", {**d, "stide": 2}
+    for name, (valid, bad_values) in FIELD_VALUES.items():
+        if name not in d:
+            yield f"foreign {name}", {**d, name: valid}
+            continue
+        for bad in bad_values:
+            yield f"{name}={bad!r}", {**d, name: bad}
+        if name in REQUIRED:
+            yield f"no {name}", {k: v for k, v in d.items() if k != name}
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_LAYERS))
+def test_layer_dict_round_trips_and_malformed_ones_are_rejected(kind):
+    d = VALID_LAYERS[kind]
+    spec = LayerSpec.from_dict(d)
+    assert spec.to_dict() == d
+    assert LayerSpec.from_dict(spec.to_dict()) == spec
+    accepted = []
+    for label, bad in malformed_variants(d):
+        try:
+            LayerSpec.from_dict(bad)
+            accepted.append(label)
+        except ValueError:
+            pass
+    assert accepted == []
+
+
+def test_absent_optional_layer_fields_take_the_kind_defaults():
+    conv = LayerSpec.from_dict({"kind": "Conv2D", "filters": 2, "kernel": [3, 3]})
+    assert (conv.stride, conv.frozen) == (1, False)
+    assert LayerSpec.from_dict({"kind": "MaxPool2D", "kernel": [3, 2]}).stride == 3
+    assert LayerSpec.from_dict({"kind": "Dense", "units": 4}).frozen is False
+    with pytest.raises(ValueError):
+        LayerSpec.from_dict({"kind": "Conv3D"})
+
+
+KERNELS = ("conv2d", "conv2d_backward", "maxpool2d", "maxpool2d_backward",
+           "dense", "dense_backward", "relu", "relu_backward", "softmax",
+           "softmax_backward")
+
+
+def test_networks_call_kernels_through_the_layers_module(monkeypatch):
+    """A profiler that rebinds a kernel on ``cactusnet.nn.layers`` sees
+    every call a network makes to it."""
+    import cactusnet.nn.layers as layers
+    calls = dict.fromkeys(KERNELS, 0)
+    for name in KERNELS:
+        def counting(*args, _name=name, _kernel=getattr(layers, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(layers, name, counting)
+    net = Network.build([LayerSpec.conv(2, 3), LayerSpec.relu(), LayerSpec.maxpool(2),
+                         LayerSpec.flatten(), LayerSpec.dense(3), LayerSpec.softmax()],
+                        (8, 8, 1), seed=0)
+    x = np.random.default_rng(0).random((2, 8, 8, 1)).astype(np.float32)
+    # MSE keeps softmax_backward in the chain; cross-entropy fuses it away
+    backward(net, x, np.full((2, 3), 1 / 3, dtype=np.float32), "MSE")
+    assert calls == dict.fromkeys(KERNELS, 1)
