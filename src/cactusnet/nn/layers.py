@@ -17,7 +17,7 @@ from math import prod
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ShapeMismatchError
 
@@ -132,8 +132,31 @@ class LayerSpec:
 # Convolution
 # ---------------------------------------------------------------------
 
+def _im2col(x, kh, kw, stride, h_out, w_out):
+    """The ``[n*h_out*w_out, kh*kw*c_in]`` column matrix of ``x``'s windows.
+
+    Row ``(b, y, x)`` holds the window at output position ``(y, x)`` of
+    image ``b``, its columns in ``(i, j, c)`` order, so that the
+    convolution is ``cols @ kernels.reshape(kh*kw*c_in, c_out)``.  A 1x1
+    stride-1 kernel's matrix is ``x`` itself, reshaped.
+    """
+    n, h, w, c_in = x.shape
+    # the strided view below reads whatever memory its shape reaches
+    if (h_out, w_out) != ((h - kh) // stride + 1, (w - kw) // stride + 1):
+        raise ShapeMismatchError(
+            f"{h_out}x{w_out} outputs do not match {kh}x{kw} windows at "
+            f"stride {stride} over input {x.shape}")
+    if kh == kw == stride == 1:
+        return x.reshape(-1, c_in)
+    sn, sh, sw, sc = x.strides
+    windows = as_strided(x, (n, h_out, w_out, kh, kw, c_in),
+                         (sn, stride * sh, stride * sw, sh, sw, sc),
+                         writeable=False)
+    return windows.reshape(n * h_out * w_out, kh * kw * c_in)
+
+
 def conv2d(image, kernels, stride=1):
-    """Valid 2-D cross-correlation.
+    """Valid 2-D cross-correlation, as one matrix product over ``_im2col``.
 
     ``image`` is ``[h, w, c_in]`` or a batch ``[n, h, w, c_in]``;
     ``kernels`` is ``[kh, kw, c_in, c_out]``.  Output sides are
@@ -153,25 +176,35 @@ def conv2d(image, kernels, stride=1):
     if kc_in != c_in or kh > h or kw > w:
         raise ShapeMismatchError(
             f"kernels {k.shape} do not fit input {np.asarray(image).shape}")
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    out = np.einsum("nhwcij,ijco->nhwo", windows, k)
+    h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
+    cols = _im2col(x, kh, kw, stride, h_out, w_out)
+    out = (cols @ k.reshape(kh * kw * c_in, c_out)).reshape(n, h_out, w_out, c_out)
     return out[0] if single else out
 
 
 def conv2d_backward(x, kernels, dout, stride=1, need_dx=True):
-    """Gradients of ``conv2d`` w.r.t. kernels and (optionally) input."""
-    kh, kw, _, _ = kernels.shape
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    dk = np.einsum("nhwcij,nhwo->ijco", windows, dout)
+    """Gradients of ``conv2d`` w.r.t. kernels and (optionally) input.
+
+    With ``dout`` as ``[n*h_out*w_out, c_out]`` rows and
+    ``K = kernels.reshape(kh*kw*c_in, c_out)``, the kernel gradient is
+    ``_im2col(x).T @ dout``.  The input gradient is the column-matrix
+    gradient ``dout @ K.T`` folded back (col2im): each window element's
+    ``(i, j)`` slice is added into the strided slice of a zero ``dx`` it
+    was read from, in row-major ``(i, j)`` order.
+    """
+    kh, kw, c_in, c_out = kernels.shape
+    n, h_out, w_out, _ = dout.shape
+    d2 = dout.reshape(-1, c_out)
+    dk = (_im2col(x, kh, kw, stride, h_out, w_out).T @ d2).reshape(kernels.shape)
     if not need_dx:
         return None, dk
+    dcols = (d2 @ kernels.reshape(kh * kw * c_in, c_out).T).reshape(
+        n, h_out, w_out, kh, kw, c_in)
     dx = np.zeros_like(x)
-    h_out, w_out = dout.shape[1:3]
     for i in range(kh):
         for j in range(kw):
-            contrib = np.einsum("nhwo,co->nhwc", dout, kernels[i, j])
             dx[:, i:i + stride * h_out:stride,
-               j:j + stride * w_out:stride, :] += contrib
+               j:j + stride * w_out:stride, :] += dcols[:, :, :, i, j]
     return dx, dk
 
 

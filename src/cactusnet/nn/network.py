@@ -5,6 +5,7 @@ snapshot that shares the parameter arrays of untouched (e.g. frozen)
 layers, so concurrent readers of an old snapshot are always safe.
 """
 
+from copy import copy
 from dataclasses import dataclass, replace
 from math import prod, sqrt
 
@@ -108,13 +109,16 @@ class Network:
                 if s.parameterized and not s.frozen]
 
     def astype(self, dtype) -> "Network":
-        params = [None if p is None else
-                  {k: v.astype(dtype) for k, v in p.items()}
-                  for p in self.params]
-        return Network(self.specs, self.input_shape, params)
+        return self.with_params([None if p is None else
+                                 {k: v.astype(dtype) for k, v in p.items()}
+                                 for p in self.params])
 
     def with_params(self, params) -> "Network":
-        return Network(self.specs, self.input_shape, params)
+        """The same layers with new parameters.  Specs and input shape
+        are unchanged, so the shape list carries over."""
+        net = copy(self)
+        net.params = tuple(params)
+        return net
 
     def _normalize_batch(self, batch):
         x = np.asarray(batch)

@@ -391,25 +391,29 @@ def read_stream(cfg: ExperimentConfig, manifest, doc):
     applicability values; {"type": "manifest", "classes": [...],
     "per_class": n} draws test images of manifest classes;
     {"type": "dataset", "path": ...} walks a binary dataset cache.
+    A document missing a field or holding an ill-typed one raises
+    ``ConfigError``.
     """
-    kind = doc.get("type")
-    side = cfg.input_shape
-    if kind == "mock":
-        blank = np.zeros(side, dtype=np.float32)
-        return [((blank, float(a)), "mock") for a in doc["apps"]]
-    if kind == "manifest":
-        splits = _splits(cfg, manifest)
-        items = []
-        per = int(doc.get("per_class", 1))
-        for cid in doc["classes"]:
-            entry = manifest.entry(cid)
-            images = splits.test_images(cid)[:per]
-            items.extend(((img, None), entry.subset.value) for img in images)
-        return items
-    if kind == "dataset":
-        ds = load_dataset(cfg.path(doc["path"]))
-        return [((img, None), ds.family(cid))
-                for cid in sorted(ds.images) for img in ds.images[cid]]
+    try:
+        kind = doc.get("type")
+        if kind == "mock":
+            blank = np.zeros(cfg.input_shape, dtype=np.float32)
+            return [((blank, float(a)), "mock") for a in doc["apps"]]
+        if kind == "manifest":
+            splits = _splits(cfg, manifest)
+            items = []
+            per = int(doc.get("per_class", 1))
+            for cid in doc["classes"]:
+                entry = manifest.entry(cid)
+                images = splits.test_images(cid)[:per]
+                items.extend(((img, None), entry.subset.value) for img in images)
+            return items
+        if kind == "dataset":
+            ds = load_dataset(cfg.path(doc["path"]))
+            return [((img, None), ds.family(cid))
+                    for cid in sorted(ds.images) for img in ds.images[cid]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid stream document: {exc!r}") from exc
     raise ConfigError(f"unknown stream type {kind!r}")
 
 
@@ -420,7 +424,13 @@ def run_cactus(cfg: ExperimentConfig, stream_path) -> dict:
     stream_path = Path(stream_path)
     if not stream_path.is_file():
         raise ConfigError(f"stream file not found: {stream_path}")
-    doc = json.loads(stream_path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(stream_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"stream file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"stream file must hold a JSON object, "
+                          f"got a {type(doc).__name__}")
     tree, manifest = build_cactus_tree(cfg, mock=doc.get("type") == "mock")
     items = read_stream(cfg, manifest, doc)
 

@@ -173,6 +173,18 @@ class TestExitCodes:
         assert run(cfg, "measure") == 0
         assert run(cfg, "train-predictors") == 2
 
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1]", '{"type": "mock"}', '{"type": "dataset"}',
+        '{"type": "mock", "apps": ["high"]}'])
+    def test_malformed_stream_exits_2(self, pipeline_dir, tmp_path, capsys, text):
+        stream = tmp_path / "malformed.json"
+        stream.write_text(text)
+        growth_log = (pipeline_dir / "out" / "growth_log.jsonl").read_bytes()
+        capsys.readouterr()
+        assert run(pipeline_dir / "config.json", "cactus-run", str(stream)) == 2
+        assert "stream" in capsys.readouterr().err
+        assert (pipeline_dir / "out" / "growth_log.jsonl").read_bytes() == growth_log
+
     def test_empty_stream_is_ok(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         for verb in ("prepare", "train-base", "measure", "train-predictors"):

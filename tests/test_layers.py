@@ -10,7 +10,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from cactusnet.errors import NumericFailureError, ShapeMismatchError
 from cactusnet.nn import LayerSpec, Network, backward, conv2d, forward
-from cactusnet.nn.layers import maxpool2d, maxpool2d_backward, softmax
+from cactusnet.nn.layers import (conv2d_backward, maxpool2d, maxpool2d_backward,
+                                 softmax)
 
 
 def conv2d_loop_oracle(image, kernels, stride=1):
@@ -81,6 +82,117 @@ class TestConv2d:
         k = np.zeros((3, 3, 1, 1), dtype=np.float32)
         with pytest.raises(ShapeMismatchError):
             conv2d(img, k)
+
+
+def einsum_conv2d(image, kernels, stride=1):
+    """The window-view ``einsum`` convolution the GEMM kernel replaced."""
+    x = np.asarray(image)
+    single = x.ndim == 3
+    if single:
+        x = x[None]
+    kh, kw = kernels.shape[:2]
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    out = np.einsum("nhwcij,ijco->nhwo", windows, kernels)
+    return out[0] if single else out
+
+
+def einsum_conv2d_backward(x, kernels, dout, stride=1):
+    """The ``einsum`` kernel and input gradients the GEMM kernel replaced."""
+    kh, kw = kernels.shape[:2]
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    dk = np.einsum("nhwcij,nhwo->ijco", windows, dout)
+    dx = np.zeros_like(x)
+    h_out, w_out = dout.shape[1:3]
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride, :] += (
+                np.einsum("nhwo,co->nhwc", dout, kernels[i, j]))
+    return dx, dk
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
+
+
+class TestConv2dGemmMatchesEinsum:
+    """The im2col/col2im kernels against the einsum ones they replaced."""
+
+    # (input [n, h, w, c_in], kernel (kh, kw), c_out, stride)
+    CASES = {
+        "20x20x1-8-3x3": ((16, 20, 20, 1), (3, 3), 8, 1),
+        "9x9x8-16-3x3": ((16, 9, 9, 8), (3, 3), 16, 1),
+        "3x3x16-32-3x3": ((16, 3, 3, 16), (3, 3), 32, 1),
+        "9x9x8-32-1x1": ((16, 9, 9, 8), (1, 1), 32, 1),
+        "4x4x32-64-1x1": ((16, 4, 4, 32), (1, 1), 64, 1),
+        "2x2-stride-2": ((3, 8, 8, 2), (2, 2), 3, 2),
+        "3x3-stride-2-overlapping": ((3, 9, 9, 2), (3, 3), 4, 2),
+        "2x3-kernel": ((3, 7, 6, 3), (2, 3), 5, 1),
+        "1x1-stride-2": ((3, 7, 7, 4), (1, 1), 5, 2),
+    }
+
+    @staticmethod
+    def _arrays(shape, kernel, c_out, stride, seed=0):
+        """Float32 input, kernels and output gradient at the scale a
+        network sees: inputs in [0, 1) like images and ReLU outputs,
+        Glorot-uniform kernels, and a batch-mean loss gradient."""
+        rng = np.random.default_rng(seed)
+        x = rng.random(shape, dtype=np.float32)
+        window = kernel[0] * kernel[1]
+        s = np.sqrt(6.0 / (window * (shape[3] + c_out)))
+        k = rng.uniform(-s, s, (*kernel, shape[3], c_out)).astype(np.float32)
+        h_out = (shape[1] - kernel[0]) // stride + 1
+        w_out = (shape[2] - kernel[1]) // stride + 1
+        dout = (rng.standard_normal((shape[0], h_out, w_out, c_out))
+                / shape[0]).astype(np.float32)
+        return x, k, dout
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_forward_and_gradients(self, case):
+        shape, kernel, c_out, stride = case
+        x, k, dout = self._arrays(shape, kernel, c_out, stride)
+        _close(conv2d(x, k, stride), einsum_conv2d(x, k, stride))
+        dx, dk = conv2d_backward(x, k, dout, stride)
+        want_dx, want_dk = einsum_conv2d_backward(x, k, dout, stride)
+        _close(dk, want_dk)
+        _close(dx, want_dx)
+        assert dx.dtype == x.dtype and dk.dtype == k.dtype
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_need_dx_false_returns_only_the_kernel_gradient(self, case):
+        shape, kernel, c_out, stride = case
+        x, k, dout = self._arrays(shape, kernel, c_out, stride)
+        dx, dk = conv2d_backward(x, k, dout, stride, need_dx=False)
+        assert dx is None
+        np.testing.assert_array_equal(dk, conv2d_backward(x, k, dout, stride)[1])
+
+    @pytest.mark.parametrize("out_side", [(8, 7), (7, 5)])
+    def test_output_gradient_of_another_size_is_rejected(self, out_side):
+        x, k, _ = self._arrays((2, 9, 9, 8), (3, 3), 4, 1)
+        with pytest.raises(ShapeMismatchError):
+            conv2d_backward(x, k, np.zeros((2, *out_side, 4), np.float32))
+
+    def test_unbatched_image(self):
+        x, k, _ = self._arrays((1, 9, 9, 8), (3, 3), 16, 1)
+        got = conv2d(x[0], k)
+        assert got.shape == (7, 7, 16)
+        _close(got, einsum_conv2d(x[0], k))
+
+    @pytest.mark.parametrize("kernel", [(3, 3), (1, 1)])
+    def test_non_contiguous_input_view(self, kernel):
+        base, k, _ = self._arrays((4, 20, 18, 6), kernel, 5, 1)
+        # every other column and a channel subset: a strided, non-contiguous view
+        x = base[:, :, ::2, 1:4]
+        assert not x.flags.c_contiguous
+        k = k[:, :, :3]
+        h_out, w_out = 21 - kernel[0], 10 - kernel[1]
+        dout = np.random.default_rng(1).standard_normal(
+            (4, h_out, w_out, 5)).astype(np.float32)
+        _close(conv2d(x, k), einsum_conv2d(x, k))
+        dx, dk = conv2d_backward(x, k, dout)
+        want_dx, want_dk = einsum_conv2d_backward(x, k, dout)
+        _close(dk, want_dk)
+        _close(dx, want_dx)
 
 
 class TestMaxPool:

@@ -126,6 +126,21 @@ class TestSgdStep:
         with pytest.raises(ShapeMismatchError):
             sgd_step(self.net, bad, TrainConfig(0.1, 1, 1, 0))
 
+    def test_steps_reuse_the_shape_list(self, monkeypatch):
+        import cactusnet.nn.network as network
+        net = small_cnn()
+        x = np.random.default_rng(0).random((4, 8, 8, 1)).astype(np.float32)
+        targets = np.eye(5, dtype=np.float32)[[0, 1, 2, 3]]
+        calls = []
+        real = network.output_shapes
+        monkeypatch.setattr(network, "output_shapes",
+                            lambda *a: calls.append(a) or real(*a))
+        cfg = TrainConfig(0.1, 1, 4, 0)
+        for _ in range(3):
+            net = sgd_step(net, backward(net, x, targets)[0], cfg)
+        assert calls == []
+        assert net.shapes == real(net.specs, net.input_shape)
+
 
 def small_cnn(seed=3, outputs=5):
     return Network.build(
