@@ -3,11 +3,11 @@
 Criterion 7 asks that every held-out (class, tap) cell's mean predicted
 applicability lie within 0.05 of the measured one.  This script builds
 the desk-default pipeline once (prepare, train-base, measure and
-train-predictors), then
-retrains the per-tap predictors under 10 seed salts and prints each
-salt's worst cell and how many salts pass.  Only the predictor seed
-changes: the base net, the records, the held-out classes and the bound
-stay as the acceptance suite has them.  Salt 0 is the shipped seed,
+train-predictors at workers 2), then retrains the per-tap predictors
+under 10 seed salts and prints each salt's worst cell and how many
+salts pass.  Only the predictor seed changes: the base net, the
+records, the held-out classes and the bound stay as the acceptance
+suite has them.  Salt 0 is the shipped seed,
 ``derive_seed(master, 0x93ED, tap)``; salt s > 0 trains with
 ``derive_seed(master, 0x93ED, tap, s)``.  Salt 0 is checked against the
 ``predictor_eval.csv`` that ``train-predictors`` writes.
@@ -16,11 +16,9 @@ It is a measurement, not a gate, and not part of the test suite.
 
 Usage (from the root of a checkout, about 5 minutes on 2 cores):
 
-    PYTHONPATH=src python3 benchmarks/predictor_seed_spread.py \
-        [--salts 10] [--workers 2] [--work DIR]
+    PYTHONPATH=src python3 benchmarks/predictor_seed_spread.py
 """
 
-import argparse
 import csv
 import json
 import statistics
@@ -38,13 +36,15 @@ from cactusnet.predictor import (build_predictor, evaluate_predictor,
 from cactusnet.seeding import derive_seed
 
 BOUND = 0.05
+SALTS = 10
+WORKERS = 2
 
 
-def build_pipeline(work: Path, workers: int):
+def build_pipeline(work: Path):
     """prepare -> train-base -> measure -> train-predictors at the desk
     default; returns the config."""
     doc = default_config_dict()
-    doc["workers"] = workers
+    doc["workers"] = WORKERS
     (work / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
     cfg = config_from_dict(doc, base_dir=work)
     runner.prepare(cfg)
@@ -94,21 +94,12 @@ def worst_cells(cfg, salts):
     return out
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--salts", type=int, default=10)
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--work", type=Path, default=None,
-                   help="directory for the pipeline's files (default: a "
-                        "temporary one, removed afterwards)")
-    args = p.parse_args(argv)
+def main():
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or Path(tmp)
-        work.mkdir(parents=True, exist_ok=True)
-        cfg = build_pipeline(work, args.workers)
+        cfg = build_pipeline(Path(tmp))
         with open(cfg.out_path / runner.PREDICTOR_EVAL, encoding="utf-8") as fh:
             shipped = max((r["abs_err"] for r in csv.DictReader(fh)), key=float)
-        worst = worst_cells(cfg, range(args.salts))
+        worst = worst_cells(cfg, range(SALTS))
     if fmt_float(worst[0][0]) != shipped:
         print(f"salt 0 gave {fmt_float(worst[0][0])}, train-predictors {shipped}: "
               "the samples are not assembled as train-predictors assembles them",

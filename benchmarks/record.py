@@ -67,7 +67,7 @@ def summary(values):
             "values": values}
 
 
-def compare(name, pairs, change, parent, spec):
+def compare(pairs, change, parent, spec):
     """Pairwise wins, the gain rule and the regression bound for one metric."""
     better = spec.get("better", "lower")
     sign = -1 if better == "lower" else 1
@@ -122,9 +122,11 @@ def main(argv=None):
                     doc["env"][side].append(env)
                 run[side] = rec
                 ok &= rec["correct"] and rec["exit"] == 0
+                got = rec.get("metrics", {})
                 print(f"{workload} seed {seed} {side}: exit {rec['exit']}, "
-                      + (f"wall_rel {rec['metrics'].get('wall_rel', 0):.4g}"
-                         if "metrics" in rec else rec["error"]),
+                      + (rec["error"] if "error" in rec else
+                         f"wall_rel {got['wall_rel']:.4g}" if "wall_rel" in got
+                         else f"{len(got)} metrics"),
                       file=sys.stderr, flush=True)
             runs.append(run)
         metrics = {}
@@ -135,9 +137,8 @@ def main(argv=None):
             for side in sides:
                 entry[side] = summary([r[side]["metrics"][name] for r in good])
             if args.parent:
-                entry.update(compare(name, [(r["change"]["metrics"][name],
-                                             r["parent"]["metrics"][name])
-                                            for r in good],
+                entry.update(compare([(r["change"]["metrics"][name],
+                                       r["parent"]["metrics"][name]) for r in good],
                                      entry["change"], entry["parent"],
                                      specs.get(name, {})))
             metrics[name] = entry
