@@ -1,7 +1,8 @@
 """Record benchmark runs in ``BENCH_<label>.json`` at the root of a checkout.
 
 Runs the benchmark (``perfbench/run.py``, as ``BENCHMARK.json`` names it)
-once per seed for each workload and keeps, per metric, every run's value
+once per seed for each workload, for the ``run_seconds`` that
+``BENCHMARK.json`` fixes, and keeps, per metric, every run's value
 and their median, quartiles and interquartile range, with the
 environment line each run prints (interpreter, numpy, BLAS, git commit
 and ``src/`` hash).
@@ -17,8 +18,7 @@ end-to-end metric, whether the change's median stays within the bound
 Usage (from the root of the checkout to record; stdlib only):
 
     python3 benchmarks/record.py --label NAME --seeds 201-210 \
-        [--workloads sweep predictors stream] [--seconds 16] [--trace 0] \
-        [--parent DIR]
+        [--workloads sweep predictors stream] [--trace 0] [--parent DIR]
 
 Exit status is 1 when any run failed a gate or an operation, else 0.
 """
@@ -32,12 +32,10 @@ import time
 from pathlib import Path
 
 
-def seed_list(text):
-    """``201-210`` or ``201,205,209``."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+def seed_range(text):
+    """``201-210``: the seeds 201 to 210, both included."""
+    lo, hi = text.split("-")
+    return list(range(int(lo), int(hi) + 1))
 
 
 def run_once(root: Path, command, workload, seed, seconds, trace):
@@ -86,11 +84,9 @@ def compare(pairs, change, parent, spec):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--label", required=True)
-    p.add_argument("--seeds", required=True, type=seed_list)
+    p.add_argument("--seeds", required=True, type=seed_range, help="lo-hi")
     p.add_argument("--workloads", nargs="+", default=None,
                    help="default: every workload BENCHMARK.json lists")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="default: BENCHMARK.json's run_seconds")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--parent", type=Path, default=None,
                    help="checkout to pair every run with")
@@ -99,7 +95,7 @@ def main(argv=None):
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     specs = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     sides = {"change": root}
     if args.parent:
         sides["parent"] = args.parent.resolve()

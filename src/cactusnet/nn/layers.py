@@ -137,8 +137,9 @@ def _im2col(x, kh, kw, stride, h_out, w_out):
 
     Row ``(b, y, x)`` holds the window at output position ``(y, x)`` of
     image ``b``, its columns in ``(i, j, c)`` order, so that the
-    convolution is ``cols @ kernels.reshape(kh*kw*c_in, c_out)``.  A 1x1
-    stride-1 kernel's matrix is ``x`` itself, reshaped.
+    convolution is ``cols @ kernels.reshape(kh*kw*c_in, c_out)``.  For a
+    1x1 stride-1 kernel the view's extra axes have size 1, so the reshape
+    is a view of a contiguous ``x``, not a copy.
     """
     n, h, w, c_in = x.shape
     # the strided view below reads whatever memory its shape reaches
@@ -146,8 +147,6 @@ def _im2col(x, kh, kw, stride, h_out, w_out):
         raise ShapeMismatchError(
             f"{h_out}x{w_out} outputs do not match {kh}x{kw} windows at "
             f"stride {stride} over input {x.shape}")
-    if kh == kw == stride == 1:
-        return x.reshape(-1, c_in)
     sn, sh, sw, sc = x.strides
     windows = as_strided(x, (n, h_out, w_out, kh, kw, c_in),
                          (sn, stride * sh, stride * sw, sh, sw, sc),

@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 from .data import (DatasetManifest, SubsetLabel, build_splits,
                    generate_synthetic, load_dataset, load_idx,
                    synthetic_manifest)
-from .errors import ConfigError
+from .errors import CactusNetError, ConfigError
 from .fileio import atomic_open, fmt_float, write_json
 # perfbench's tracer patches and checks the runner.forward binding
 from .nn import (Network, accuracy, checkpoint_load, checkpoint_save,  # noqa: F401
@@ -391,8 +391,10 @@ def read_stream(cfg: ExperimentConfig, manifest, doc):
     applicability values; {"type": "manifest", "classes": [...],
     "per_class": n} draws test images of manifest classes;
     {"type": "dataset", "path": ...} walks a binary dataset cache.
-    A document missing a field or holding an ill-typed one raises
-    ``ConfigError``.
+    A document missing a field or holding an ill-typed one, or naming a
+    dataset file that cannot be opened, raises ``ConfigError``; an error
+    the package raises itself (a corrupt dataset cache, an unknown
+    class) passes through as it is.
     """
     try:
         kind = doc.get("type")
@@ -412,7 +414,9 @@ def read_stream(cfg: ExperimentConfig, manifest, doc):
             ds = load_dataset(cfg.path(doc["path"]))
             return [((img, None), ds.family(cid))
                     for cid in sorted(ds.images) for img in ds.images[cid]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except CactusNetError:
+        raise
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid stream document: {exc!r}") from exc
     raise ConfigError(f"unknown stream type {kind!r}")
 

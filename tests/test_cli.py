@@ -175,7 +175,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", [
         "{not json", "[1]", '{"type": "mock"}', '{"type": "dataset"}',
-        '{"type": "mock", "apps": ["high"]}'])
+        '{"type": "mock", "apps": ["high"]}',
+        '{"type": "dataset", "path": "missing.bin"}',
+        '{"type": "dataset", "path": "."}'])
     def test_malformed_stream_exits_2(self, pipeline_dir, tmp_path, capsys, text):
         stream = tmp_path / "malformed.json"
         stream.write_text(text)
@@ -184,6 +186,17 @@ class TestExitCodes:
         assert run(pipeline_dir / "config.json", "cactus-run", str(stream)) == 2
         assert "stream" in capsys.readouterr().err
         assert (pipeline_dir / "out" / "growth_log.jsonl").read_bytes() == growth_log
+
+    def test_corrupt_stream_dataset_keeps_its_error(self, pipeline_dir, tmp_path,
+                                                    capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"garbage")
+        stream = tmp_path / "stream.json"
+        stream.write_text(json.dumps({"type": "dataset", "path": str(bad)}))
+        capsys.readouterr()
+        assert run(pipeline_dir / "config.json", "cactus-run", str(stream)) == 2
+        err = capsys.readouterr().err
+        assert "bad magic" in err and "invalid stream document" not in err
 
     def test_empty_stream_is_ok(self, tmp_path):
         cfg = write_tiny_config(tmp_path)

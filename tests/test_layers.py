@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from cactusnet.errors import NumericFailureError, ShapeMismatchError
 from cactusnet.nn import LayerSpec, Network, backward, conv2d, forward
+from cactusnet.nn import layers
 from cactusnet.nn.layers import (conv2d_backward, maxpool2d, maxpool2d_backward,
                                  softmax)
 
@@ -177,6 +178,11 @@ class TestConv2dGemmMatchesEinsum:
         got = conv2d(x[0], k)
         assert got.shape == (7, 7, 16)
         _close(got, einsum_conv2d(x[0], k))
+
+    def test_1x1_columns_are_a_view_of_the_input(self):
+        x, _, _ = self._arrays((4, 9, 9, 8), (1, 1), 32, 1)
+        cols = layers._im2col(x, 1, 1, 1, 9, 9)
+        assert cols.shape == (4 * 9 * 9, 8) and np.shares_memory(cols, x)
 
     @pytest.mark.parametrize("kernel", [(3, 3), (1, 1)])
     def test_non_contiguous_input_view(self, kernel):
