@@ -7,7 +7,7 @@ directory, exactly as a shell user would:
 
     cactusnet --config config.json prepare
     cactusnet --config config.json train-base
-    cactusnet --config config.json measure --workers 4
+    cactusnet --config config.json measure
     ...
 """
 
@@ -56,9 +56,9 @@ with tempfile.TemporaryDirectory() as tmp:
     stream.write_text(json.dumps(
         {"type": "mock", "apps": [0.99, 0.99, 0.97, 0.3, 0.3, 0.3]}))
 
-    for argv in (["prepare"], ["train-base"], ["measure", ], ["train-predictors"],
+    for argv in (["prepare"], ["train-base"], ["measure"], ["train-predictors"],
                  ["cactus-run", str(stream)], ["report"]):
-        code = main(["--config", str(cfg), "--workers", "2", *argv])
+        code = main(["--config", str(cfg), *argv])
         print(f"$ cactusnet {' '.join(argv)}  -> exit {code}")
         assert code == 0
 

@@ -10,7 +10,6 @@ probe set is the class applicability at that layer.
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import partial
 
@@ -90,40 +89,29 @@ class TapFeatures:
 
     Every job at a tap freezes the layers at and below it, so their
     output for an image is a constant of the base network: each stack is
-    forwarded once, and jobs only read: pool threads share it without a
-    lock.
+    forwarded once, and jobs only read it.
     """
 
     def __init__(self, entries):
         self._entries = entries  # (class_id, split, tap) -> array | Exception
 
     @classmethod
-    def build(cls, net: Network, splits: SplitStore, taps_by_class,
-              pool=None) -> "TapFeatures":
+    def build(cls, net: Network, splits: SplitStore,
+              taps_by_class) -> "TapFeatures":
         """Forward the train and test stacks of each class to its taps.
 
-        Each stack is forwarded on ``pool`` when one is given, else in
-        this thread; the result is keyed by (class, split, tap), so it is
-        the same either way.  A stack that fails keeps the error for
-        every tap it could not reach, and each job reading one of those
-        taps raises it: a non-finite activation at layer i fails that
-        stack's taps at and above i; the shallower ones are forwarded
-        again up to the deepest of them.  Any other error fails all of
-        the stack's taps.
+        A stack that fails keeps the error for every tap it could not
+        reach, and each job reading one of those taps raises it: a
+        non-finite activation at layer i fails that stack's taps at and
+        above i; the shallower ones are forwarded again up to the deepest
+        of them.  Any other error fails all of the stack's taps.
         """
         images_of = {"train": splits.train_images, "test": splits.test_images}
-        stacks = [(cid, split, sorted(taps))
-                  for cid, taps in sorted(taps_by_class.items())
-                  for split in ("train", "test")]
-        work = [partial(_stack_features, net, partial(images_of[split], cid), taps)
-                for cid, split, taps in stacks]
-        if pool is None:
-            got = [run() for run in work]
-        else:
-            got = [fut.result() for fut in [pool.submit(run) for run in work]]
         return cls({(cid, split, tap): value
-                    for (cid, split, _), feats in zip(stacks, got)
-                    for tap, value in feats.items()})
+                    for cid, taps in sorted(taps_by_class.items())
+                    for split in ("train", "test")
+                    for tap, value in _stack_features(
+                        net, partial(images_of[split], cid), sorted(taps)).items()})
 
     def get(self, class_id, split, tap):
         value = self._entries[(class_id, split, tap)]
@@ -302,51 +290,37 @@ def job_seed(master_seed, x, un_j, layer) -> int:
     return derive_seed(master_seed, 0xA11, x, un_j, layer)
 
 
-def run_jobs(net, jobs, splits, cfg, master_seed, workers=1, on_record=None):
-    """Execute 1-vs-1 jobs, each seeded purely from its identity.
+def run_jobs(net, jobs, splits, cfg, master_seed, *, on_record=None):
+    """Execute 1-vs-1 jobs in order in this thread, each seeded purely
+    from its identity.
 
     The features of every (class, split) the jobs touch are forwarded
-    once, on the jobs' pool, before any job runs (``TapFeatures``).
-    Failed jobs are collected, not raised, so a long sweep always
-    completes.  ``on_record`` is called in the submitting thread as
-    results arrive (used for journaling); an error it raises stops the
-    sweep.  One worker runs the jobs in order in this thread; more run
-    them on a thread pool.
+    once, before any job runs (``TapFeatures``).  Failed jobs are
+    collected, not raised, so a long sweep always completes.
+    ``on_record`` is called after each record (used for journaling); an
+    error it raises stops the sweep.
     """
-    def run_one(job):
-        x, un_j, layer = job
-        return pair_separability(net, layer, x, un_j, features,
-                                 cfg.with_seed(job_seed(master_seed, *job)))
-
+    features = TapFeatures.build(net, splits, _taps_by_class(jobs))
     records, failures = [], []
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        features = TapFeatures.build(net, splits, _taps_by_class(jobs), pool)
-        if pool is None:
-            results = ((job, partial(run_one, job)) for job in jobs)
-        else:
-            futs = {pool.submit(run_one, job): job for job in jobs}
-            results = ((futs[fut], fut.result) for fut in as_completed(futs))
-        for job, result in results:
-            try:
-                rec = result()
-            except Exception as exc:  # noqa: BLE001 - sweep must survive any job
-                failures.append(JobFailure(*job, job_seed(master_seed, *job),
-                                           str(exc)))
-                continue
-            records.append(rec)
-            if on_record:
-                on_record(rec)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for job in jobs:
+        x, un_j, layer = job
+        seed = job_seed(master_seed, *job)
+        try:
+            rec = pair_separability(net, layer, x, un_j, features,
+                                    cfg.with_seed(seed))
+        except Exception as exc:  # noqa: BLE001 - sweep must survive any job
+            failures.append(JobFailure(*job, seed, str(exc)))
+            continue
+        records.append(rec)
+        if on_record:
+            on_record(rec)
     records.sort(key=lambda r: (r.x, r.layer_index, r.un_j))
     failures.sort(key=lambda f: (f.x, f.layer_index, f.un_j))
     return records, failures
 
 
 def layer_sweep(net, classes_to_measure, probe_set, splits, cfg, layers,
-                master_seed, classes=None, workers=1, completed=(),
+                master_seed, classes=None, completed=(),
                 on_record=None) -> SweepResult:
     """Measure every (class, layer) applicability over the probe set.
 
@@ -364,7 +338,7 @@ def layer_sweep(net, classes_to_measure, probe_set, splits, cfg, layers,
     done = set(completed)
     jobs = [j for j in sweep_jobs(measure, probes, layers) if j not in done]
     records, failures = run_jobs(net, jobs, splits, cfg, master_seed,
-                                 workers=workers, on_record=on_record)
+                                 on_record=on_record)
     if classes is None:
         classes = {cid: splits.entry(cid) for cid in measure}
     table = build_table(records, classes, probes, len(probes), failures)

@@ -25,7 +25,6 @@ def _parser():
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", help="override the output directory")
     p.add_argument("--seed", type=int, help="override the master seed")
-    p.add_argument("--workers", type=int, help="override the worker limit")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("prepare", help="write the manifest for a synthetic run")
     sub.add_parser("train-base", help="train the base classifier")
@@ -40,8 +39,7 @@ def _parser():
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    overrides = {"out_dir": args.out, "master_seed": args.seed,
-                 "workers": args.workers}
+    overrides = {"out_dir": args.out, "master_seed": args.seed}
     try:
         cfg = load_config(args.config, cli_overrides=overrides)
         if args.command == "prepare":

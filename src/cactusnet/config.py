@@ -7,7 +7,7 @@ the form ``CNL_<FIELD>`` (e.g. ``CNL_MASTER_SEED=7``,
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -19,7 +19,6 @@ ENV_PREFIX = "CNL_"
 _ENV_FIELDS = {
     "MASTER_SEED": ("master_seed", int),
     "OUT_DIR": ("out_dir", str),
-    "WORKERS": ("workers", int),
     "K": ("k", int),
     "DECISION_DEPTH": ("decision_depth", int),
     "MANIFEST": ("manifest", str),
@@ -62,7 +61,6 @@ class ExperimentConfig:
     train: PhaseBudgets
     growth: dict
     heldout_classes: tuple        # empty = pick one per subset automatically
-    workers: int
     master_seed: int
     out_dir: str
     base_dir: Path = Path(".")
@@ -80,10 +78,22 @@ class ExperimentConfig:
         return self.path(self.out_dir)
 
     def validate(self):
+        for f in fields(DatasetConfig):
+            if f.type is int:
+                _integer(getattr(self.dataset, f.name), f"dataset.{f.name}")
         if not self.taps:
             raise ConfigError("at least one tap index is required")
         if len(set(self.taps)) != len(self.taps):
             raise ConfigError(f"duplicate tap indices {self.taps}")
+        # a 1-vs-1 job at a tap retrains the layers above it, the final
+        # Dense layer (the 2-way head) among them
+        head = max((i for i, spec in enumerate(self.layers)
+                    if spec.kind == "Dense"), default=0)
+        for tap in self.taps:
+            if not 0 <= _integer(tap, "tap") < head:
+                raise ConfigError(
+                    f"tap {tap} outside 0..{head - 1}: the 2-way head (layer "
+                    f"{head}) needs a trainable layer above the tap")
         depth_count = len(self.taps)
         if not 1 <= self.decision_depth < depth_count:
             raise ConfigError(
@@ -92,8 +102,6 @@ class ExperimentConfig:
         for name in ("threshold_reference_tap", "threshold_final_tap"):
             if getattr(self, name) not in self.taps:
                 raise ConfigError(f"{name} must be one of the taps {self.taps}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.dataset.type not in ("synthetic", "idx"):
             raise ConfigError(f"unknown dataset type {self.dataset.type!r}")
         return self
@@ -133,15 +141,23 @@ DEFAULTS = {
     },
     "growth": {"max_branches_per_node": 4, "consolidation_window": 25},
     "heldout_classes": [],
-    "workers": 1,
     "master_seed": 3,
     "out_dir": "out",
 }
 
 
-def _train_config(d: dict) -> TrainConfig:
+def _integer(value, name: str) -> int:
+    """``value`` when it is an int; a float, bool or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _train_config(d: dict, phase: str) -> TrainConfig:
     try:
-        return TrainConfig(d["learning_rate"], d["epochs"], d["batch_size"],
+        return TrainConfig(d["learning_rate"],
+                           _integer(d["epochs"], f"train.{phase}.epochs"),
+                           _integer(d["batch_size"], f"train.{phase}.batch_size"),
                            seed=int(d.get("seed", 0)))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad training budget {d}: {exc}") from exc
@@ -182,9 +198,8 @@ def config_from_dict(raw: dict, base_dir=Path("."),
         layers = tuple(LayerSpec.from_dict(d) for d in arch["layers"])
         input_shape = tuple(arch["input_shape"])
         train = merged["train"]
-        budgets = PhaseBudgets(_train_config(train["base"]),
-                               _train_config(train["pair"]),
-                               _train_config(train["predictor"]))
+        budgets = PhaseBudgets(**{phase: _train_config(train[phase], phase)
+                                  for phase in ("base", "pair", "predictor")})
         cfg = ExperimentConfig(
             manifest=merged["manifest"],
             dataset=DatasetConfig(**(merged["dataset"] or {})),
@@ -200,11 +215,12 @@ def config_from_dict(raw: dict, base_dir=Path("."),
             train=budgets,
             growth=dict(merged["growth"]),
             heldout_classes=tuple(merged["heldout_classes"]),
-            workers=int(merged["workers"]),
             master_seed=int(merged["master_seed"]),
             out_dir=merged["out_dir"],
             base_dir=Path(base_dir),
         )
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc!r}") from exc
     return cfg.validate()

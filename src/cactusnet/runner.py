@@ -9,6 +9,7 @@ outputs byte for byte.
 import csv
 import hashlib
 import json
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -212,8 +213,11 @@ def run_measure(cfg: ExperimentConfig) -> dict:
         net, manifest.measured_ids, manifest.probe_set, splits,
         cfg.train.pair, cfg.taps, master_seed=cfg.master_seed,
         classes={c.class_id: c for c in manifest.classes},
-        workers=cfg.workers, completed=completed,
+        completed=completed,
         on_record=partial(app.append_record_csv, records_path))
+    for f in result.failures:
+        print(f"job failed (x={f.x}, un_j={f.un_j}, layer={f.layer_index}): "
+              f"{f.error}", file=sys.stderr)
 
     all_records = sorted(set(completed_records) | set(result.records),
                          key=lambda r: (r.x, r.layer_index, r.un_j))

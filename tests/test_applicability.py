@@ -202,10 +202,35 @@ class TestSweep:
         a = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
                         splits, cfg, TAPS, master_seed=17)
         b = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
-                        splits, cfg, TAPS, master_seed=17, workers=3)
+                        splits, cfg, TAPS, master_seed=17)
         assert a.records == b.records
         assert {k: e.app for k, e in a.table.entries.items()} == \
             {k: e.app for k, e in b.table.entries.items()}
+        # each job is seeded by its identity alone, so splitting the jobs
+        # among runs (or workers), in any order, gives the same records
+        jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)
+        halves = [run_jobs(net, part, splits, cfg, 17)[0]
+                  for part in (jobs[1::2][::-1], jobs[0::2])]
+        assert sorted(halves[0] + halves[1],
+                      key=lambda r: (r.x, r.layer_index, r.un_j)) == list(a.records)
+
+    def test_every_job_runs_on_the_calling_thread(self, small_world, monkeypatch):
+        import threading
+
+        import cactusnet.applicability as appmod
+        manifest, splits, net, cfg = small_world
+        threads = []
+        real = appmod.pair_separability
+
+        def tracking(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(appmod, "pair_separability", tracking)
+        result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
+                             splits, cfg, TAPS, master_seed=17)
+        assert result.failures == ()
+        assert threads == [threading.get_ident()] * len(result.records)
 
     def test_mean_consistency_oracle(self, small_world):
         manifest, splits, net, cfg = small_world
@@ -337,54 +362,8 @@ class TestTapFeatures:
         assert (victim, 5) not in result.table.entries
 
 
-    def test_pool_build_is_the_serial_build(self, small_world, monkeypatch):
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        import cactusnet.applicability as appmod
-        manifest, splits, net, _ = small_world
-        taps = {cid: TAPS for cid in manifest.measured_ids}
-        serial = TapFeatures.build(net, splits, taps)
-        threads = set()
-        real_forward = appmod.forward
-
-        def tracking_forward(*args, **kwargs):
-            threads.add(threading.get_ident())
-            return real_forward(*args, **kwargs)
-
-        monkeypatch.setattr(appmod, "forward", tracking_forward)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            pooled = TapFeatures.build(net, splits, taps, pool)
-        assert threads and threading.get_ident() not in threads
-        for cid in manifest.measured_ids:
-            for split in ("train", "test"):
-                for tap in TAPS:
-                    assert pooled.get(cid, split, tap).tobytes() == \
-                        serial.get(cid, split, tap).tobytes()
-
-    def test_non_finite_on_the_pool_fails_the_same_jobs(self, small_world,
-                                                         monkeypatch):
-        import cactusnet.nn.layers as L
-        manifest, splits, net, cfg = small_world
-        victim = manifest.measured_ids[0]
-        flat = forward(split_at(net, 3)[0], splits.train_images(victim))[-1]
-        real_dense = L.dense
-
-        def poisoned(x, w, b):
-            out = real_dense(x, w, b)
-            return np.full_like(out, np.inf) if np.array_equal(x, flat) else out
-
-        monkeypatch.setattr(L, "dense", poisoned)
-        one, two = (layer_sweep(net, manifest.measured_ids, manifest.probe_set,
-                                splits, cfg, TAPS, master_seed=17, workers=w)
-                    for w in (1, 2))
-        assert one.failures and two.failures == one.failures
-        assert two.records == one.records
-
-
 class TestRunJobs:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_journal_error_stops_the_sweep(self, small_world, workers):
+    def test_journal_error_stops_the_sweep(self, small_world):
         manifest, splits, net, cfg = small_world
         jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)[:4]
         seen = []
@@ -395,8 +374,7 @@ class TestRunJobs:
                 raise OSError("journal write failed")
 
         with pytest.raises(OSError, match="journal write failed"):
-            run_jobs(net, jobs, splits, cfg, 17, workers=workers,
-                     on_record=on_record)
+            run_jobs(net, jobs, splits, cfg, 17, on_record=on_record)
         # the failed append is neither swallowed nor followed by more
         assert len(seen) == 1
 

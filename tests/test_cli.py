@@ -43,7 +43,6 @@ TINY = {
               "predictor": {"learning_rate": 0.02, "epochs": 8,
                             "batch_size": 16}},
     "heldout_classes": [2],
-    "workers": 1,
     "master_seed": 9,
     "out_dir": "out",
 }
@@ -154,6 +153,36 @@ class TestExitCodes:
         assert "Conv2D" in capsys.readouterr().err
         assert not (tmp_path / "out" / "base.ckpt").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("train.base.epochs", 1.5), ("train.base.batch_size", 16.0),
+        ("train.pair.epochs", True), ("train.predictor.batch_size", "16"),
+        ("dataset.per_class", "36"), ("dataset.image_side", 12.0),
+        ("dataset.num_known", False)])
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, field, value):
+        assert run(write_tiny_config(tmp_path), "prepare") == 0
+        section, *keys, leaf = field.split(".")
+        doc = json.loads(json.dumps(TINY[section]))
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[leaf] = value
+        cfg = write_tiny_config(tmp_path, **{section: doc})
+        capsys.readouterr()
+        assert run(cfg, "train-base") == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("taps", [[2, 5, 7, 9], [2, 5, 7, 8], [-1, 5, 7],
+                                      [2.0, 5, 7], ["2", 5, 7]])
+    def test_tap_outside_the_trainable_range_exits_2(self, tmp_path, capsys,
+                                                      taps):
+        # TINY's final Dense layer is 8 and its Softmax 9
+        cfg = write_tiny_config(tmp_path, taps=taps)
+        capsys.readouterr()
+        assert run(cfg, "prepare") == 2
+        assert "tap" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_measure_before_train_base_exits_2(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         assert run(cfg, "prepare") == 0
@@ -251,9 +280,15 @@ class TestConfig:
         from cactusnet.config import default_config_dict
         config_from_dict(default_config_dict()).validate()
 
+    def test_unknown_top_level_workers_key_is_ignored(self, tmp_path):
+        # perfbench's workload configs still carry "workers": 2
+        cfg = load_config(write_tiny_config(tmp_path, workers=2))
+        assert not hasattr(cfg, "workers")
+        assert run(tmp_path / "config.json", "prepare") == 0
 
-def run_full(base: Path, workers=1):
-    cfg = write_tiny_config(base, workers=workers)
+
+def run_full(base: Path):
+    cfg = write_tiny_config(base)
     for verb in ("prepare", "train-base", "measure", "train-predictors"):
         assert run(cfg, verb) == 0
     stream = base / "stream.json"
@@ -276,8 +311,8 @@ class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir(), b.mkdir()
-        run_full(a, workers=1)
-        run_full(b, workers=2)  # worker count must not change results
+        run_full(a)
+        run_full(b)
         for name in COMPARED:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
@@ -376,6 +411,31 @@ class TestDeterminism:
         meta = json.loads((base / "out" / "measure_meta.json").read_text())
         run_doc = json.loads((base / "out" / "records_run.json").read_text())
         assert meta["pair_budget"]["epochs"] == run_doc["pair_budget"]["epochs"] == 5
+
+    def test_failed_jobs_are_named_on_stderr(self, tmp_path, capsys, monkeypatch):
+        import cactusnet.applicability as appmod
+        base = tmp_path / "j"
+        base.mkdir()
+        cfg = write_tiny_config(base)
+        for verb in ("prepare", "train-base"):
+            assert run(cfg, verb) == 0
+        real = appmod.pair_separability
+        probe = min(json.loads((base / "manifest.json").read_text())["probe_set"])
+
+        def flaky(net, layer, x, un_j, splits, cfg):
+            if (layer, un_j) == (5, probe):
+                raise ValueError("synthetic failure")
+            return real(net, layer, x, un_j, splits, cfg)
+
+        monkeypatch.setattr(appmod, "pair_separability", flaky)
+        capsys.readouterr()
+        assert run(cfg, "measure") == 0
+        out, err = capsys.readouterr()
+        meta = json.loads((base / "out" / "measure_meta.json").read_text())
+        failed = [f"job failed (x={f['x']}, un_j={probe}, layer=5): "
+                  "synthetic failure" for f in meta["failures"]]
+        assert failed and err.splitlines() == failed
+        assert json.loads(out)["failures"] == len(failed)
 
     def test_rerun_after_completion_is_idempotent(self, tmp_path):
         base = tmp_path / "i"
