@@ -6,12 +6,18 @@ world" with a k-class probe set, fine-tune a 2-way head for each
 (class, probe, layer) triple with every layer at and below the tap
 frozen, and read off the balanced test accuracy.  The mean over the
 probe set is the class applicability at that layer.
+
+The k jobs of one (class, layer) cell share the frozen suffix's
+architecture, feature shapes and budget, so they train as one stack of
+networks (``nn.network.stack``): one SGD loop whose every step moves all
+k heads, each on its own seeded batches, with the bits it would get alone.
 """
 
 import csv
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -19,7 +25,7 @@ from .data.manifest import SplitStore, SubsetLabel
 from .errors import AggregationError, DataError, NumericFailureError
 from .fileio import atomic_open, fmt_float
 from .nn import TrainConfig, backward, forward, predict, replace_head, sgd_step
-from .nn.network import Network, freeze_through, head_index, one_hot, split_at
+from .nn.network import Network, head_index, one_hot, split_at, stack
 from .seeding import derive_seed, rng_for
 
 
@@ -148,7 +154,7 @@ def _taps_by_class(jobs) -> dict:
 
 
 # ---------------------------------------------------------------------
-# Pair separability (one 1-vs-1 job)
+# Pair separability: 1-vs-1 jobs, trained as a stack
 # ---------------------------------------------------------------------
 
 def _balanced_pair(a, b):
@@ -158,31 +164,38 @@ def _balanced_pair(a, b):
     return a[:m], b[:m]
 
 
-def _train_balanced_pair(net, feats_a, feats_b, cfg):
-    """SGD on an interleaved a/b stream: every even batch is balanced."""
-    targets = {0: one_hot(np.zeros(1, int), 2)[0], 1: one_hot(np.ones(1, int), 2)[0]}
-    m = feats_a.shape[0]
-    rng = rng_for(cfg.seed)
+def _train_balanced_pair(net, train_pairs, seeds, cfg):
+    """SGD of a stack of jobs, each on its own interleaved a/b stream
+    shuffled by its own seed: every even batch is balanced.
+
+    ``train_pairs`` holds each job's (a, b) features, all of one size.
+    Stream row ``r`` is ``a[order_a[r // 2]]`` for even ``r`` and
+    ``b[order_b[r // 2]]`` for odd ``r``; each batch's rows are gathered
+    as it is trained, so no stream is held whole.
+    """
+    first = train_pairs[0][0]
+    m = first.shape[0]
+    rngs = [rng_for(seed) for seed in seeds]
+    labels = np.tile(one_hot([0, 1], 2), (len(train_pairs), m, 1))
     for _ in range(cfg.epochs):
-        order_a = rng.permutation(m)
-        order_b = rng.permutation(m)
-        interleaved = np.empty((2 * m,) + feats_a.shape[1:], dtype=feats_a.dtype)
-        interleaved[0::2] = feats_a[order_a]
-        interleaved[1::2] = feats_b[order_b]
-        labels = np.tile([targets[0], targets[1]], (m, 1))
+        orders = [(rng.permutation(m), rng.permutation(m)) for rng in rngs]
         for lo in range(0, 2 * m, cfg.batch_size):
-            batch = interleaved[lo:lo + cfg.batch_size]
-            tgt = labels[lo:lo + cfg.batch_size]
-            grads, _ = backward(net, batch, tgt, "CrossEntropy")
+            hi = min(lo + cfg.batch_size, 2 * m)
+            batch = np.empty((len(train_pairs), hi - lo) + first.shape[1:], first.dtype)
+            for rows, (a, b), (order_a, order_b) in zip(batch, train_pairs, orders):
+                rows[lo % 2::2] = a[order_a[(lo + 1) // 2:(hi + 1) // 2]]
+                rows[1 - lo % 2::2] = b[order_b[lo // 2:hi // 2]]
+            grads, _ = backward(net, batch, labels[:, lo:hi], "CrossEntropy")
             net = sgd_step(net, grads, cfg)
     return net
 
 
-def _pair_accuracy(net, feats_a, feats_b):
-    pred_a = predict(net, feats_a).argmax(axis=1)
-    pred_b = predict(net, feats_b).argmax(axis=1)
-    correct = int((pred_a == 0).sum()) + int((pred_b == 1).sum())
-    return correct / (feats_a.shape[0] + feats_b.shape[0])
+def _pair_accuracies(net, feats_a, feats_b):
+    """Balanced test accuracy of each stacked job."""
+    pred_a = predict(net, feats_a).argmax(axis=-1)
+    pred_b = predict(net, feats_b).argmax(axis=-1)
+    correct = (pred_a == 0).sum(axis=-1) + (pred_b == 1).sum(axis=-1)
+    return [int(c) / (feats_a.shape[1] + feats_b.shape[1]) for c in correct]
 
 
 def _self_control_pools(train, test, seed: int):
@@ -196,45 +209,75 @@ def _self_control_pools(train, test, seed: int):
     return pools  # [(train_a, train_b), (test_a, test_b)]
 
 
+def _job_features(features, layer_index, x, un_j, seed):
+    """(train_a, train_b, test_a, test_b): one job's balanced features."""
+    feats = partial(features.get, tap=layer_index)
+    if x == un_j:
+        (tr_a, tr_b), (te_a, te_b) = _self_control_pools(
+            feats(x, "train"), feats(x, "test"), seed)
+    else:
+        tr_a, tr_b = _balanced_pair(feats(x, "train"), feats(un_j, "train"))
+        te_a, te_b = _balanced_pair(feats(x, "test"), feats(un_j, "test"))
+    if min(tr_a.shape[0], te_a.shape[0]) == 0:
+        raise DataError(f"empty split for pair ({x}, {un_j})")
+    return tr_a, tr_b, te_a, te_b
+
+
+def stacked_separability(net: Network, layer_index: int, pairs, features,
+                         cfg: TrainConfig, seeds) -> list:
+    """The separability xi of each ``(x, un_j)`` job in ``pairs`` at one tap.
+
+    Job ``j`` is ``pair_separability`` with seed ``seeds[j]``: its own
+    2-way head from ``derive_seed(seed, 1)`` on the frozen suffix, its own
+    batches from ``derive_seed(seed, 2)``.  Jobs whose balanced pairs have
+    the same sizes train as one stack; jobs of other sizes form their own
+    stacks, never padded.  ``features`` is a ``TapFeatures``.  Any error
+    (a missing stack's, a non-finite step's) is raised for all the jobs.
+    """
+    if not 0 <= layer_index < head_index(net):
+        raise DataError(f"layer_index {layer_index} out of range: the "
+                        f"2-way head needs a trainable layer above the tap")
+    suffix = split_at(net, layer_index)[1]
+    data = [_job_features(features, layer_index, x, un_j, seed)
+            for (x, un_j), seed in zip(pairs, seeds)]
+    by_size = {}
+    for j, (tr_a, _, te_a, _) in enumerate(data):
+        by_size.setdefault((tr_a.shape[0], te_a.shape[0]), []).append(j)
+    xis = [None] * len(data)
+    for group in by_size.values():
+        heads = stack([replace_head(suffix, 2, seed=derive_seed(seeds[j], 1))
+                       for j in group])
+        trained = _train_balanced_pair(
+            heads, [data[j][:2] for j in group],
+            [derive_seed(seeds[j], 2) for j in group], cfg)
+        te_a, te_b = (np.stack([data[j][part] for j in group]) for part in (2, 3))
+        for j, xi in zip(group, _pair_accuracies(trained, te_a, te_b)):
+            xis[j] = xi
+    return xis
+
+
 def pair_separability(net: Network, layer_index: int, x: int, un_j: int,
                       splits, cfg: TrainConfig) -> SeparabilityRecord:
     """Fine-tune a 2-way head with layers <= ``layer_index`` frozen.
 
-    Returns the balanced held-out accuracy as the separability xi.
+    Returns the balanced held-out accuracy as the separability xi: a
+    stack of one job in ``stacked_separability``, seeded by ``cfg.seed``.
     Passing ``un_j == x`` runs the chance-level self-control: the class
     is split against itself with disjointly re-drawn pools.  ``splits``
     is a ``TapFeatures`` holding this job's features, or a
     ``SplitStore``, whose stacks of x and un_j are then forwarded for
     this job alone.
     """
-    if not 0 <= layer_index < head_index(net):
-        raise DataError(f"layer_index {layer_index} out of range: the "
-                        f"2-way head needs a trainable layer above the tap")
     if not isinstance(splits, TapFeatures):
         splits = TapFeatures.build(net, splits, _taps_by_class([(x, un_j, layer_index)]))
-    seed = cfg.seed
-    frozen = freeze_through(net, layer_index)
-    frozen = replace_head(frozen, 2, seed=derive_seed(seed, 1))
-    suffix = split_at(frozen, layer_index)[1]
-    feats = partial(splits.get, tap=layer_index)
-
     try:
-        if x == un_j:
-            (tr_a, tr_b), (te_a, te_b) = _self_control_pools(
-                feats(x, "train"), feats(x, "test"), seed)
-        else:
-            tr_a, tr_b = _balanced_pair(feats(x, "train"), feats(un_j, "train"))
-            te_a, te_b = _balanced_pair(feats(x, "test"), feats(un_j, "test"))
-        if min(tr_a.shape[0], te_a.shape[0]) == 0:
-            raise DataError(f"empty split for pair ({x}, {un_j})")
-        trained = _train_balanced_pair(
-            suffix, tr_a, tr_b, cfg.with_seed(derive_seed(seed, 2)))
-        xi = _pair_accuracy(trained, te_a, te_b)
+        xi, = stacked_separability(net, layer_index, [(x, un_j)], splits, cfg,
+                                   [cfg.seed])
     except NumericFailureError as exc:
         raise NumericFailureError(
             f"1-vs-1 job (x={x}, un_j={un_j}, layer={layer_index}) diverged: {exc}",
             layer_index=exc.layer_index, job=(x, un_j, layer_index)) from exc
-    return SeparabilityRecord(x, un_j, layer_index, float(xi), seed)
+    return SeparabilityRecord(x, un_j, layer_index, float(xi), cfg.seed)
 
 
 # ---------------------------------------------------------------------
@@ -290,30 +333,55 @@ def job_seed(master_seed, x, un_j, layer) -> int:
     return derive_seed(master_seed, 0xA11, x, un_j, layer)
 
 
-def run_jobs(net, jobs, splits, cfg, master_seed, *, on_record=None):
+def _job_alone(net, job, features, cfg, seed):
+    """One job's record, or its failure."""
+    x, un_j, layer = job
+    try:
+        return pair_separability(net, layer, x, un_j, features, cfg.with_seed(seed))
+    except Exception as exc:  # noqa: BLE001 - sweep must survive any job
+        return JobFailure(*job, seed, str(exc))
+
+
+def run_jobs(net, jobs, splits, cfg, master_seed, *, on_record=None,
+             on_cell=None):
     """Execute 1-vs-1 jobs in order in this thread, each seeded purely
     from its identity.
 
     The features of every (class, split) the jobs touch are forwarded
-    once, before any job runs (``TapFeatures``).  Failed jobs are
-    collected, not raised, so a long sweep always completes.
-    ``on_record`` is called after each record (used for journaling); an
-    error it raises stops the sweep.
+    once, before any job runs (``TapFeatures``).  Each run of consecutive
+    jobs with one (x, layer) cell trains as one stack
+    (``stacked_separability``); if the stack raises, its jobs run again
+    one at a time, so each failure carries its own job's seed and error.
+    Failed jobs are collected, not raised, so a long sweep always
+    completes.  ``on_record`` is called after each record, in job order
+    (used for journaling); an error it raises stops the sweep.
+    ``on_cell(i, cells, x, layer, jobs, failed)`` is called after the
+    i-th cell of ``cells``.
     """
     features = TapFeatures.build(net, splits, _taps_by_class(jobs))
+    cells = [list(cell) for _, cell in groupby(jobs, key=lambda j: (j[0], j[2]))]
     records, failures = [], []
-    for job in jobs:
-        x, un_j, layer = job
-        seed = job_seed(master_seed, *job)
+    for i, cell in enumerate(cells, start=1):
+        x, _, layer = cell[0]
+        seeds = [job_seed(master_seed, *job) for job in cell]
         try:
-            rec = pair_separability(net, layer, x, un_j, features,
-                                    cfg.with_seed(seed))
-        except Exception as exc:  # noqa: BLE001 - sweep must survive any job
-            failures.append(JobFailure(*job, seed, str(exc)))
-            continue
-        records.append(rec)
-        if on_record:
-            on_record(rec)
+            xis = stacked_separability(net, layer, [job[:2] for job in cell],
+                                       features, cfg, seeds)
+            done = [SeparabilityRecord(*job[:2], layer, float(xi), seed)
+                    for job, xi, seed in zip(cell, xis, seeds)]
+        except Exception:  # noqa: BLE001 - each job's own outcome below
+            done = [_job_alone(net, job, features, cfg, seed)
+                    for job, seed in zip(cell, seeds)]
+        for rec in done:
+            if isinstance(rec, JobFailure):
+                failures.append(rec)
+                continue
+            records.append(rec)
+            if on_record:
+                on_record(rec)
+        if on_cell:
+            on_cell(i, len(cells), x, layer, len(cell),
+                    sum(isinstance(rec, JobFailure) for rec in done))
     records.sort(key=lambda r: (r.x, r.layer_index, r.un_j))
     failures.sort(key=lambda f: (f.x, f.layer_index, f.un_j))
     return records, failures
@@ -321,7 +389,7 @@ def run_jobs(net, jobs, splits, cfg, master_seed, *, on_record=None):
 
 def layer_sweep(net, classes_to_measure, probe_set, splits, cfg, layers,
                 master_seed, classes=None, completed=(),
-                on_record=None) -> SweepResult:
+                on_record=None, on_cell=None) -> SweepResult:
     """Measure every (class, layer) applicability over the probe set.
 
     Total jobs: len(classes) * len(probe_set) * len(layers).  Jobs whose
@@ -338,7 +406,7 @@ def layer_sweep(net, classes_to_measure, probe_set, splits, cfg, layers,
     done = set(completed)
     jobs = [j for j in sweep_jobs(measure, probes, layers) if j not in done]
     records, failures = run_jobs(net, jobs, splits, cfg, master_seed,
-                                 on_record=on_record)
+                                 on_record=on_record, on_cell=on_cell)
     if classes is None:
         classes = {cid: splits.entry(cid) for cid in measure}
     table = build_table(records, classes, probes, len(probes), failures)

@@ -193,6 +193,9 @@ def config_from_dict(raw: dict, base_dir=Path("."),
         if value is not None:
             merged[key] = value
 
+    def integer(name):
+        return _integer(merged[name], name)
+
     try:
         arch = merged["architecture"]
         layers = tuple(LayerSpec.from_dict(d) for d in arch["layers"])
@@ -206,16 +209,16 @@ def config_from_dict(raw: dict, base_dir=Path("."),
             input_shape=input_shape,
             layers=layers,
             taps=tuple(merged["taps"]),
-            k=int(merged["k"]),
+            k=integer("k"),
             train_fraction=float(merged["train_fraction"]),
-            decision_depth=int(merged["decision_depth"]),
-            threshold_reference_tap=int(merged["threshold_reference_tap"]),
-            threshold_final_tap=int(merged["threshold_final_tap"]),
+            decision_depth=integer("decision_depth"),
+            threshold_reference_tap=integer("threshold_reference_tap"),
+            threshold_final_tap=integer("threshold_final_tap"),
             threshold_overrides=merged["threshold_overrides"],
             train=budgets,
             growth=dict(merged["growth"]),
             heldout_classes=tuple(merged["heldout_classes"]),
-            master_seed=int(merged["master_seed"]),
+            master_seed=integer("master_seed"),
             out_dir=merged["out_dir"],
             base_dir=Path(base_dir),
         )

@@ -63,20 +63,28 @@ def _organic_class_params(seed, index):
     return centers, sigmas, amps
 
 
-def _organic_image(params, rng, side):
+def _organic_images(params, rngs, side):
+    """One organic class, an image per generator in ``rngs``: ``[n, side,
+    side]``, rendered for the whole class at once."""
     # heavy per-image jitter: a network trained on a class learns to see
     # through it, while frozen features transferred to an unseen class
     # do not, which is what separates the known and unknown curves
     centers, sigmas, amps = params
-    centers = centers + rng.normal(0.0, 0.065, size=centers.shape)
-    sigmas = sigmas * rng.uniform(0.85, 1.15, size=sigmas.shape)
-    amps = amps * rng.uniform(0.88, 1.12, size=amps.shape)
+    draws = [(rng.normal(0.0, 0.065, size=centers.shape),
+              rng.uniform(0.85, 1.15, size=sigmas.shape),
+              rng.uniform(0.88, 1.12, size=amps.shape),
+              rng.uniform(0.0, 0.05, size=(side, side))) for rng in rngs]
+    jitter, scale, gain, noise = (np.stack(d) for d in zip(*draws))
+    centers = (centers + jitter)[..., None, None]      # [n, blob, 2, 1, 1]
+    sigmas = (sigmas * scale)[..., None, None]         # [n, blob, 1, 1]
+    amps = (amps * gain)[..., None, None]
     yy, xx = np.mgrid[0:side, 0:side] / (side - 1.0)
-    field = np.zeros((side, side))
-    for (cy, cx), s, a in zip(centers, sigmas, amps):
-        field += a * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * s * s))
+    field = np.zeros((len(rngs), side, side))
+    for b in range(centers.shape[1]):
+        cy, cx, s = centers[:, b, 0], centers[:, b, 1], sigmas[:, b]
+        field += amps[:, b] * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * s * s))
     field = np.clip(field, 0.0, 1.0)
-    field += rng.uniform(0.0, 0.05, size=field.shape)
+    field += noise
     return np.clip(field, 0.0, 1.0)
 
 
@@ -89,54 +97,60 @@ def _manufactured_family_params(seed, count):
     return periods, orients, motifs, duties
 
 
-def _stripe_field(side, period, theta_deg, phase):
+def _stripe_field(side, period, theta_deg, phases):
+    """``[n, side, side]`` stripes, one per phase in ``phases``."""
     yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
     theta = np.deg2rad(theta_deg)
     u = xx * np.cos(theta) + yy * np.sin(theta)
-    return 0.5 * (1.0 + np.sin(2 * np.pi * u / period + phase))
+    return 0.5 * (1.0 + np.sin(2 * np.pi * u / period + phases[:, None, None]))
 
 
-def _manufactured_image(period, orient, motif, duty, rng, side):
-    phase = rng.uniform(0.0, 2 * np.pi)
-    field = _stripe_field(side, period, orient, phase)
+def _manufactured_images(period, orient, motif, duty, rngs, side):
+    """One manufactured class, an image per generator in ``rngs``."""
+    draws = [(rng.uniform(0.0, 2 * np.pi),
+              rng.uniform(0.0, 2 * np.pi) if motif == 1 else 0.0,
+              rng.uniform(0.0, 0.05, size=(side, side))) for rng in rngs]
+    phases, phases2, noise = (np.stack(d) for d in zip(*draws))
+    field = _stripe_field(side, period, orient, phases)
     if motif == 1:
-        phase2 = rng.uniform(0.0, 2 * np.pi)
-        field = np.maximum(field, _stripe_field(side, period, orient + 90.0, phase2))
+        field = np.maximum(field, _stripe_field(side, period, orient + 90.0, phases2))
     img = 0.15 + 0.7 / (1.0 + np.exp(-(field - duty) * 10.0))
-    img += rng.uniform(0.0, 0.05, size=img.shape)
+    img += noise
     return np.clip(img, 0.0, 1.0)
 
 
 def generate_synthetic(num_classes_per_family: int, per_class: int,
                        image_side: int, seed: int) -> SyntheticDataset:
-    """Generate both families; deterministic given ``seed``."""
+    """Generate both families; deterministic given ``seed``.
+
+    Image ``i`` of class ``c`` draws from ``rng_for(seed, family, c,
+    1000 + i)`` alone; each class is then rendered in whole-class array
+    passes.
+    """
     if num_classes_per_family < 1 or per_class < 1:
         raise DataError("class and image counts must be >= 1")
     if image_side < 8:
         raise DataError(f"image_side {image_side} is too small (minimum 8)")
 
+    def rngs(family, c):
+        return [rng_for(seed, family, c, 1000 + i) for i in range(per_class)]
+
+    def as_stack(fields):  # [n, side, side, 1] float32, one class at a time
+        return fields.astype(np.float32)[..., None]
+
     classes = []
     images = {}
     n = num_classes_per_family
     for c in range(n):
-        params = _organic_class_params(seed, c)
-        stack = np.empty((per_class, image_side, image_side, 1), dtype=np.float32)
-        for i in range(per_class):
-            rng = rng_for(seed, 0, c, 1000 + i)
-            stack[i, :, :, 0] = _organic_image(params, rng, image_side)
         classes.append(SyntheticClass(c, f"{ORGANIC}_{c:02d}", ORGANIC))
-        images[c] = stack
+        images[c] = as_stack(_organic_images(_organic_class_params(seed, c),
+                                             rngs(0, c), image_side))
 
     periods, orients, motifs, duties = _manufactured_family_params(seed, n)
     for c in range(n):
-        cid = n + c
-        stack = np.empty((per_class, image_side, image_side, 1), dtype=np.float32)
-        for i in range(per_class):
-            rng = rng_for(seed, 1, c, 1000 + i)
-            stack[i, :, :, 0] = _manufactured_image(
-                periods[c], orients[c], int(motifs[c]), duties[c], rng, image_side)
-        classes.append(SyntheticClass(cid, f"{MANUFACTURED}_{c:02d}", MANUFACTURED))
-        images[cid] = stack
+        classes.append(SyntheticClass(n + c, f"{MANUFACTURED}_{c:02d}", MANUFACTURED))
+        images[n + c] = as_stack(_manufactured_images(
+            periods[c], orients[c], int(motifs[c]), duties[c], rngs(1, c), image_side))
 
     return SyntheticDataset(tuple(classes), images, image_side, per_class, seed)
 

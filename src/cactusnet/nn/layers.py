@@ -10,6 +10,16 @@ its serialised fields, their defaults, its shape rules and its forward
 and backward steps.  The steps call the kernels by their module-level
 names at call time, so rebinding ``layers.conv2d`` (as a tracer does)
 reaches every network.
+
+The steps take every axis before a layer's per-sample axes as a batch
+axis.  A stack of networks (``network.stack``) holds its parameters with
+a leading stack axis and its activations as ``[stack, n, *sample]``.
+Conv2D then calls the kernels once per stacked network, so that one
+network's column matrix is alive at a time; Dense is one matrix product
+batched over the stack, through ``_dense`` and ``_dense_backward``,
+because readers of the public kernels' arguments (perfbench's layer
+metrics) take them for one network's.  Each network's slice has the
+bits it would have alone.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -213,22 +223,23 @@ def conv2d_backward(x, kernels, dout, stride=1, need_dx=True):
 
 def _window_slices(kernel, stride, h_out, w_out):
     """For each flat window position ``t = i * kw + j``, the strided slice
-    of the input that holds element (i, j) of every window."""
+    of a ``[..., h, w, c]`` input that holds element (i, j) of every
+    window."""
     kh, kw = kernel
-    return [(slice(None), slice(i, i + stride * (h_out - 1) + 1, stride),
-             slice(j, j + stride * (w_out - 1) + 1, stride))
+    return [(Ellipsis, slice(i, i + stride * (h_out - 1) + 1, stride),
+             slice(j, j + stride * (w_out - 1) + 1, stride), slice(None))
             for i in range(kh) for j in range(kw)]
 
 
 def maxpool2d(x, kernel, stride):
-    """Max pooling over ``[n, h, w, c]``. Returns (output, argmax indices).
+    """Max pooling over ``[..., h, w, c]``. Returns (output, argmax indices).
 
     A running maximum over the kh*kw strided slices of ``x``; no window
     is copied.  The index of a window is the flat position of its first
     maximum, as ``argmax`` gives it, and a NaN in a window propagates.
     """
     kh, kw = kernel
-    n, h, w, c = x.shape
+    h, w = x.shape[-3:-1]
     if kh > h or kw > w:
         raise ShapeMismatchError(f"pool window {kernel} exceeds input {x.shape}")
     slices = _window_slices(kernel, stride, (h - kh) // stride + 1,
@@ -250,7 +261,7 @@ def maxpool2d_backward(x_shape, idx, dout, kernel, stride):
     over the windows would, so the sums are the same to the last bit.
     """
     dx = np.zeros(x_shape, dtype=dout.dtype)
-    slices = _window_slices(kernel, stride, *dout.shape[1:3])
+    slices = _window_slices(kernel, stride, *dout.shape[-3:-1])
     for t in range(len(slices) - 1, -1, -1):
         dx[slices[t]] += np.where(idx == t, dout, 0)
     return dx
@@ -261,16 +272,27 @@ def maxpool2d_backward(x_shape, idx, dout, kernel, stride):
 # ---------------------------------------------------------------------
 
 def dense(x, w, b):
-    if x.shape[1] != w.shape[0]:
+    if x.shape[-1] != w.shape[-2]:
         raise ShapeMismatchError(
             f"dense input {x.shape} does not match weights {w.shape}")
-    return x @ w + b
+    return _dense(x, w, b)
+
+
+def _dense(x, w, b):
+    """``dense`` of ``[*stack, n, d_in]`` by ``[*stack, d_in, d_out]``."""
+    y = x @ w
+    y += b[..., None, :]
+    return y
 
 
 def dense_backward(x, w, dout):
-    dw = x.T @ dout
-    db = dout.sum(axis=0)
-    dx = dout @ w.T
+    return _dense_backward(x, w, dout)
+
+
+def _dense_backward(x, w, dout):
+    dw = x.swapaxes(-1, -2) @ dout
+    db = dout.sum(axis=-2)
+    dx = dout @ w.swapaxes(-1, -2)
     return dx, dw, db
 
 
@@ -283,15 +305,15 @@ def relu_backward(x, dout):
 
 
 def softmax(x):
-    """Row-wise softmax over ``[n, d]``; rows sum to 1."""
-    shifted = x - x.max(axis=1, keepdims=True)
+    """Row-wise softmax over ``[..., d]``; rows sum to 1."""
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_backward(y, dout):
     # y is the softmax output; dL/dx_i = y_i * (dout_i - sum_j dout_j y_j)
-    inner = (dout * y).sum(axis=1, keepdims=True)
+    inner = (dout * y).sum(axis=-1, keepdims=True)
     return y * (dout - inner)
 
 
@@ -303,10 +325,12 @@ def softmax_backward(y, dout):
 class LayerKind:
     """Everything one layer kind means, in one place.
 
-    ``forward(spec, params, x)`` returns ``(y, cache)``;
-    ``backward(spec, params, x, y, cache, dy, need_dx)`` returns
-    ``(dx, grads)``, where ``grads`` is ``{"W", "b"}`` or None for a kind
-    without parameters, and ``dx`` may be None when ``need_dx`` is false.
+    ``forward(spec, params, x, lead)`` returns ``(y, cache)``, where the
+    first ``lead`` axes of ``x`` are batch axes (a stack's axes, then the
+    sample axis); ``backward(spec, params, x, y, cache, dy, need_dx)``
+    returns ``(dx, grads)``, where ``grads`` is ``{"W", "b"}`` or None for
+    a kind without parameters, and ``dx`` may be None when ``need_dx`` is
+    false.
     """
     forward: Callable
     backward: Callable
@@ -329,45 +353,70 @@ def _window_out(spec, shape, depth):
     return (h - kh) // spec.stride + 1, (w - kw) // spec.stride + 1, depth
 
 
-def _conv_backward(spec, p, x, y, cache, dy, need_dx):
-    dx, dw = conv2d_backward(x, p["W"], dy, spec.stride, need_dx)
-    return dx, {"W": dw, "b": dy.sum(axis=(0, 1, 2))}
+def _stacked(p) -> bool:
+    """Whether ``p`` holds a stack of networks' parameters (biases are
+    1-D for one network)."""
+    return p["b"].ndim > 1
 
 
-def _dense_backward(spec, p, x, y, cache, dy, need_dx):
-    dx, dw, db = dense_backward(x, p["W"], dy)
+def _conv_step_forward(spec, p, x, lead):
+    if _stacked(p):  # one product per network: one column matrix alive at a time
+        y = np.stack([conv2d(xj, wj, spec.stride) for xj, wj in zip(x, p["W"])])
+    else:
+        y = conv2d(x, p["W"], spec.stride)
+    y += p["b"][..., None, None, None, :]
+    return y, None
+
+
+def _conv_step_backward(spec, p, x, y, cache, dy, need_dx):
+    if _stacked(p):
+        dxs, dws = zip(*(conv2d_backward(xj, wj, dyj, spec.stride, need_dx)
+                         for xj, wj, dyj in zip(x, p["W"], dy)))
+        dx, dw = np.stack(dxs) if need_dx else None, np.stack(dws)
+    else:
+        dx, dw = conv2d_backward(x, p["W"], dy, spec.stride, need_dx)
+    return dx, {"W": dw, "b": dy.sum(axis=(-4, -3, -2))}
+
+
+def _dense_step_forward(spec, p, x, lead):
+    return (_dense if _stacked(p) else dense)(x, p["W"], p["b"]), None
+
+
+def _dense_step_backward(spec, p, x, y, cache, dy, need_dx):
+    dx, dw, db = (_dense_backward if _stacked(p) else dense_backward)(x, p["W"], dy)
     return dx, {"W": dw, "b": db}
 
 
 KINDS = {
     "Conv2D": LayerKind(
-        forward=lambda spec, p, x: (conv2d(x, p["W"], spec.stride) + p["b"], None),
-        backward=_conv_backward,
+        forward=_conv_step_forward,
+        backward=_conv_step_backward,
         fields={"filters": None, "kernel": None, "stride": 1, "frozen": False},
         rank=3,
         out_shape=lambda spec, shape: _window_out(spec, shape, spec.filters),
         weight_shape=lambda spec, shape: (*spec.kernel, shape[2], spec.filters)),
     "MaxPool2D": LayerKind(
-        forward=lambda spec, p, x: maxpool2d(x, spec.kernel, spec.stride),
+        forward=lambda spec, p, x, lead: maxpool2d(x, spec.kernel, spec.stride),
         backward=lambda spec, p, x, y, cache, dy, need_dx: (maxpool2d_backward(
             x.shape, cache, dy, spec.kernel, spec.stride), None),
         fields={"kernel": None, "stride": lambda spec: spec.kernel[0]}, rank=3,
         out_shape=lambda spec, shape: _window_out(spec, shape, shape[2])),
     "Dense": LayerKind(
-        forward=lambda spec, p, x: (dense(x, p["W"], p["b"]), None),
-        backward=_dense_backward,
+        forward=_dense_step_forward,
+        backward=_dense_step_backward,
         fields={"units": None, "frozen": False}, rank=1,
         out_shape=lambda spec, shape: (spec.units,),
         weight_shape=lambda spec, shape: (shape[0], spec.units)),
     "ReLU": LayerKind(
-        forward=lambda spec, p, x: (relu(x), None),
+        forward=lambda spec, p, x, lead: (relu(x), None),
         backward=lambda spec, p, x, y, cache, dy, need_dx: (relu_backward(x, dy), None)),
     "Softmax": LayerKind(
-        forward=lambda spec, p, x: (softmax(x), None),
+        forward=lambda spec, p, x, lead: (softmax(x), None),
         backward=lambda spec, p, x, y, cache, dy, need_dx: (softmax_backward(y, dy), None),
         rank=1),
     "Flatten": LayerKind(
-        forward=lambda spec, p, x: (x.reshape(x.shape[0], prod(x.shape[1:])), None),
+        forward=lambda spec, p, x, lead: (
+            x.reshape(*x.shape[:lead], prod(x.shape[lead:])), None),
         backward=lambda spec, p, x, y, cache, dy, need_dx: (dy.reshape(x.shape), None),
         out_shape=lambda spec, shape: (prod(shape),)),
 }

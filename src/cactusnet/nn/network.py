@@ -3,6 +3,10 @@
 A ``Network`` is immutable once built.  Training steps return a new
 snapshot that shares the parameter arrays of untouched (e.g. frozen)
 layers, so concurrent readers of an old snapshot are always safe.
+
+``stack`` joins networks of one architecture into one whose parameters
+carry a leading stack axis; the same forward, backward and SGD steps
+then train every member at once, each on its own batches.
 """
 
 from copy import copy
@@ -83,6 +87,9 @@ class Network:
         self.input_shape = tuple(input_shape)
         self.params = tuple(params)
         self.shapes = output_shapes(self.specs, self.input_shape)
+        # the leading parameter axes of a stack of networks (``stack``);
+        # () for one network
+        self.stack = next((p["b"].shape[:-1] for p in self.params if p is not None), ())
 
     @classmethod
     def build(cls, specs, input_shape, seed, dtype=np.float32):
@@ -114,20 +121,26 @@ class Network:
                                  for p in self.params])
 
     def with_params(self, params) -> "Network":
-        """The same layers with new parameters.  Specs and input shape
-        are unchanged, so the shape list carries over."""
+        """The same layers with new parameters of the same shapes.  Specs,
+        input shape and stack are unchanged, so the shape list carries
+        over."""
         net = copy(self)
         net.params = tuple(params)
         return net
 
     def _normalize_batch(self, batch):
+        """``batch`` as ``[*stack, n, *input_shape]``; one network also
+        takes a single input as a batch of one."""
         x = np.asarray(batch)
-        if x.shape == self.input_shape:
+        stack = self.stack
+        if not stack and x.shape == self.input_shape:
             x = x[None]
-        if x.shape[1:] != self.input_shape:
+        if (x.shape[:len(stack)] != stack
+                or x.shape[len(stack) + 1:] != self.input_shape):
             raise ShapeMismatchError(
                 f"batch shape {np.asarray(batch).shape} does not conform to "
-                f"network input {self.input_shape}")
+                f"network input {self.input_shape}"
+                + (f" stacked {stack}" if stack else ""))
         return x
 
 
@@ -150,8 +163,9 @@ def _run_layers(net: Network, x):
     outputs and caches (the max-pool argmax, else None).  Raises at the
     first layer whose output is not finite."""
     acts, caches = [], []
+    lead = x.ndim - len(net.input_shape)
     for i, (spec, p) in enumerate(zip(net.specs, net.params)):
-        x, cache = L.KINDS[spec.kind].forward(spec, p, x)
+        x, cache = L.KINDS[spec.kind].forward(spec, p, x, lead)
         if not np.isfinite(x).all():
             raise NumericFailureError(
                 f"non-finite activation at layer {i} ({spec.kind})",
@@ -162,18 +176,21 @@ def _run_layers(net: Network, x):
 
 
 def _loss_and_delta(net, output, targets, loss_kind):
+    """Loss (one per stacked network) and its gradient at the output."""
     t = np.asarray(targets)
     if t.shape != output.shape:
         raise ShapeMismatchError(
             f"targets {t.shape} do not match output {output.shape}")
-    n = output.shape[0]
+    sample_axis = len(net.stack)
+    n = output.shape[sample_axis]
     if loss_kind == "MSE":
         diff = output - t
-        loss = float(np.mean(diff.astype(np.float64) ** 2))
-        return loss, (2.0 / diff.size) * diff, False
+        per_net = tuple(range(sample_axis, diff.ndim))
+        loss = np.mean(diff.astype(np.float64) ** 2, axis=per_net)
+        return loss, (2.0 / prod(diff.shape[sample_axis:])) * diff, False
     if loss_kind == "CrossEntropy":
         p = np.clip(output, 1e-12, None)
-        loss = float(-np.mean(np.sum(t * np.log(p.astype(np.float64)), axis=1)))
+        loss = -np.mean(np.sum(t * np.log(p.astype(np.float64)), axis=-1), axis=-1)
         if net.specs[-1].kind == "Softmax":
             # fused softmax + cross-entropy gradient at the softmax input
             return loss, (output - t) / n, True
@@ -185,17 +202,17 @@ def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):
     """Loss and parameter gradients for unfrozen layers.
 
     Returns ``(grads, loss)`` where ``grads`` maps layer index to
-    ``{"W": ..., "b": ...}``.  Backpropagation stops as soon as no
-    unfrozen parameterized layer remains below the current depth.
+    ``{"W": ..., "b": ...}`` and a stack's loss holds one value per
+    network.  Backpropagation stops as soon as no unfrozen parameterized
+    layer remains below the current depth.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     x = net._normalize_batch(batch)
     acts, caches = _run_layers(net, x)
-    inputs = [x] + acts[:-1]
 
     loss, delta, fused = _loss_and_delta(net, acts[-1], targets, loss_kind)
-    if not np.isfinite(loss):
+    if not np.isfinite(loss).all():
         raise NumericFailureError("non-finite loss", layer_index=net.layer_count - 1)
 
     unfrozen = net.unfrozen_param_layers()
@@ -211,7 +228,9 @@ def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):
         spec = net.specs[i]
         # frozen layers pass the gradient through; their own is dropped
         delta, g = L.KINDS[spec.kind].backward(
-            spec, net.params[i], inputs[i], acts[i], caches[i], delta, i > lowest)
+            spec, net.params[i], acts[i - 1] if i else x, acts[i], caches[i],
+            delta, i > lowest)
+        acts[i] = caches[i] = None  # no layer below reads them
         if g is not None and not spec.frozen:
             for v in g.values():
                 if not np.isfinite(v).all():
@@ -242,6 +261,24 @@ def sgd_step(net: Network, grads, cfg: TrainConfig) -> Network:
                     f"{p[key].shape} at layer {i}")
         new_params[i] = {k: p[k] - lr * g[k] for k in ("W", "b")}
     return net.with_params(new_params)
+
+
+def stack(nets) -> Network:
+    """One network holding ``nets``' parameters along a new leading axis.
+
+    The networks share one architecture.  The stack takes batches
+    ``[len(nets), n, *input_shape]``, and slice ``j`` of each of its
+    activations, gradients and SGD steps has the bits ``nets[j]`` would
+    compute alone (see ``layers``).
+    """
+    first = nets[0]
+    for net in nets:
+        if (net.specs, net.input_shape) != (first.specs, first.input_shape):
+            raise ShapeMismatchError("stacked networks differ in architecture")
+    params = [None if p is None else
+              {k: np.stack([net.params[i][k] for net in nets]) for k in p}
+              for i, p in enumerate(first.params)]
+    return Network(first.specs, first.input_shape, params)
 
 
 def freeze_through(net: Network, layer_index: int) -> Network:

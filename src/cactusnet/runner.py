@@ -184,6 +184,11 @@ def _check_resume(records_path, records, fingerprint_path, fingerprint):
             "the run's own settings")
 
 
+def _print_cell(i, cells, x, layer, jobs, failed):
+    print(f"measure: cell {i}/{cells} (x={x}, layer={layer}): {jobs} jobs, "
+          f"{failed} failed", file=sys.stderr)
+
+
 def run_measure(cfg: ExperimentConfig) -> dict:
     manifest = load_manifest(cfg)
     out = cfg.out_path
@@ -214,7 +219,8 @@ def run_measure(cfg: ExperimentConfig) -> dict:
         cfg.train.pair, cfg.taps, master_seed=cfg.master_seed,
         classes={c.class_id: c for c in manifest.classes},
         completed=completed,
-        on_record=partial(app.append_record_csv, records_path))
+        on_record=partial(app.append_record_csv, records_path),
+        on_cell=_print_cell)
     for f in result.failures:
         print(f"job failed (x={f.x}, un_j={f.un_j}, layer={f.layer_index}): "
               f"{f.error}", file=sys.stderr)

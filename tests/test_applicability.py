@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cactusnet.applicability import (ApplicabilityTable, SeparabilityRecord,
-                                     TapFeatures, class_applicability,
+                                     TapFeatures, class_applicability, job_seed,
                                      layer_sweep, pair_separability,
                                      read_records_csv, run_jobs,
                                      subset_average, sweep_jobs,
@@ -220,13 +220,13 @@ class TestSweep:
         import cactusnet.applicability as appmod
         manifest, splits, net, cfg = small_world
         threads = []
-        real = appmod.pair_separability
+        real = appmod.stacked_separability
 
-        def tracking(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return real(*args, **kwargs)
+        def tracking(net, layer, pairs, features, cfg, seeds):
+            threads.extend([threading.get_ident()] * len(pairs))
+            return real(net, layer, pairs, features, cfg, seeds)
 
-        monkeypatch.setattr(appmod, "pair_separability", tracking)
+        monkeypatch.setattr(appmod, "stacked_separability", tracking)
         result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
                              splits, cfg, TAPS, master_seed=17)
         assert result.failures == ()
@@ -244,14 +244,14 @@ class TestSweep:
         manifest, splits, net, cfg = small_world
         victim = (manifest.measured_ids[0], manifest.probe_set[0], TAPS[0])
         import cactusnet.applicability as appmod
-        real = appmod.pair_separability
+        real = appmod.stacked_separability
 
-        def flaky(net, layer, x, un_j, splits, cfg):
-            if (x, un_j, layer) == victim:
+        def flaky(net, layer, pairs, features, cfg, seeds):
+            if any((x, un_j, layer) == victim for x, un_j in pairs):
                 raise DataError("synthetic failure")
-            return real(net, layer, x, un_j, splits, cfg)
+            return real(net, layer, pairs, features, cfg, seeds)
 
-        monkeypatch.setattr(appmod, "pair_separability", flaky)
+        monkeypatch.setattr(appmod, "stacked_separability", flaky)
         result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
                              splits, cfg, TAPS, master_seed=17)
         assert len(result.failures) == 1
@@ -298,7 +298,7 @@ class TestTapFeatures:
         import cactusnet.applicability as appmod
         counts = {"outside": 0, "inside": 0}
         in_job = [0]
-        real_forward, real_job = appmod.forward, appmod.pair_separability
+        real_forward, real_job = appmod.forward, appmod.stacked_separability
 
         def counting_forward(*args, **kwargs):
             counts["inside" if in_job[0] else "outside"] += 1
@@ -312,7 +312,7 @@ class TestTapFeatures:
                 in_job[0] -= 1
 
         monkeypatch.setattr(appmod, "forward", counting_forward)
-        monkeypatch.setattr(appmod, "pair_separability", counting_job)
+        monkeypatch.setattr(appmod, "stacked_separability", counting_job)
         return counts
 
     def test_one_forward_per_class_and_split(self, small_world, monkeypatch):
@@ -377,6 +377,131 @@ class TestRunJobs:
             run_jobs(net, jobs, splits, cfg, 17, on_record=on_record)
         # the failed append is neither swallowed nor followed by more
         assert len(seen) == 1
+
+
+# two convolutions, so that the suffix of a shallow tap trains a stacked
+# Conv2D: 12x12 -> 10x10x4 -> 5x5x4 -> 4x4x6 -> 2x2x6 -> 24 -> 8 -> 3
+DEEP_SPECS = [LayerSpec.conv(4, 3), LayerSpec.relu(), LayerSpec.maxpool(2),
+              LayerSpec.conv(6, 2), LayerSpec.relu(), LayerSpec.maxpool(2),
+              LayerSpec.flatten(), LayerSpec.dense(8), LayerSpec.relu(),
+              LayerSpec.dense(3), LayerSpec.softmax()]
+
+
+class TestStackedCell:
+    """A cell's jobs trained as one stack give each job its lone bits."""
+
+    @pytest.fixture(scope="class")
+    def deep(self, small_world):
+        manifest, splits, _, cfg = small_world
+        net = Network.build(DEEP_SPECS, (12, 12, 1), seed=4)
+        x = manifest.measured_ids[0]
+        return net, splits, x, [c for c in splits.class_ids if c != x], cfg
+
+    @staticmethod
+    def capture_training(monkeypatch):
+        """The stacked network each SGD run returns, in call order."""
+        import cactusnet.applicability as appmod
+        trained = []
+        real = appmod._train_balanced_pair
+
+        def capturing(net, train_pairs, seeds, cfg):
+            trained.append(real(net, train_pairs, seeds, cfg))
+            return trained[-1]
+
+        monkeypatch.setattr(appmod, "_train_balanced_pair", capturing)
+        return trained
+
+    @pytest.mark.parametrize("tap", range(9))
+    def test_each_stacked_job_has_its_lone_bits(self, deep, tap, monkeypatch):
+        net, splits, x, others, cfg = deep
+        jobs = [(x, un_j, tap) for un_j in others]
+        trained = self.capture_training(monkeypatch)
+        records, failures = run_jobs(net, jobs, splits, cfg, 5)
+        assert failures == [] and len(trained) == 1
+        stacked = trained.pop()
+        assert stacked.stack == (len(jobs),)
+        features = TapFeatures.build(net, splits, {c: [tap] for c in (x, *others)})
+        for j, (rec, job) in enumerate(zip(records, jobs)):
+            alone = pair_separability(net, tap, x, job[1], features,
+                                      cfg.with_seed(job_seed(5, *job)))
+            assert rec == alone
+            lone = trained.pop()
+            assert lone.stack == (1,)
+            for p_stack, p_alone in zip(stacked.params, lone.params):
+                for key in () if p_alone is None else ("W", "b"):
+                    assert p_stack[key][j].tobytes() == p_alone[key][0].tobytes()
+
+    def test_a_poisoned_probe_fails_only_its_job(self, deep, monkeypatch):
+        from cactusnet.errors import NumericFailureError
+        net, splits, x, others, cfg = deep
+        tap, victim = 3, others[2]
+        jobs = [(x, un_j, tap) for un_j in others]
+        clean, _ = run_jobs(net, jobs, splits, cfg, 5)
+        real_build = TapFeatures.build.__func__
+
+        def poisoned_build(cls, net, splits, taps_by_class):
+            # the victim's train features are infinite, so its stack's
+            # first step raises
+            store = real_build(cls, net, splits, taps_by_class)
+            key = (victim, "train", tap)
+            store._entries[key] = np.full_like(store._entries[key], np.inf)
+            return store
+
+        monkeypatch.setattr(TapFeatures, "build", classmethod(poisoned_build))
+        trained = self.capture_training(monkeypatch)
+        records, failures = run_jobs(net, jobs, splits, cfg, 5)
+        seed = job_seed(5, x, victim, tap)
+        assert [(f.x, f.un_j, f.layer_index, f.seed) for f in failures] == [
+            (x, victim, tap, seed)]
+        with pytest.raises(NumericFailureError) as alone:
+            pair_separability(net, tap, x, victim, splits, cfg.with_seed(seed))
+        assert failures[0].error == str(alone.value)
+        assert failures[0].error.startswith(
+            f"1-vs-1 job (x={x}, un_j={victim}, layer={tap}) diverged: non-finite")
+        assert records == [r for r in clean if r.un_j != victim]
+        # the stack raised; then every job ran alone
+        assert [t.stack for t in trained] == [(1,)] * (len(jobs) - 1)
+
+    def test_unequal_pairs_stack_by_size_without_padding(self, deep, monkeypatch):
+        from cactusnet.data.manifest import ClassSplit, SplitStore
+        net, splits, x, others, cfg = deep
+        n = splits.train_images(x).shape[0]
+        cut = {others[1]: n - 20, others[3]: n - 35}
+        uneven = SplitStore({cid: ClassSplit(splits.entry(cid),
+                                             splits.train_images(cid)[:cut.get(cid)],
+                                             splits.test_images(cid))
+                             for cid in splits.class_ids})
+        import cactusnet.applicability as appmod
+        sizes = []
+        real = appmod._train_balanced_pair
+
+        def sizing(net, train_pairs, seeds, cfg):
+            sizes.append((len(train_pairs), len(seeds),
+                          {part.shape[0] for pair in train_pairs for part in pair}))
+            return real(net, train_pairs, seeds, cfg)
+
+        monkeypatch.setattr(appmod, "_train_balanced_pair", sizing)
+        jobs = [(x, un_j, 5) for un_j in others]
+        records, failures = run_jobs(net, jobs, uneven, cfg, 5)
+        assert failures == []
+        stacked = len(others) - len(cut)
+        assert sizes == [(stacked, stacked, {n}), (1, 1, {n - 20}),
+                         (1, 1, {n - 35})]
+        assert records == [pair_separability(net, 5, x, job[1], uneven,
+                                              cfg.with_seed(job_seed(5, *job)))
+                           for job in jobs]
+
+    def test_a_resumed_cell_stacks_only_its_remaining_jobs(self, small_world,
+                                                           monkeypatch):
+        manifest, splits, net, cfg = small_world
+        jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)
+        trained = self.capture_training(monkeypatch)
+        result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
+                             splits, cfg, TAPS, master_seed=17,
+                             completed=jobs[:1])
+        k = len(manifest.probe_set)
+        assert [t.stack for t in trained] == [(k - 1,)] + [(k,)] * (len(jobs) // k - 1)
+        assert len(result.records) == len(jobs) - 1
 
 
 class TestSubsetAverage:

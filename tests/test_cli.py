@@ -172,6 +172,18 @@ class TestExitCodes:
         assert f"{field} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", 6.7), ("k", "2"), ("decision_depth", "1"), ("decision_depth", 1.0),
+        ("threshold_reference_tap", 5.0), ("threshold_final_tap", True),
+        ("master_seed", True), ("master_seed", 9.5), ("master_seed", "9")])
+    def test_non_integer_top_level_field_exits_2(self, tmp_path, capsys, field,
+                                                 value):
+        cfg = write_tiny_config(tmp_path, **{field: value})
+        capsys.readouterr()
+        assert run(cfg, "prepare") == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("taps", [[2, 5, 7, 9], [2, 5, 7, 8], [-1, 5, 7],
                                       [2.0, 5, 7], ["2", 5, 7]])
     def test_tap_outside_the_trainable_range_exits_2(self, tmp_path, capsys,
@@ -419,23 +431,49 @@ class TestDeterminism:
         cfg = write_tiny_config(base)
         for verb in ("prepare", "train-base"):
             assert run(cfg, verb) == 0
-        real = appmod.pair_separability
+        real = appmod.stacked_separability
         probe = min(json.loads((base / "manifest.json").read_text())["probe_set"])
 
-        def flaky(net, layer, x, un_j, splits, cfg):
-            if (layer, un_j) == (5, probe):
+        def flaky(net, layer, pairs, features, cfg, seeds):
+            if layer == 5 and any(un_j == probe for _, un_j in pairs):
                 raise ValueError("synthetic failure")
-            return real(net, layer, x, un_j, splits, cfg)
+            return real(net, layer, pairs, features, cfg, seeds)
 
-        monkeypatch.setattr(appmod, "pair_separability", flaky)
+        monkeypatch.setattr(appmod, "stacked_separability", flaky)
         capsys.readouterr()
         assert run(cfg, "measure") == 0
         out, err = capsys.readouterr()
         meta = json.loads((base / "out" / "measure_meta.json").read_text())
         failed = [f"job failed (x={f['x']}, un_j={probe}, layer=5): "
                   "synthetic failure" for f in meta["failures"]]
-        assert failed and err.splitlines() == failed
+        # progress lines (one per cell) come first
+        assert failed and [line for line in err.splitlines()
+                           if not line.startswith("measure: cell ")] == failed
         assert json.loads(out)["failures"] == len(failed)
+
+    def test_measure_reports_each_cell_on_stderr(self, tmp_path, capsys):
+        base = tmp_path / "p"
+        base.mkdir()
+        cfg = write_tiny_config(base)
+        for verb in ("prepare", "train-base"):
+            assert run(cfg, verb) == 0
+        capsys.readouterr()
+        assert run(cfg, "measure") == 0
+        lines = capsys.readouterr().err.splitlines()
+        manifest = json.loads((base / "manifest.json").read_text())
+        measured = sorted({c["class_id"] for c in manifest["classes"]}
+                          - set(manifest["probe_set"]))
+        cells = [(x, tap) for x in measured for tap in TINY["taps"]]
+        assert lines == [
+            f"measure: cell {i}/{len(cells)} (x={x}, layer={tap}): "
+            f"{TINY['k']} jobs, 0 failed"
+            for i, (x, tap) in enumerate(cells, start=1)]
+        for name in COMPARED:
+            if (base / name).is_file():
+                assert b"measure: cell" not in (base / name).read_bytes()
+        # a fully resumed sweep has no cell left to report
+        assert run(cfg, "measure") == 0
+        assert capsys.readouterr().err == ""
 
     def test_rerun_after_completion_is_idempotent(self, tmp_path):
         base = tmp_path / "i"

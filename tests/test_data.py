@@ -105,6 +105,76 @@ class TestSyntheticGenerator:
 
 
 @pytest.mark.slow
+# The generator as it drew and rendered one image at a time, kept as the
+# reference that the whole-class renderer must match byte for byte.
+
+def _reference_organic_image(params, rng, side):
+    centers, sigmas, amps = params
+    centers = centers + rng.normal(0.0, 0.065, size=centers.shape)
+    sigmas = sigmas * rng.uniform(0.85, 1.15, size=sigmas.shape)
+    amps = amps * rng.uniform(0.88, 1.12, size=amps.shape)
+    yy, xx = np.mgrid[0:side, 0:side] / (side - 1.0)
+    field = np.zeros((side, side))
+    for (cy, cx), s, a in zip(centers, sigmas, amps):
+        field += a * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * s * s))
+    field = np.clip(field, 0.0, 1.0)
+    field += rng.uniform(0.0, 0.05, size=field.shape)
+    return np.clip(field, 0.0, 1.0)
+
+
+def _reference_stripe_field(side, period, theta_deg, phase):
+    yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
+    theta = np.deg2rad(theta_deg)
+    u = xx * np.cos(theta) + yy * np.sin(theta)
+    return 0.5 * (1.0 + np.sin(2 * np.pi * u / period + phase))
+
+
+def _reference_manufactured_image(period, orient, motif, duty, rng, side):
+    phase = rng.uniform(0.0, 2 * np.pi)
+    field = _reference_stripe_field(side, period, orient, phase)
+    if motif == 1:
+        phase2 = rng.uniform(0.0, 2 * np.pi)
+        field = np.maximum(field, _reference_stripe_field(side, period,
+                                                          orient + 90.0, phase2))
+    img = 0.15 + 0.7 / (1.0 + np.exp(-(field - duty) * 10.0))
+    img += rng.uniform(0.0, 0.05, size=img.shape)
+    return np.clip(img, 0.0, 1.0)
+
+
+def _reference_images(n, per_class, side, seed):
+    from cactusnet.data.synthetic import (_manufactured_family_params,
+                                          _organic_class_params)
+    from cactusnet.seeding import rng_for
+    images = {}
+    for c in range(n):
+        params = _organic_class_params(seed, c)
+        images[c] = np.stack([
+            _reference_organic_image(params, rng_for(seed, 0, c, 1000 + i), side)
+            for i in range(per_class)]).astype(np.float32)[..., None]
+    periods, orients, motifs, duties = _manufactured_family_params(seed, n)
+    for c in range(n):
+        images[n + c] = np.stack([
+            _reference_manufactured_image(periods[c], orients[c], int(motifs[c]),
+                                          duties[c], rng_for(seed, 1, c, 1000 + i),
+                                          side)
+            for i in range(per_class)]).astype(np.float32)[..., None]
+    return images
+
+
+@pytest.mark.parametrize("n, per_class, side, seed", [
+    (11, 36, 20, 3), (3, 300, 20, 3), (11, 36, 20, 7), (2, 50, 20, 42),
+    (4, 60, 12, 5), (2, 1, 8, 0), (3, 17, 31, 11)])
+def test_whole_class_rendering_matches_the_per_image_reference(n, per_class,
+                                                               side, seed):
+    ds = generate_synthetic(n, per_class, side, seed)
+    want = _reference_images(n, per_class, side, seed)
+    assert sorted(ds.images) == sorted(want)
+    for cid, stack in want.items():
+        assert ds.images[cid].dtype == np.float32
+        assert ds.images[cid].shape == stack.shape
+        assert ds.images[cid].tobytes() == stack.tobytes()
+
+
 def test_any_two_classes_separable_by_small_cnn():
     """End-to-end smoke oracle: generated classes carry learnable signal."""
     ds = generate_synthetic(2, 160, 20, seed=77)
