@@ -6,6 +6,7 @@ package error (configuration, validation, a corrupt input file).
 """
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -16,6 +17,35 @@ from . import runner
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# glibc's mallopt parameters (malloc.h) and the values its adaptive policy
+# reaches on 64-bit: the mmap threshold climbs to at most 32 MiB, and the
+# trim threshold follows it at twice that.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
+
+def _fix_malloc_thresholds():
+    """Start the heap where glibc's adaptive thresholds would end up.
+
+    An SGD step allocates a few MB of activations and gradients and frees
+    them; with the default thresholds glibc hands the freed heap top back
+    to the OS, and the next step faults the same pages in again.  Setting
+    either threshold turns off glibc's dynamic adjustment of both, so both
+    are set.  This moves where arrays live, not what is computed.  A
+    silent no-op where the C library has no ``mallopt`` (macOS) or cannot
+    be opened, and where ``mallopt`` refuses a value.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _parser():
@@ -38,6 +68,7 @@ def _parser():
 
 
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     args = _parser().parse_args(argv)
     overrides = {"out_dir": args.out, "master_seed": args.seed}
     try:

@@ -9,6 +9,7 @@ image), so a dataset is reproducible from its seed alone.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -20,6 +21,10 @@ DATASET_MAGIC = b"CNLDATA1"
 
 ORGANIC = "organic"
 MANUFACTURED = "manufactured"
+
+# images rendered per array pass: bounds the renderers' float64 temporaries
+# (every step is per image, so the chunking never changes a byte)
+RENDER_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class SyntheticDataset:
     def name(self, class_id: int) -> str:
         return self._by_id[class_id].name
 
-    @property
+    @cached_property
     def _by_id(self):
         return {c.class_id: c for c in self.classes}
 
@@ -64,8 +69,8 @@ def _organic_class_params(seed, index):
 
 
 def _organic_images(params, rngs, side):
-    """One organic class, an image per generator in ``rngs``: ``[n, side,
-    side]``, rendered for the whole class at once."""
+    """Organic images of one class, one per generator in ``rngs``: ``[n,
+    side, side]``, rendered in one array pass."""
     # heavy per-image jitter: a network trained on a class learns to see
     # through it, while frozen features transferred to an unseen class
     # do not, which is what separates the known and unknown curves
@@ -106,7 +111,7 @@ def _stripe_field(side, period, theta_deg, phases):
 
 
 def _manufactured_images(period, orient, motif, duty, rngs, side):
-    """One manufactured class, an image per generator in ``rngs``."""
+    """Manufactured images of one class, one per generator in ``rngs``."""
     draws = [(rng.uniform(0.0, 2 * np.pi),
               rng.uniform(0.0, 2 * np.pi) if motif == 1 else 0.0,
               rng.uniform(0.0, 0.05, size=(side, side))) for rng in rngs]
@@ -124,33 +129,35 @@ def generate_synthetic(num_classes_per_family: int, per_class: int,
     """Generate both families; deterministic given ``seed``.
 
     Image ``i`` of class ``c`` draws from ``rng_for(seed, family, c,
-    1000 + i)`` alone; each class is then rendered in whole-class array
-    passes.
+    1000 + i)`` alone; each class is then rendered in array passes over
+    ``RENDER_CHUNK`` images at a time.
     """
     if num_classes_per_family < 1 or per_class < 1:
         raise DataError("class and image counts must be >= 1")
     if image_side < 8:
         raise DataError(f"image_side {image_side} is too small (minimum 8)")
 
-    def rngs(family, c):
-        return [rng_for(seed, family, c, 1000 + i) for i in range(per_class)]
-
-    def as_stack(fields):  # [n, side, side, 1] float32, one class at a time
-        return fields.astype(np.float32)[..., None]
+    def as_stack(render, family, c):  # [per_class, side, side, 1] float32
+        stack = np.empty((per_class, image_side, image_side, 1), np.float32)
+        for lo in range(0, per_class, RENDER_CHUNK):
+            hi = min(lo + RENDER_CHUNK, per_class)
+            rngs = [rng_for(seed, family, c, 1000 + i) for i in range(lo, hi)]
+            stack[lo:hi, ..., 0] = render(rngs, image_side)
+        return stack
 
     classes = []
     images = {}
     n = num_classes_per_family
     for c in range(n):
         classes.append(SyntheticClass(c, f"{ORGANIC}_{c:02d}", ORGANIC))
-        images[c] = as_stack(_organic_images(_organic_class_params(seed, c),
-                                             rngs(0, c), image_side))
+        images[c] = as_stack(partial(_organic_images, _organic_class_params(seed, c)),
+                             0, c)
 
     periods, orients, motifs, duties = _manufactured_family_params(seed, n)
     for c in range(n):
         classes.append(SyntheticClass(n + c, f"{MANUFACTURED}_{c:02d}", MANUFACTURED))
-        images[n + c] = as_stack(_manufactured_images(
-            periods[c], orients[c], int(motifs[c]), duties[c], rngs(1, c), image_side))
+        images[n + c] = as_stack(partial(_manufactured_images, periods[c], orients[c],
+                                         int(motifs[c]), duties[c]), 1, c)
 
     return SyntheticDataset(tuple(classes), images, image_side, per_class, seed)
 

@@ -250,21 +250,27 @@ class TestExitCodes:
         assert len(lines) == 1  # header only, no decisions
 
 
-def test_module_entry_point(tmp_path):
+def child_env():
+    """The environment of a child that imports the package this test
+    imported, installed or not."""
     import os
-    import subprocess
-    import sys
 
     import cactusnet
-    # the child imports the package this test imported, installed or not
     src = str(Path(cactusnet.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point(tmp_path):
+    import subprocess
+    import sys
+
     proc = subprocess.run(
         [sys.executable, "-m", "cactusnet", "--config",
          str(tmp_path / "missing.json"), "train-base"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 2
     assert "not found" in proc.stderr
 

@@ -163,7 +163,7 @@ def _reference_images(n, per_class, side, seed):
 
 @pytest.mark.parametrize("n, per_class, side, seed", [
     (11, 36, 20, 3), (3, 300, 20, 3), (11, 36, 20, 7), (2, 50, 20, 42),
-    (4, 60, 12, 5), (2, 1, 8, 0), (3, 17, 31, 11)])
+    (4, 60, 12, 5), (2, 1, 8, 0), (3, 17, 31, 11), (2, 129, 8, 1)])
 def test_whole_class_rendering_matches_the_per_image_reference(n, per_class,
                                                                side, seed):
     ds = generate_synthetic(n, per_class, side, seed)
