@@ -8,6 +8,7 @@ package error (configuration, validation, a corrupt input file).
 import argparse
 import ctypes
 import json
+import os
 import sys
 
 from .config import load_config
@@ -48,6 +49,59 @@ def _fix_malloc_thresholds():
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+# where the running process lists the files it has mapped (Linux)
+PROC_MAPS = "/proc/self/maps"
+# OpenBLAS's thread setter: as numpy's bundled copy (scipy-openblas) names
+# it, then as a system OpenBLAS does; 64-bit integer builds first
+OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                    "scipy_openblas_set_num_threads",
+                    "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _mapped_openblas():
+    """The path of the OpenBLAS library this process has loaded, or None.
+
+    Read from the process's own memory map: ``ctypes.util.find_library``
+    starts subprocesses, and could name another copy than numpy's.
+    """
+    try:
+        with open(PROC_MAPS) as maps:
+            for line in maps:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
+                    return fields[5].rstrip("\n")
+    except OSError:
+        pass
+    return None
+
+
+def pin_blas_threads():
+    """Run numpy's OpenBLAS on one thread, whatever the environment says.
+
+    Under some sgemm kernels (Haswell's, which AVX2 CPUs without AVX-512
+    get) a product split over two threads rounds differently from one,
+    so every file from ``train-base`` on would follow
+    ``OPENBLAS_NUM_THREADS``.  At these matrix sizes a second thread
+    adds CPU time and no speed.  A silent no-op where no OpenBLAS is
+    mapped (macOS, a numpy on another BLAS), where it cannot be opened,
+    and where it has none of ``OPENBLAS_SETTERS``.
+    """
+    path = _mapped_openblas()
+    if path is None:
+        return
+    try:
+        lib = ctypes.cdll.LoadLibrary(path)
+    except OSError:
+        return
+    for name in OPENBLAS_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = (ctypes.c_int,)
+            setter.restype = None
+            setter(1)
+            return
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="cactusnet",
@@ -69,6 +123,7 @@ def _parser():
 
 def main(argv=None) -> int:
     _fix_malloc_thresholds()
+    pin_blas_threads()
     args = _parser().parse_args(argv)
     overrides = {"out_dir": args.out, "master_seed": args.seed}
     try:

@@ -23,6 +23,7 @@ bits it would have alone.
 """
 
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from math import prod
 from typing import Callable
 
@@ -221,14 +222,15 @@ def conv2d_backward(x, kernels, dout, stride=1, need_dx=True):
 # Max pooling
 # ---------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _window_slices(kernel, stride, h_out, w_out):
     """For each flat window position ``t = i * kw + j``, the strided slice
     of a ``[..., h, w, c]`` input that holds element (i, j) of every
     window."""
     kh, kw = kernel
-    return [(Ellipsis, slice(i, i + stride * (h_out - 1) + 1, stride),
-             slice(j, j + stride * (w_out - 1) + 1, stride), slice(None))
-            for i in range(kh) for j in range(kw)]
+    return tuple((Ellipsis, slice(i, i + stride * (h_out - 1) + 1, stride),
+                  slice(j, j + stride * (w_out - 1) + 1, stride), slice(None))
+                 for i in range(kh) for j in range(kw))
 
 
 def maxpool2d(x, kernel, stride):
@@ -237,6 +239,14 @@ def maxpool2d(x, kernel, stride):
     A running maximum over the kh*kw strided slices of ``x``; no window
     is copied.  The index of a window is the flat position of its first
     maximum, as ``argmax`` gives it, and a NaN in a window propagates.
+
+    The index is kept without a data-dependent branch: at position t,
+    ``max(idx, t * (s > out))`` sets t exactly where ``s > out``, because
+    every earlier position is smaller than t.  numpy's masked calls
+    (``putmask``, ``where``, ``copyto(where=)``) branch per element and
+    cost several times more on the random masks pooling makes.  The
+    index is one byte wide while the positions fit one, and is widened
+    to ``intp`` once, at the end.
     """
     kh, kw = kernel
     h, w = x.shape[-3:-1]
@@ -245,12 +255,14 @@ def maxpool2d(x, kernel, stride):
     slices = _window_slices(kernel, stride, (h - kh) // stride + 1,
                             (w - kw) // stride + 1)
     out = x[slices[0]].copy()
-    idx = np.zeros(out.shape, dtype=np.intp)
+    idx = np.zeros(out.shape, dtype=np.uint8 if len(slices) <= 256 else np.intp)
+    position = idx.dtype.type
     for t, sl in enumerate(slices[1:], start=1):
         s = x[sl]
-        np.putmask(idx, s > out, t)  # strictly greater: the first max wins
+        # strictly greater: the first max wins
+        np.maximum(idx, (s > out).view(np.uint8) * position(t), out=idx)
         np.maximum(s, out, out=out)
-    return out, idx
+    return out, idx.astype(np.intp, copy=False)
 
 
 def maxpool2d_backward(x_shape, idx, dout, kernel, stride):
@@ -259,11 +271,19 @@ def maxpool2d_backward(x_shape, idx, dout, kernel, stride):
     Windows overlap when stride < kernel.  Visiting the window positions
     in reverse adds each input cell's shares in the order ``np.add.at``
     over the windows would, so the sums are the same to the last bit.
+
+    Each position adds ``dout * (idx == t)``, with no masked select.  For
+    a finite ``dout`` that is bitwise the select: off the argmax it adds
+    +0 or -0, and a cell of ``dx`` starts at +0 and is never -0, so
+    adding either zero leaves its bits as they are.  An infinite or NaN
+    ``dout`` would spread NaN (inf * 0) across its window; ``backward``
+    in ``network`` raises on a non-finite delta before a layer below
+    receives it, so the engine never passes one here.
     """
     dx = np.zeros(x_shape, dtype=dout.dtype)
     slices = _window_slices(kernel, stride, *dout.shape[-3:-1])
     for t in range(len(slices) - 1, -1, -1):
-        dx[slices[t]] += np.where(idx == t, dout, 0)
+        dx[slices[t]] += dout * (idx == t)
     return dx
 
 

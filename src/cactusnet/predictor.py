@@ -117,7 +117,9 @@ def _stack_samples(spec, samples):
         targets.append(float(target))
     x = np.stack(acts)
     y = np.asarray(targets, dtype=np.float32)
-    if y.size and (y.min() < 0.0 or y.max() > 1.0):
+    # written so that a NaN target, for which every comparison is false,
+    # is refused too
+    if y.size and not (0.0 <= y.min() and y.max() <= 1.0):
         raise DataError("applicability targets must lie in [0, 1]")
     return x, y
 
@@ -137,7 +139,7 @@ def train_predictor(spec: PredictorSpec, samples, cfg, heldout=None,
     x, y = _stack_samples(spec, samples)
     if x.shape[0] < 2:
         raise DataError("need at least 2 samples to fit a predictor")
-    if np.unique(y).size < 2:
+    if y.min() == y.max():
         warnings.warn("all predictor targets are identical; the fit cannot "
                       "be validated", stacklevel=2)
     mean = float(x.mean())

@@ -3,7 +3,7 @@
 Criteria 5-7 share a desk-scale experiment (5 known / 3 objective-
 unknown / 3 nonobjective-unknown classes, k=6 probes, 4 tapped layers,
 200/100 images per class) run once per session through the same runner
-functions the CLI uses.  Run with ``pytest tests/test_acceptance.py -s``
+functions the CLI uses, with the BLAS thread pin the CLI applies.  Run with ``pytest tests/test_acceptance.py -s``
 to see the per-criterion pass lines.
 """
 
@@ -19,6 +19,7 @@ from cactusnet.applicability import (SeparabilityRecord, class_applicability,
                                      pair_separability)
 from cactusnet.cactus import (GrowthConfig, Thresholds, Verdict, build_tree,
                               compute_thresholds, decide, grow, replay_log)
+from cactusnet.cli import pin_blas_threads
 from cactusnet.config import config_from_dict, default_config_dict
 from cactusnet.data import build_splits, generate_synthetic, synthetic_manifest
 from cactusnet.nn import (LayerSpec, Network, TrainConfig, backward,
@@ -48,6 +49,7 @@ def desk(tmp_path_factory):
     doc = default_config_dict()
     (base / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
     cfg = config_from_dict(doc, base_dir=base)
+    pin_blas_threads()  # score the bits the CLI writes
     runner.prepare(cfg)
     base_result = runner.run_train_base(cfg)
     # end-to-end smoke oracle for the base phase: a small CNN on the

@@ -238,6 +238,24 @@ def scatter_maxpool_backward(x_shape, idx, dout, kernel, stride):
     return dx
 
 
+def putmask_maxpool(x, kernel, stride):
+    """The running-maximum kernel as it was with a masked index update,
+    the reference for NaN windows (where ``argmax`` picks the NaN)."""
+    kh, kw = kernel
+    h, w = x.shape[-3:-1]
+    h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
+    slices = [(Ellipsis, slice(i, i + stride * (h_out - 1) + 1, stride),
+               slice(j, j + stride * (w_out - 1) + 1, stride), slice(None))
+              for i in range(kh) for j in range(kw)]
+    out = x[slices[0]].copy()
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for t, sl in enumerate(slices[1:], start=1):
+        s = x[sl]
+        np.putmask(idx, s > out, t)
+        np.maximum(s, out, out=out)
+    return out, idx
+
+
 def bits(a):
     """The float32 bit patterns, so -0.0 and 0.0 count as different."""
     return np.ascontiguousarray(a, dtype=np.float32).view(np.int32)
@@ -272,6 +290,82 @@ class TestMaxPoolMatchesWindowReference:
         np.testing.assert_array_equal(idx, want_idx)
         assert idx[0, 0, 0, 1] == 3 and (idx[..., 0] == 0).all()
         np.testing.assert_array_equal(bits(out), bits(want_out))
+
+    @pytest.mark.parametrize("kernel,stride", [((2, 2), 2), ((3, 3), 2)])
+    def test_stacked_leading_axes(self, kernel, stride):
+        rng = np.random.default_rng(11)
+        x = np.maximum(rng.standard_normal((3, 4, 9, 9, 5)), 0).astype(np.float32)
+        out, idx = maxpool2d(x, kernel, stride)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        dx = maxpool2d_backward(x.shape, idx, dout, kernel, stride)
+        assert idx.dtype == np.intp
+        for j in range(x.shape[0]):  # each network's slice, pooled alone
+            want_out, want_idx = window_maxpool(x[j], kernel, stride)
+            np.testing.assert_array_equal(bits(out[j]), bits(want_out))
+            np.testing.assert_array_equal(idx[j], want_idx)
+            np.testing.assert_array_equal(
+                bits(dx[j]),
+                bits(scatter_maxpool_backward(x[j].shape, want_idx, dout[j],
+                                              kernel, stride)))
+
+    @pytest.mark.parametrize("kernel,stride", [((2, 2), 2), ((2, 2), 1)])
+    def test_batch_of_one(self, kernel, stride):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((1, 9, 9, 32)).astype(np.float32)
+        out, idx = maxpool2d(x, kernel, stride)
+        want_out, want_idx = window_maxpool(x, kernel, stride)
+        np.testing.assert_array_equal(bits(out), bits(want_out))
+        np.testing.assert_array_equal(idx, want_idx)
+        assert idx.dtype == want_idx.dtype
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        np.testing.assert_array_equal(
+            bits(maxpool2d_backward(x.shape, idx, dout, kernel, stride)),
+            bits(scatter_maxpool_backward(x.shape, want_idx, dout, kernel, stride)))
+
+    @pytest.mark.parametrize("kernel,stride", [((2, 2), 2), ((3, 3), 1)])
+    def test_signed_zero_gradients(self, kernel, stride):
+        # dout * (idx == t) adds -0.0 off the argmax wherever dout < 0;
+        # a -0.0 or 0.0 dout lands on the argmax as the selection puts it
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2, 8, 8, 3)).astype(np.float32)
+        out, idx = maxpool2d(x, kernel, stride)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        dout.flat[::3] = -0.0
+        dout.flat[1::5] = 0.0
+        dx = maxpool2d_backward(x.shape, idx, dout, kernel, stride)
+        want = scatter_maxpool_backward(x.shape, window_maxpool(x, kernel, stride)[1],
+                                        dout, kernel, stride)
+        np.testing.assert_array_equal(bits(dx), bits(want))
+        assert not np.signbit(dx[dx == 0]).any()
+
+    def test_window_of_more_positions_than_a_byte_holds(self):
+        rng = np.random.default_rng(14)
+        # rows rise by 10, so each window's maximum sits in its last row,
+        # at a position from 16 * 16 = 256 on
+        x = (rng.standard_normal((2, 20, 19, 3))
+             + 10.0 * np.arange(20)[:, None, None]).astype(np.float32)
+        kernel, stride = (17, 16), 2  # 272 positions
+        out, idx = maxpool2d(x, kernel, stride)
+        want_out, want_idx = window_maxpool(x, kernel, stride)
+        assert idx.dtype == want_idx.dtype and idx.min() >= 256
+        np.testing.assert_array_equal(bits(out), bits(want_out))
+        np.testing.assert_array_equal(idx, want_idx)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        np.testing.assert_array_equal(
+            bits(maxpool2d_backward(x.shape, idx, dout, kernel, stride)),
+            bits(scatter_maxpool_backward(x.shape, want_idx, dout, kernel, stride)))
+
+    @pytest.mark.parametrize("kernel,stride", [((2, 2), 2), ((3, 3), 1)])
+    def test_nan_windows_match_the_masked_kernel(self, kernel, stride):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((3, 9, 9, 4)).astype(np.float32)
+        x.flat[rng.choice(x.size, 40, replace=False)] = np.nan
+        x[0, :3, :3, 0] = np.nan  # a window of NaNs only
+        out, idx = maxpool2d(x, kernel, stride)
+        want_out, want_idx = putmask_maxpool(x, kernel, stride)
+        assert np.isnan(out).any() and idx.dtype == want_idx.dtype
+        np.testing.assert_array_equal(bits(out), bits(want_out))
+        np.testing.assert_array_equal(idx, want_idx)
 
     def test_nan_input_to_a_leading_pool_raises(self):
         net = Network.build([LayerSpec.maxpool(2), LayerSpec.flatten(),

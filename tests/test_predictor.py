@@ -1,5 +1,8 @@
 """Predictor plans, training signal recovery, clamping, evaluation."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from cactusnet.predictor import (PredictorModel, build_predictor,
                                  evaluate_predictor, load_predictor,
                                  predict_applicability, predict_batch,
                                  save_predictor, train_predictor)
+from test_cli import child_env
 
 
 class TestBuildPredictor:
@@ -114,6 +118,29 @@ class TestTrainPredictor:
         with pytest.raises(DataError, match=r"\[0, 1\]"):
             train_predictor(build_predictor((1, 1, 8)), samples * 3,
                             TrainConfig(0.05, 1, 4, 0))
+
+    @pytest.mark.parametrize("heldout", [False, True])
+    def test_nan_target_is_refused(self, heldout):
+        samples = [(np.zeros(8, np.float32), i / 3) for i in range(4)]
+        bad = samples[:3] + [(np.zeros(8, np.float32), float("nan"))]
+        train, held = (samples, bad) if heldout else (bad, None)
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            train_predictor(build_predictor((1, 1, 8)), train,
+                            TrainConfig(0.05, 1, 4, 0), heldout=held)
+
+    def test_fitting_imports_no_masked_arrays(self):
+        # np.unique imports numpy.ma on its first call, about 16 ms
+        code = (
+            "import sys, numpy as np\n"
+            "from cactusnet.nn import TrainConfig\n"
+            "from cactusnet.predictor import build_predictor, train_predictor\n"
+            "samples = [(np.full(8, i / 9, np.float32), i / 9) for i in range(10)]\n"
+            "train_predictor(build_predictor((1, 1, 8)), samples,\n"
+            "                TrainConfig(0.05, 1, 4, 0))\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
 
     def test_activation_shape_mismatch(self):
         spec = build_predictor((1, 1, 8))
