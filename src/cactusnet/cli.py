@@ -51,15 +51,12 @@ def _fix_malloc_thresholds():
 
 # where the running process lists the files it has mapped (Linux)
 PROC_MAPS = "/proc/self/maps"
-# OpenBLAS's thread setter: as numpy's bundled copy (scipy-openblas) names
-# it, then as a system OpenBLAS does; 64-bit integer builds first
-OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
-                    "scipy_openblas_set_num_threads",
-                    "openblas_set_num_threads64_", "openblas_set_num_threads")
+# the thread setter of numpy's bundled OpenBLAS (scipy-openblas64)
+OPENBLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
 
 
 def _mapped_openblas():
-    """The path of the OpenBLAS library this process has loaded, or None.
+    """The path of numpy's OpenBLAS as this process has mapped it, or None.
 
     Read from the process's own memory map: ``ctypes.util.find_library``
     starts subprocesses, and could name another copy than numpy's.
@@ -68,7 +65,7 @@ def _mapped_openblas():
         with open(PROC_MAPS) as maps:
             for line in maps:
                 fields = line.split(maxsplit=5)
-                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
+                if len(fields) == 6 and "scipy_openblas" in os.path.basename(fields[5]):
                     return fields[5].rstrip("\n")
     except OSError:
         pass
@@ -82,24 +79,20 @@ def pin_blas_threads():
     get) a product split over two threads rounds differently from one,
     so every file from ``train-base`` on would follow
     ``OPENBLAS_NUM_THREADS``.  At these matrix sizes a second thread
-    adds CPU time and no speed.  A silent no-op where no OpenBLAS is
-    mapped (macOS, a numpy on another BLAS), where it cannot be opened,
-    and where it has none of ``OPENBLAS_SETTERS``.
+    adds CPU time and no speed.  A silent no-op where numpy's OpenBLAS
+    is not mapped (macOS, a numpy on another BLAS), cannot be opened, or
+    lacks the setter.
     """
     path = _mapped_openblas()
     if path is None:
         return
     try:
-        lib = ctypes.cdll.LoadLibrary(path)
-    except OSError:
+        setter = getattr(ctypes.cdll.LoadLibrary(path), OPENBLAS_SET_THREADS)
+    except (OSError, AttributeError):
         return
-    for name in OPENBLAS_SETTERS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes = (ctypes.c_int,)
-            setter.restype = None
-            setter(1)
-            return
+    setter.argtypes = (ctypes.c_int,)
+    setter.restype = None
+    setter(1)
 
 
 def _parser():
