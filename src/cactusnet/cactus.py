@@ -22,7 +22,7 @@ import numpy as np
 
 from .applicability import ApplicabilityTable
 from .data.manifest import SubsetLabel
-from .errors import ConfigError, RoutingError, ShapeMismatchError
+from .errors import ConfigError, RoutingError
 from .fileio import atomic_open, write_json
 from .nn import Network, checkpoint_load, checkpoint_save, forward
 from .seeding import derive_seed
@@ -197,11 +197,10 @@ def build_tree(net: Network, tap_indices, predictors, thresholds,
                labels, decision_depth: int) -> CactusTree:
     """Cut a trained network into trunk blocks at its tap indices.
 
-    ``predictors`` maps tap index -> batch callable (activations
-    ``[n, *tap]`` in, ``n`` apps out); ``thresholds`` is one
-    Thresholds for all depths or a mapping tap index -> Thresholds.
-    The residue after the last tap (the classifier head) is attached to
-    the deepest trunk node together with its ``labels``.
+    ``predictors`` maps each tap index to a batch callable (activations
+    ``[n, *tap]`` in, ``n`` apps out); ``thresholds`` holds at every
+    depth.  The residue after the last tap (the classifier head) is
+    attached to the deepest trunk node together with its ``labels``.
     """
     taps = sorted(tap_indices)
     if not taps or taps[-1] >= net.layer_count - 1:
@@ -214,18 +213,11 @@ def build_tree(net: Network, tap_indices, predictors, thresholds,
         in_shape = net.input_shape if lo == 0 else net.shapes[lo - 1]
         return Network(net.specs[lo:hi + 1], in_shape, net.params[lo:hi + 1])
 
-    def thr_for(tap):
-        if isinstance(thresholds, Thresholds):
-            return thresholds
-        return thresholds[tap]
-
     nodes = []
     lo = 0
     for depth, tap in enumerate(taps):
-        node = CactusNode(node_id=depth, branch_id=0, block=block(lo, tap))
-        node.predictor = predictors.get(tap) if predictors else None
-        node.thresholds = thr_for(tap) if thresholds is not None else None
-        nodes.append(node)
+        nodes.append(CactusNode(node_id=depth, branch_id=0, block=block(lo, tap),
+                                predictor=predictors[tap], thresholds=thresholds))
         lo = tap + 1
     for parent, child in zip(nodes, nodes[1:]):
         parent.children.append(child)
@@ -384,10 +376,7 @@ def classify_or_flag(tree: CactusTree, image, mock_app=None) -> RouteDecision:
     ``mock_app`` substitutes the given value for every predictor call
     on this input (used for regime replays and dry runs).
     """
-    x = np.asarray(image, dtype=np.float32)
-    if x.ndim == len(tree.root.block.input_shape):
-        x = x[None]
-    return classify_batch(tree, x, [mock_app])[0]
+    return classify_batch(tree, np.asarray(image)[None], [mock_app])[0]
 
 
 # ---------------------------------------------------------------------
@@ -404,23 +393,17 @@ def _trunk_template(tree: CactusTree, at_node: CactusNode):
     return [n.block for n in below], leaf.head
 
 
-def create_branch(tree: CactusTree, at_node: CactusNode, template=None,
-                  seed: int = 0) -> int:
+def create_branch(tree: CactusTree, at_node: CactusNode, seed: int = 0) -> int:
     """Grow a fresh provisional branch off ``at_node``.
 
-    The new subtree clones the remaining trunk architecture (or the
-    given ``(blocks, head)`` template) with freshly initialized
-    parameters; the trunk itself is never touched.  The new leaf starts
-    with an empty label set and a provisional new-class label.
+    The new subtree clones the remaining trunk architecture with freshly
+    initialized parameters; the trunk itself is never touched.  The new
+    leaf starts with an empty label set and a provisional new-class
+    label.
     """
-    blocks, head = template if template is not None else _trunk_template(tree, at_node)
+    blocks, head = _trunk_template(tree, at_node)
     if not blocks:
         raise RoutingError("cannot branch at the trunk leaf: nothing below it")
-    expect = at_node.block.output_shape
-    if tuple(blocks[0].input_shape) != tuple(expect):
-        raise ShapeMismatchError(
-            f"branch template expects input {blocks[0].input_shape}, node "
-            f"emits {expect}")
     branch_id = tree.next_branch_id
     tree.next_branch_id += 1
     label = f"new-class-{branch_id}"
@@ -469,10 +452,12 @@ def grow(tree: CactusTree, input_stream, growth_config: GrowthConfig) -> GrowthL
     created (up to ``max_branches_per_node``), so a homogeneous burst of
     novel inputs consolidates into a single branch instead of one per
     image.  Every input is logged; the log replays to the same tree.
-    The stream is routed ``ROUTE_CHUNK`` rows at a time, then growth
-    folds over the decisions in input order.
+    A stream item is an image or an ``(image, mock_app)`` pair (see
+    ``classify_batch``).  The stream is routed ``ROUTE_CHUNK`` rows at a
+    time, then growth folds over the decisions in input order.
     """
-    items = [_stream_item(item) for item in input_stream]
+    items = [item if isinstance(item, tuple) else (item, None)
+             for item in input_stream]
     log = GrowthLog(growth_config)
     for lo in range(0, len(items), ROUTE_CHUNK):
         images, mocks = zip(*items[lo:lo + ROUTE_CHUNK])
@@ -510,14 +495,6 @@ def grow(tree: CactusTree, input_stream, growth_config: GrowthConfig) -> GrowthL
             else:
                 decision.unrouted = True
     return log
-
-
-def _stream_item(item):
-    if isinstance(item, tuple):
-        return item[0], item[1]
-    if isinstance(item, dict):
-        return item.get("image"), item.get("mock_app")
-    return item, None
 
 
 def replay_log(tree: CactusTree, log: GrowthLog) -> CactusTree:
@@ -566,12 +543,9 @@ def save_tree(tree: CactusTree, out_dir):
     shutil.rmtree(old, ignore_errors=True)
 
 
-def load_tree(tree_dir, predictors=None) -> CactusTree:
-    """Rebuild a tree from ``save_tree`` output.
-
-    ``predictors`` maps node_id -> callable to rewire predictors (they
-    are checkpointed separately by the experiment runner).
-    """
+def load_tree(tree_dir) -> CactusTree:
+    """Rebuild a tree from ``save_tree`` output, without predictors (the
+    experiment runner checkpoints those separately)."""
     root_dir = Path(tree_dir)
     with open(root_dir / "tree.json", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -580,7 +554,6 @@ def load_tree(tree_dir, predictors=None) -> CactusTree:
         node = CactusNode(
             block=checkpoint_load(root_dir / desc["block"]),
             head=checkpoint_load(root_dir / desc["head"]) if desc["head"] else None,
-            predictor=(predictors or {}).get(desc["node_id"]),
             **{name: _or_none(load, desc[name])
                for name, (_, load) in _NODE_FIELDS.items()})
         node.children = [restore(c) for c in desc["children"]]

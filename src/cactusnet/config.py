@@ -1,8 +1,9 @@
 """Experiment configuration: one JSON file drives every phase.
 
-Top-level scalar fields can be overridden by environment variables of
-the form ``CNL_<FIELD>`` (e.g. ``CNL_MASTER_SEED=7``,
-``CNL_OUT_DIR=/tmp/run``); command-line flags override both.
+``DEFAULTS`` is its schema (see ``_merge``).  Top-level scalar fields can
+be overridden by environment variables of the form ``CNL_<FIELD>`` (e.g.
+``CNL_MASTER_SEED=7``, ``CNL_OUT_DIR=/tmp/run``); command-line flags
+override both.
 """
 
 import json
@@ -10,10 +11,14 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .cactus import GrowthConfig, Thresholds, compute_thresholds
 from .errors import ConfigError
 from .nn import LayerSpec, TrainConfig
 
 ENV_PREFIX = "CNL_"
+
+# settings since removed; a document that still carries one loads
+RETIRED_KEYS = ("workers",)
 
 # scalar fields that may come from the environment, with their parsers
 _ENV_FIELDS = {
@@ -57,9 +62,9 @@ class ExperimentConfig:
     decision_depth: int
     threshold_reference_tap: int
     threshold_final_tap: int
-    threshold_overrides: dict | None
+    threshold_overrides: Thresholds | None
     train: PhaseBudgets
-    growth: dict
+    growth: GrowthConfig          # its seed is derived per run, not set here
     heldout_classes: tuple        # empty = pick one per subset automatically
     master_seed: int
     out_dir: str
@@ -78,9 +83,6 @@ class ExperimentConfig:
         return self.path(self.out_dir)
 
     def validate(self):
-        for f in fields(DatasetConfig):
-            if f.type is int:
-                _integer(getattr(self.dataset, f.name), f"dataset.{f.name}")
         if not self.taps:
             raise ConfigError("at least one tap index is required")
         if len(set(self.taps)) != len(self.taps):
@@ -139,7 +141,7 @@ DEFAULTS = {
         "pair": {"learning_rate": 0.05, "epochs": 4, "batch_size": 32},
         "predictor": {"learning_rate": 0.02, "epochs": 45, "batch_size": 32},
     },
-    "growth": {"max_branches_per_node": 4, "consolidation_window": 25},
+    "growth": {f.name: f.default for f in fields(GrowthConfig) if f.name != "seed"},
     "heldout_classes": [],
     "master_seed": 3,
     "out_dir": "out",
@@ -153,14 +155,41 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def _train_config(d: dict, phase: str) -> TrainConfig:
-    try:
-        return TrainConfig(d["learning_rate"],
-                           _integer(d["epochs"], f"train.{phase}.epochs"),
-                           _integer(d["batch_size"], f"train.{phase}.batch_size"),
-                           seed=int(d.get("seed", 0)))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad training budget {d}: {exc}") from exc
+def _merge(doc, schema: dict, where="", retired=()) -> dict:
+    """``doc`` laid over ``schema`` key by key, recursing into every
+    object the schema holds.  A non-object ``doc``, a key the schema
+    lacks (other than a ``retired`` one, which is ignored), or a
+    non-integer where the schema holds an integer, is refused."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where or 'the config'} must be a JSON object, "
+                          f"got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(schema) - set(retired))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(unknown)} in "
+                          f"{where or 'the config'}")
+    merged = {**schema, **doc}
+    for key, default in schema.items():
+        path = f"{where}.{key}" if where else key
+        if isinstance(default, dict) and key in doc:
+            merged[key] = _merge(doc[key], default, path)
+        elif type(default) is int:
+            _integer(merged[key], path)
+    return merged
+
+
+def _group(doc, where: str) -> dict:
+    """One idx group: ``images`` and ``labels`` paths, integer ``id_offset``."""
+    group = _merge(doc, {"images": None, "labels": None, "id_offset": 0}, where)
+    if not all(isinstance(group[key], str) for key in ("images", "labels")):
+        raise ConfigError(f"{where} needs images and labels path strings")
+    return group
+
+
+def _thresholds(doc) -> Thresholds:
+    baselines = _merge(doc, dict.fromkeys(("q", "y1", "y2")), "threshold_overrides")
+    if None in baselines.values():
+        raise ConfigError(f"threshold_overrides needs q, y1 and y2, got {doc}")
+    return compute_thresholds(**baselines)
 
 
 def load_config(path, cli_overrides=None) -> ExperimentConfig:
@@ -179,8 +208,7 @@ def load_config(path, cli_overrides=None) -> ExperimentConfig:
 
 def config_from_dict(raw: dict, base_dir=Path("."),
                      cli_overrides=None) -> ExperimentConfig:
-    merged = dict(DEFAULTS)
-    merged.update(raw or {})
+    merged = _merge(raw, DEFAULTS, retired=RETIRED_KEYS)
     for env_key, (field_name, parse) in _ENV_FIELDS.items():
         value = os.environ.get(ENV_PREFIX + env_key)
         if value is not None:
@@ -193,32 +221,30 @@ def config_from_dict(raw: dict, base_dir=Path("."),
         if value is not None:
             merged[key] = value
 
-    def integer(name):
-        return _integer(merged[name], name)
-
     try:
-        arch = merged["architecture"]
-        layers = tuple(LayerSpec.from_dict(d) for d in arch["layers"])
-        input_shape = tuple(arch["input_shape"])
-        train = merged["train"]
-        budgets = PhaseBudgets(**{phase: _train_config(train[phase], phase)
-                                  for phase in ("base", "pair", "predictor")})
+        arch, dataset = merged["architecture"], merged["dataset"]
+        groups = [_group(g, f"dataset.groups[{i}]")
+                  for i, g in enumerate(dataset["groups"])]
+        overrides = merged["threshold_overrides"]
         cfg = ExperimentConfig(
             manifest=merged["manifest"],
-            dataset=DatasetConfig(**(merged["dataset"] or {})),
-            input_shape=input_shape,
-            layers=layers,
+            dataset=DatasetConfig(**{**dataset, "groups": groups}),
+            input_shape=tuple(arch["input_shape"]),
+            layers=tuple(LayerSpec.from_dict(d) for d in arch["layers"]),
             taps=tuple(merged["taps"]),
-            k=integer("k"),
+            k=merged["k"],
             train_fraction=float(merged["train_fraction"]),
-            decision_depth=integer("decision_depth"),
-            threshold_reference_tap=integer("threshold_reference_tap"),
-            threshold_final_tap=integer("threshold_final_tap"),
-            threshold_overrides=merged["threshold_overrides"],
-            train=budgets,
-            growth=dict(merged["growth"]),
-            heldout_classes=tuple(merged["heldout_classes"]),
-            master_seed=integer("master_seed"),
+            decision_depth=merged["decision_depth"],
+            threshold_reference_tap=merged["threshold_reference_tap"],
+            threshold_final_tap=merged["threshold_final_tap"],
+            threshold_overrides=None if overrides is None else _thresholds(overrides),
+            # seed 0: each phase derives its own from the master seed
+            train=PhaseBudgets(**{phase: TrainConfig(**budget, seed=0)
+                                  for phase, budget in merged["train"].items()}),
+            growth=GrowthConfig(**merged["growth"]),
+            heldout_classes=tuple(_integer(c, f"heldout_classes[{i}]")
+                                  for i, c in enumerate(merged["heldout_classes"])),
+            master_seed=merged["master_seed"],
             out_dir=merged["out_dir"],
             base_dir=Path(base_dir),
         )

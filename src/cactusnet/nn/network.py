@@ -352,6 +352,23 @@ def accuracy(net: Network, images, labels) -> float:
     return float(np.mean(pred == np.asarray(labels)))
 
 
+def sgd_epochs(net: Network, x, targets, cfg: TrainConfig, loss_kind):
+    """Minibatch SGD on ``(x, targets)``, each epoch a new permutation
+    from ``cfg.seed``'s stream.  Yields each epoch's snapshot and the mean
+    of its minibatch losses, each taken before that minibatch's step."""
+    rng = rng_for(cfg.seed)
+    n = x.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        losses = []
+        for lo in range(0, n, cfg.batch_size):
+            sel = order[lo:lo + cfg.batch_size]
+            grads, loss = backward(net, x[sel], targets[sel], loss_kind)
+            net = sgd_step(net, grads, cfg)
+            losses.append(loss)
+        yield net, float(np.mean(losses))
+
+
 def train_classifier(net: Network, images, labels, cfg: TrainConfig):
     """Minibatch SGD with cross-entropy; deterministic given ``cfg.seed``.
 
@@ -359,19 +376,10 @@ def train_classifier(net: Network, images, labels, cfg: TrainConfig):
     """
     images = np.asarray(images)
     labels = np.asarray(labels)
-    width = net.output_shape[0]
-    targets = one_hot(labels, width)
-    rng = rng_for(cfg.seed)
+    targets = one_hot(labels, net.output_shape[0])
     history = []
-    n = images.shape[0]
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for lo in range(0, n, cfg.batch_size):
-            sel = order[lo:lo + cfg.batch_size]
-            grads, loss = backward(net, images[sel], targets[sel], "CrossEntropy")
-            net = sgd_step(net, grads, cfg)
-            losses.append(loss)
-        history.append({"epoch": epoch, "loss": float(np.mean(losses)),
+    for epoch, (net, loss) in enumerate(
+            sgd_epochs(net, images, targets, cfg, "CrossEntropy")):
+        history.append({"epoch": epoch, "loss": loss,
                         "accuracy": accuracy(net, images, labels)})
     return net, history

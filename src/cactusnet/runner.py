@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -60,9 +61,8 @@ def resolve_sources(cfg: ExperimentConfig, manifest: DatasetManifest):
     for group in cfg.dataset.groups:
         images = load_idx(cfg.path(group["images"]))
         labels = load_idx(cfg.path(group["labels"]))
-        offset = int(group.get("id_offset", 0))
         for cid in np.unique(labels):
-            sources[int(cid) + offset] = images[labels == cid]
+            sources[int(cid) + group["id_offset"]] = images[labels == cid]
     return sources
 
 
@@ -359,10 +359,7 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
 # cactus-run
 # ---------------------------------------------------------------------
 
-def _thresholds(cfg, table, manifest) -> cactus.Thresholds:
-    if cfg.threshold_overrides:
-        o = cfg.threshold_overrides
-        return cactus.compute_thresholds(o["q"], o["y1"], o["y2"])
+def _baseline_thresholds(cfg, table, manifest) -> cactus.Thresholds:
     labels = {cid: manifest.entry(cid).subset for cid in manifest.measured_ids}
     q, y1, y2 = cactus.baseline_from_tables(
         table, labels, cfg.threshold_reference_tap, cfg.threshold_final_tap)
@@ -373,7 +370,8 @@ def build_cactus_tree(cfg: ExperimentConfig, mock=False):
     out = cfg.out_path
     net = checkpoint_load(out / BASE_CKPT)
     table, manifest = load_table(cfg)
-    thresholds = _thresholds(cfg, table, manifest)
+    thresholds = (cfg.threshold_overrides
+                  or _baseline_thresholds(cfg, table, manifest))
     predictors = {}
     for tap in cfg.taps:
         if mock:
@@ -399,7 +397,8 @@ def read_stream(cfg: ExperimentConfig, manifest, doc):
 
     Formats: {"type": "mock", "apps": [...]} replays scripted
     applicability values; {"type": "manifest", "classes": [...],
-    "per_class": n} draws test images of manifest classes;
+    "per_class": n} draws the first n test images (n an integer >= 1,
+    default 1) of manifest classes;
     {"type": "dataset", "path": ...} walks a binary dataset cache.
     A document missing a field or holding an ill-typed one, or naming a
     dataset file that cannot be opened, raises ``ConfigError``; an error
@@ -412,9 +411,12 @@ def read_stream(cfg: ExperimentConfig, manifest, doc):
             blank = np.zeros(cfg.input_shape, dtype=np.float32)
             return [((blank, float(a)), "mock") for a in doc["apps"]]
         if kind == "manifest":
+            per = doc.get("per_class", 1)
+            if isinstance(per, bool) or not isinstance(per, int) or per < 1:
+                raise ConfigError(
+                    f"stream per_class must be an integer >= 1, got {per!r}")
             splits = _splits(cfg, manifest)
             items = []
-            per = int(doc.get("per_class", 1))
             for cid in doc["classes"]:
                 entry = manifest.entry(cid)
                 images = splits.test_images(cid)[:per]
@@ -448,10 +450,7 @@ def run_cactus(cfg: ExperimentConfig, stream_path) -> dict:
     tree, manifest = build_cactus_tree(cfg, mock=doc.get("type") == "mock")
     items = read_stream(cfg, manifest, doc)
 
-    gcfg = cactus.GrowthConfig(
-        max_branches_per_node=int(cfg.growth["max_branches_per_node"]),
-        consolidation_window=int(cfg.growth["consolidation_window"]),
-        seed=derive_seed(cfg.master_seed, 0x6120))
+    gcfg = replace(cfg.growth, seed=derive_seed(cfg.master_seed, 0x6120))
     log = cactus.grow(tree, [item for item, _ in items], gcfg)
 
     cactus.save_growth_log(log, out / GROWTH_LOG)

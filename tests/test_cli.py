@@ -4,13 +4,17 @@ Uses a deliberately tiny experiment so the full phase chain runs in
 seconds; the desk-scale defaults are exercised by the acceptance suite.
 """
 
+import ast
+import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from cactusnet.cactus import GrowthConfig
 from cactusnet.cli import main
-from cactusnet.config import config_from_dict, load_config
+from cactusnet.config import DEFAULTS, config_from_dict, load_config
 from cactusnet.errors import ConfigError
 
 TINY = {
@@ -195,6 +199,59 @@ class TestExitCodes:
         assert "tap" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_non_object_document_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        capsys.readouterr()
+        assert run(path, "prepare") == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "tapz"), ("train.pair", "seed"), ("growth", "seed"),
+        ("architecture", "layer")])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, section, key):
+        doc = json.loads(json.dumps(TINY))
+        node = doc
+        for name in section.split(".") if section else ():
+            node = node.setdefault(name, {})
+        node[key] = 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(path, "prepare") == 2
+        assert f"unknown key(s) {key}" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("growth", {"max_branches_per_node": 2.9}),
+        ("growth", {"max_branches_per_node": "7"}),
+        ("growth", 4),
+        ("threshold_overrides", {"q": 0.9, "y1": 0.8}),
+        ("threshold_overrides", {"q": 0.9, "y1": 0.8, "y2": 0.7, "tau1": 0.9}),
+        ("heldout_classes", [2.0]),
+        ("train", {"pair": [0.05, 2, 16]})])
+    def test_ill_formed_section_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_tiny_config(tmp_path, **{field: value})
+        capsys.readouterr()
+        assert run(cfg, "prepare") == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("group", [
+        {"labels": "labels.idx"}, {"images": "images.idx", "labels": 3},
+        {"images": "images.idx", "labels": "labels.idx", "id_offset": 1.5},
+        {"images": "images.idx", "labels": "labels.idx", "offset": 1},
+        "images.idx"])
+    def test_malformed_idx_group_exits_2(self, tmp_path, capsys, group):
+        assert run(write_tiny_config(tmp_path), "prepare") == 0
+        dataset = dict(TINY["dataset"], type="idx", groups=[group])
+        cfg = write_tiny_config(tmp_path, dataset=dataset)
+        capsys.readouterr()
+        assert run(cfg, "train-base") == 2
+        assert "dataset.groups[0]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_measure_before_train_base_exits_2(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         assert run(cfg, "prepare") == 0
@@ -218,7 +275,10 @@ class TestExitCodes:
         "{not json", "[1]", '{"type": "mock"}', '{"type": "dataset"}',
         '{"type": "mock", "apps": ["high"]}',
         '{"type": "dataset", "path": "missing.bin"}',
-        '{"type": "dataset", "path": "."}'])
+        '{"type": "dataset", "path": "."}',
+        '{"type": "manifest", "classes": [0], "per_class": 0}',
+        '{"type": "manifest", "classes": [0], "per_class": -1}',
+        '{"type": "manifest", "classes": [0], "per_class": 2.7}'])
     def test_malformed_stream_exits_2(self, pipeline_dir, tmp_path, capsys, text):
         stream = tmp_path / "malformed.json"
         stream.write_text(text)
@@ -248,6 +308,17 @@ class TestExitCodes:
         assert run(cfg, "cactus-run", str(stream)) == 0
         lines = (tmp_path / "out" / "growth_log.jsonl").read_text().splitlines()
         assert len(lines) == 1  # header only, no decisions
+
+
+def test_partial_growth_takes_the_other_defaults(pipeline_dir, tmp_path):
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    cfg = write_tiny_config(base, growth={"consolidation_window": 10})
+    assert load_config(cfg).growth == GrowthConfig(max_branches_per_node=4,
+                                                   consolidation_window=10)
+    assert run(cfg, "cactus-run", str(base / "stream.json")) == 0
+    header = (base / "out" / "growth_log.jsonl").read_text().splitlines()[0]
+    assert json.loads(header)["config"]["consolidation_window"] == 10
 
 
 def child_env():
@@ -297,6 +368,33 @@ class TestConfig:
     def test_default_document_validates(self):
         from cactusnet.config import default_config_dict
         config_from_dict(default_config_dict()).validate()
+
+    def test_partial_sections_take_their_defaults(self):
+        cfg = config_from_dict({"train": {"pair": {"epochs": 2}},
+                                "architecture": {"input_shape": [20, 20, 1]}})
+        defaults = config_from_dict({})
+        assert cfg.train.pair.epochs == 2
+        assert cfg.train.pair.learning_rate == DEFAULTS["train"]["pair"]["learning_rate"]
+        assert (cfg.train.base, cfg.train.predictor) == \
+            (defaults.train.base, defaults.train.predictor)
+        assert cfg.layers == defaults.layers
+
+    def test_every_config_document_the_repo_writes_loads(self):
+        """A key added to one of these without a schema entry fails here."""
+        from cactusnet.config import default_config_dict
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", root / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        demo = ast.parse((root / "demos" / "06_full_pipeline.py").read_text())
+        demo_config, = [ast.literal_eval(node.value) for node in demo.body
+                        if isinstance(node, ast.Assign)
+                        and [getattr(t, "id", None) for t in node.targets] == ["CONFIG"]]
+        documents = [workloads.config_doc(3, size) for size in workloads.SIZES]
+        documents += [demo_config, TINY, default_config_dict()]
+        for doc in documents:
+            config_from_dict(doc)
 
     def test_unknown_top_level_workers_key_is_ignored(self, tmp_path):
         # perfbench's workload configs still carry "workers": 2
