@@ -35,10 +35,9 @@ sweep = layer_sweep(net, manifest.measured_ids, manifest.probe_set, splits,
                     TrainConfig(0.05, 3, 16, seed=0), [tap], master_seed=33)
 
 # plan selection depends on the tap shape
-shape = net.shapes[tap]
-tap_shape = (1, 1, shape[0]) if len(shape) == 1 else shape
-spec = build_predictor(tap_shape)
-print(f"tap {tap} shape {tap_shape} -> {spec.plan} plan")
+plan = build_predictor(net.shapes[tap])
+print(f"tap {tap} shape {net.shapes[tap]} -> "
+      f"{' '.join(s.kind for s in plan)}")
 
 # hold out the measured objective-unknown class; the predictor still
 # trains on both high-App (organic) and low-App (manufactured) examples
@@ -52,7 +51,8 @@ for cid in train_ids:
     target = sweep.table.app(cid, tap)
     samples.extend((acts[i], target) for i in range(acts.shape[0]))
 
-model, report = train_predictor(spec, samples, TrainConfig(0.02, 30, 16, 3),
+model, report = train_predictor(net.shapes[tap], samples,
+                                TrainConfig(0.02, 30, 16, 3),
                                 layer_index=tap, train_class_ids=train_ids)
 print(f"trained on {report.n_samples} samples, "
       f"final train MSE {report.final_train_mse:.5f}")

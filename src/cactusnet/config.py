@@ -158,8 +158,10 @@ def _integer(value, name: str) -> int:
 def _merge(doc, schema: dict, where="", retired=()) -> dict:
     """``doc`` laid over ``schema`` key by key, recursing into every
     object the schema holds.  A non-object ``doc``, a key the schema
-    lacks (other than a ``retired`` one, which is ignored), or a
-    non-integer where the schema holds an integer, is refused."""
+    lacks (other than a ``retired`` one, which is ignored), or a value
+    unlike the schema's scalar is refused: a non-integer where it holds
+    an integer, a non-string where it holds a string, and a bool or
+    non-number where it holds a float."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where or 'the config'} must be a JSON object, "
                           f"got {type(doc).__name__}")
@@ -170,10 +172,16 @@ def _merge(doc, schema: dict, where="", retired=()) -> dict:
     merged = {**schema, **doc}
     for key, default in schema.items():
         path = f"{where}.{key}" if where else key
+        value = merged[key]
         if isinstance(default, dict) and key in doc:
-            merged[key] = _merge(doc[key], default, path)
+            merged[key] = _merge(value, default, path)
         elif type(default) is int:
-            _integer(merged[key], path)
+            _integer(value, path)
+        elif type(default) is str and not isinstance(value, str):
+            raise ConfigError(f"{path} must be a string, got {value!r}")
+        elif type(default) is float and (isinstance(value, bool)
+                                         or not isinstance(value, (int, float))):
+            raise ConfigError(f"{path} must be a number, got {value!r}")
     return merged
 
 

@@ -4,7 +4,9 @@ Small regressors that map a layer's activation tensor to a scalar
 predicted applicability in [0, 1].  Convolutional taps get a two-block
 CNN (two convs + 2x2 max-pool per block; 32 filters in the first block,
 64 in the second) with the kernel size adapted so valid shapes survive
-both poolings; flat taps of shape (1, 1, d) get a small MLP instead.
+both poolings; flat taps of shape (d,) and small maps get a small MLP
+instead.  A predictor is described by its ``Network`` alone: the tap
+shape is its input shape, the plan its layers.
 Targets are class-level applicabilities assigned to every image of the
 class, trained with mean squared error.
 """
@@ -42,36 +44,28 @@ def _dense_plan():
             LayerSpec.dense(1)]
 
 
-@dataclass(frozen=True)
-class PredictorSpec:
-    tap_shape: tuple      # (h, w, maps); flat taps are (1, 1, outputs)
-    plan: str             # "conv" or "dense"
-    kernel: int = 0       # conv plan only
-
-    def layer_specs(self):
-        return _conv_plan(self.kernel) if self.plan == "conv" else _dense_plan()
-
-
-def build_predictor(tap_shape) -> PredictorSpec:
-    """Choose the predictor plan for a tap of shape (h, w, maps).
+def build_predictor(tap_shape) -> list:
+    """The predictor's layer plan for a tap as the base net emits it,
+    ``(h, w, maps)`` or ``(d,)``.
 
     The convolutional plan applies when min(h, w) >= 4, which is exactly
     when two conv blocks with valid pooling fit; the kernel size is the
-    largest of 3/2/1 that keeps every stage non-empty.
+    largest of 3/2/1 that keeps every stage non-empty.  Any other tap
+    gets the MLP.
     """
     tap_shape = tuple(int(d) for d in tap_shape)
-    if len(tap_shape) != 3 or any(d < 1 for d in tap_shape):
+    if len(tap_shape) not in (1, 3) or any(d < 1 for d in tap_shape):
         raise ShapeMismatchError(
-            f"tap shape must be 3 positive extents, got {tap_shape}")
-    h, w, _ = tap_shape
-    if min(h, w) >= 4:
+            f"tap shape must be (h, w, maps) or (d,) of positive extents, "
+            f"got {tap_shape}")
+    if len(tap_shape) == 3 and min(tap_shape[:2]) >= 4:
         for kernel in (3, 2, 1):
             try:
                 output_shapes(_conv_plan(kernel), tap_shape)
             except ShapeMismatchError:
                 continue
-            return PredictorSpec(tap_shape, "conv", kernel)
-    return PredictorSpec(tap_shape, "dense")
+            return _conv_plan(kernel)
+    return _dense_plan()
 
 
 @dataclass
@@ -91,29 +85,25 @@ class TrainingReport:
 
 @dataclass
 class PredictorModel:
-    """A trained predictor plus the input normalization it was fit with."""
-    spec: PredictorSpec
+    """A trained predictor plus the input normalization it was fit with.
+    Its tap shape is ``net.input_shape``."""
     net: Network
     layer_index: int
     in_mean: float
     in_scale: float
     train_class_ids: tuple = ()
-    report: TrainingReport | None = None
 
     def normalize(self, acts):
         return ((acts - self.in_mean) / self.in_scale).astype(np.float32)
 
 
-def _stack_samples(spec, samples):
+def _stack_samples(tap_shape, samples):
     acts, targets = [], []
     for activation, target in samples:
         arr = np.asarray(activation, dtype=np.float32)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, 1, -1)
-        if arr.shape != spec.tap_shape:
+        if arr.shape != tap_shape:
             raise ShapeMismatchError(
-                f"activation shape {arr.shape} does not match tap "
-                f"{spec.tap_shape}")
+                f"activation shape {arr.shape} does not match tap {tap_shape}")
         acts.append(arr)
         targets.append(float(target))
     x = np.stack(acts)
@@ -130,14 +120,18 @@ def _mse(net, x, y):
     return float(np.mean((out.astype(np.float64) - y) ** 2))
 
 
-def train_predictor(spec: PredictorSpec, samples, cfg, heldout=None,
-                    layer_index=-1, train_class_ids=()):
-    """Fit the predictor by SGD on mean squared error.
+def train_predictor(tap_shape, samples, cfg, heldout=None, layer_index=-1,
+                    train_class_ids=()):
+    """Fit a predictor for a tap of ``tap_shape`` by SGD on mean squared
+    error.
 
-    ``samples`` is a sequence of (activation, target) pairs; ``heldout``,
-    when given, is scored after training and recorded in the report.
+    ``samples`` is a sequence of (activation, target) pairs, each
+    activation of ``tap_shape``; ``heldout``, when given, is scored
+    after training and recorded in the report.
     """
-    x, y = _stack_samples(spec, samples)
+    tap_shape = tuple(tap_shape)
+    plan = build_predictor(tap_shape)
+    x, y = _stack_samples(tap_shape, samples)
     if x.shape[0] < 2:
         raise DataError("need at least 2 samples to fit a predictor")
     if y.min() == y.max():
@@ -147,20 +141,17 @@ def train_predictor(spec: PredictorSpec, samples, cfg, heldout=None,
     scale = float(x.std()) or 1.0
     xn = ((x - mean) / scale).astype(np.float32)
 
-    net = Network.build(spec.layer_specs(), spec.tap_shape,
-                        seed=rng_for(cfg.seed, 0xF17).integers(2**31))
+    net = Network.build(plan, tap_shape, seed=rng_for(cfg.seed, 0xF17).integers(2**31))
     epoch_losses = []
     for net, loss in sgd_epochs(net, xn, y[:, None], cfg, "MSE"):
         epoch_losses.append(loss)
 
-    model = PredictorModel(spec, net, layer_index, mean, scale,
+    model = PredictorModel(net, layer_index, mean, scale,
                            tuple(train_class_ids))
     report = TrainingReport(epoch_losses, len(xn), _mse(net, xn, y))
     if heldout is not None:
-        hx, hy = _stack_samples(spec, heldout)
-        hn = model.normalize(hx)
-        report.heldout_mse = _mse(net, hn, hy)
-    model.report = report
+        hx, hy = _stack_samples(tap_shape, heldout)
+        report.heldout_mse = _mse(net, model.normalize(hx), hy)
     return model, report
 
 
@@ -171,14 +162,13 @@ def predict_applicability(model: PredictorModel, activation) -> float:
 
 
 def predict_batch(model: PredictorModel, activations) -> np.ndarray:
-    """Predicted applicabilities for ``[n, *tap]`` activations (flat taps
-    may come as ``[n, d]``), clamped to [0, 1]."""
+    """Predicted applicabilities for ``[n, *tap]`` activations, clamped
+    to [0, 1]."""
     arr = np.asarray(activations, dtype=np.float32)
-    if arr.ndim == 2:
-        arr = arr.reshape(arr.shape[0], 1, 1, -1)
-    if arr.shape[1:] != model.spec.tap_shape:
+    tap_shape = model.net.input_shape
+    if arr.shape[1:] != tap_shape:
         raise ShapeMismatchError(
-            f"activations {arr.shape} do not match tap {model.spec.tap_shape}")
+            f"activations {arr.shape} do not match tap {tap_shape}")
     out = predict(model.net, model.normalize(arr))[:, 0]
     return np.clip(out, 0.0, 1.0)
 
@@ -229,9 +219,6 @@ def evaluate_predictor(model: PredictorModel, held_out) -> EvaluationReport:
 def save_predictor(model: PredictorModel, path):
     extra = {
         "layer_index": model.layer_index,
-        "tap_shape": list(model.spec.tap_shape),
-        "plan": model.spec.plan,
-        "kernel": model.spec.kernel,
         "in_mean": model.in_mean,
         "in_scale": model.in_scale,
         "train_class_ids": list(model.train_class_ids),
@@ -241,7 +228,5 @@ def save_predictor(model: PredictorModel, path):
 
 def load_predictor(path) -> PredictorModel:
     net, extra = checkpoint_load_with_extra(path, magic=PREDICTOR_MAGIC)
-    spec = PredictorSpec(tuple(extra["tap_shape"]), extra["plan"],
-                         extra["kernel"])
-    return PredictorModel(spec, net, extra["layer_index"], extra["in_mean"],
+    return PredictorModel(net, extra["layer_index"], extra["in_mean"],
                           extra["in_scale"], tuple(extra["train_class_ids"]))

@@ -22,13 +22,13 @@ from .config import ExperimentConfig
 from .data import (DatasetManifest, SubsetLabel, build_splits,
                    generate_synthetic, load_dataset, load_idx,
                    synthetic_manifest)
-from .errors import CactusNetError, ConfigError
+from .errors import CactusNetError, ConfigError, DataError
 from .fileio import atomic_open, fmt_float, write_json
 # perfbench's tracer patches and checks the runner.forward binding
 from .nn import (Network, accuracy, checkpoint_load, checkpoint_save,  # noqa: F401
                  forward, train_classifier)
-from .predictor import (build_predictor, evaluate_predictor, load_predictor,
-                        predict_batch, save_predictor, train_predictor)
+from .predictor import (evaluate_predictor, load_predictor, predict_batch,
+                        save_predictor, train_predictor)
 from .seeding import derive_seed
 
 BASE_CKPT = "base.ckpt"
@@ -58,9 +58,12 @@ def resolve_sources(cfg: ExperimentConfig, manifest: DatasetManifest):
                                 cfg.dataset.image_side, cfg.dataset.seed)
         return ds.images
     sources = {}
-    for group in cfg.dataset.groups:
+    for i, group in enumerate(cfg.dataset.groups):
         images = load_idx(cfg.path(group["images"]))
         labels = load_idx(cfg.path(group["labels"]))
+        if len(images) != len(labels):
+            raise DataError(f"dataset.groups[{i}] holds {len(images)} images "
+                            f"but {len(labels)} labels")
         for cid in np.unique(labels):
             sources[int(cid) + group["id_offset"]] = images[labels == cid]
     return sources
@@ -306,10 +309,6 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
     summary = []
     eval_rows = []
     for tap in cfg.taps:
-        tap_shape = tuple(net.shapes[tap])
-        if len(tap_shape) == 1:
-            tap_shape = (1, 1, tap_shape[0])
-        spec = build_predictor(tap_shape)
         samples, held_samples = [], []
         for cid in train_ids:
             target = table.app(cid, tap)
@@ -321,7 +320,7 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
             held_samples.extend((acts[i], target) for i in range(acts.shape[0]))
         budget = cfg.train.predictor.with_seed(
             derive_seed(cfg.master_seed, 0x93ED, tap))
-        model, report = train_predictor(spec, samples, budget,
+        model, report = train_predictor(net.shapes[tap], samples, budget,
                                         heldout=held_samples,
                                         layer_index=tap,
                                         train_class_ids=train_ids)

@@ -25,7 +25,7 @@ from cactusnet.data import build_splits, generate_synthetic, synthetic_manifest
 from cactusnet.nn import (LayerSpec, Network, TrainConfig, backward,
                           checkpoint_load, checkpoint_save, forward, predict,
                           replace_head, sgd_step)
-from cactusnet.predictor import build_predictor, train_predictor
+from cactusnet.predictor import train_predictor
 from cactusnet.seeding import derive_seed
 
 from test_cli import run_full
@@ -249,13 +249,10 @@ def test_criterion_07_predictor_fidelity(desk):
         target = table.app(cid, tap)
         held_samples.extend((acts[i], target) for i in range(acts.shape[0]))
 
-    tap_shape = net.shapes[tap]
-    if len(tap_shape) == 1:
-        tap_shape = (1, 1, tap_shape[0])
-    spec = build_predictor(tap_shape)
     budget = cfg.train.predictor.with_seed(derive_seed(cfg.master_seed, 0x5FFF, 1))
-    _, rep = train_predictor(spec, shuffled_samples, budget, heldout=held_samples,
-                             layer_index=tap, train_class_ids=train_ids)
+    _, rep = train_predictor(net.shapes[tap], shuffled_samples, budget,
+                             heldout=held_samples, layer_index=tap,
+                             train_class_ids=train_ids)
     mean_target = float(np.mean(train_targets))
     baseline = float(np.mean([(t - mean_target) ** 2 for _, t in held_samples]))
     control_ok = rep.heldout_mse >= 0.9 * baseline

@@ -5,17 +5,23 @@ seconds; the desk-scale defaults are exercised by the acceptance suite.
 """
 
 import ast
+import csv
 import importlib.util
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cactusnet.cactus import GrowthConfig
 from cactusnet.cli import main
 from cactusnet.config import DEFAULTS, config_from_dict, load_config
+from cactusnet.data import write_idx_images, write_idx_labels
 from cactusnet.errors import ConfigError
+from cactusnet.fileio import fmt_float
+from cactusnet.nn import Network, checkpoint_save
+from cactusnet.predictor import PREDICTOR_MAGIC, load_predictor
 
 TINY = {
     "manifest": "manifest.json",
@@ -230,7 +236,9 @@ class TestExitCodes:
         ("threshold_overrides", {"q": 0.9, "y1": 0.8}),
         ("threshold_overrides", {"q": 0.9, "y1": 0.8, "y2": 0.7, "tau1": 0.9}),
         ("heldout_classes", [2.0]),
-        ("train", {"pair": [0.05, 2, 16]})])
+        ("train", {"pair": [0.05, 2, 16]}),
+        ("out_dir", 5), ("manifest", 5),
+        ("train_fraction", "0.5"), ("train_fraction", True)])
     def test_ill_formed_section_exits_2(self, tmp_path, capsys, field, value):
         cfg = write_tiny_config(tmp_path, **{field: value})
         capsys.readouterr()
@@ -250,6 +258,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(cfg, "train-base") == 2
         assert "dataset.groups[0]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_idx_group_with_mismatched_counts_exits_2(self, tmp_path, capsys):
+        assert run(write_tiny_config(tmp_path), "prepare") == 0
+        write_idx_images(tmp_path / "images.idx", np.zeros((10, 12, 12), np.uint8))
+        write_idx_labels(tmp_path / "labels.idx", [0] * 8)
+        dataset = dict(TINY["dataset"], type="idx", groups=[
+            {"images": "images.idx", "labels": "labels.idx"}])
+        cfg = write_tiny_config(tmp_path, dataset=dataset)
+        capsys.readouterr()
+        assert run(cfg, "train-base") == 2
+        err = capsys.readouterr().err
+        assert "dataset.groups[0] holds 10 images but 8 labels" in err
         assert not (tmp_path / "out").exists()
 
     def test_measure_before_train_base_exits_2(self, tmp_path):
@@ -319,6 +340,47 @@ def test_partial_growth_takes_the_other_defaults(pipeline_dir, tmp_path):
     assert run(cfg, "cactus-run", str(base / "stream.json")) == 0
     header = (base / "out" / "growth_log.jsonl").read_text().splitlines()[0]
     assert json.loads(header)["config"]["consolidation_window"] == 10
+
+
+def test_stale_flat_tap_predictor_exits_2(pipeline_dir, tmp_path, capsys):
+    # predictor checkpoints written before taps kept their shape store a
+    # flat tap as (1, 1, d), and repeat the plan in their extra fields
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    out = base / "out"
+    ckpt = out / "predictor_tap05.ckpt"
+    model = load_predictor(ckpt)
+    (d,) = model.net.input_shape
+    checkpoint_save(
+        Network(model.net.specs, (1, 1, d), model.net.params), ckpt,
+        magic=PREDICTOR_MAGIC,
+        extra={"layer_index": 5, "tap_shape": [1, 1, d], "plan": "dense",
+               "kernel": 0, "in_mean": model.in_mean,
+               "in_scale": model.in_scale,
+               "train_class_ids": list(model.train_class_ids)})
+    (out / "growth_log.jsonl").unlink()
+    shutil.rmtree(out / "tree")
+    stream = base / "manifest_stream.json"
+    stream.write_text(json.dumps({"type": "manifest", "classes": [0, 1, 2, 3],
+                                  "per_class": 8}))
+    capsys.readouterr()
+    assert run(base / "config.json", "cactus-run", str(stream)) == 2
+    assert f"do not match tap (1, 1, {d})" in capsys.readouterr().err
+    assert not (out / "growth_log.jsonl").exists()
+    assert not (out / "tree").exists()
+
+
+def test_seed_spread_salt_zero_matches_train_predictors(pipeline_dir):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "predictor_seed_spread", root / "benchmarks" / "predictor_seed_spread.py")
+    spread = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spread)
+    cfg = load_config(pipeline_dir / "config.json")
+    with open(cfg.out_path / "predictor_eval.csv", encoding="utf-8") as fh:
+        shipped = max((row["abs_err"] for row in csv.DictReader(fh)), key=float)
+    (worst, _), = spread.worst_cells(cfg, [0]).values()
+    assert fmt_float(worst) == shipped
 
 
 def child_env():

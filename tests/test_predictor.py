@@ -8,7 +8,7 @@ import pytest
 
 from cactusnet import predictor
 from cactusnet.errors import DataError, LeakageError, ShapeMismatchError
-from cactusnet.nn import Network, TrainConfig
+from cactusnet.nn import Network, TrainConfig, checkpoint_load_with_extra
 from cactusnet.predictor import (PredictorModel, build_predictor,
                                  evaluate_predictor, load_predictor,
                                  predict_applicability, predict_batch,
@@ -16,32 +16,38 @@ from cactusnet.predictor import (PredictorModel, build_predictor,
 from test_cli import child_env
 
 
+CONV_KINDS = ["Conv2D", "ReLU", "Conv2D", "ReLU", "MaxPool2D",
+              "Conv2D", "ReLU", "Conv2D", "ReLU", "MaxPool2D",
+              "Flatten", "Dense"]
+DENSE_KINDS = ["Flatten", "Dense", "ReLU", "Dense", "ReLU", "Dense"]
+
+
+def kinds(plan):
+    return [s.kind for s in plan]
+
+
 class TestBuildPredictor:
     def test_conv_plan_for_wide_tap(self):
-        spec = build_predictor((12, 12, 16))
-        assert spec.plan == "conv"
-        kinds = [s.kind for s in spec.layer_specs()]
-        assert kinds == ["Conv2D", "ReLU", "Conv2D", "ReLU", "MaxPool2D",
-                         "Conv2D", "ReLU", "Conv2D", "ReLU", "MaxPool2D",
-                         "Flatten", "Dense"]
-        filters = [s.filters for s in spec.layer_specs() if s.kind == "Conv2D"]
+        plan = build_predictor((12, 12, 16))
+        assert kinds(plan) == CONV_KINDS
+        filters = [s.filters for s in plan if s.kind == "Conv2D"]
         assert filters == [32, 32, 64, 64]
         # the plan must actually build
-        Network.build(spec.layer_specs(), spec.tap_shape, seed=0)
+        Network.build(plan, (12, 12, 16), seed=0)
 
     def test_dense_plan_for_flat_tap(self):
-        spec = build_predictor((1, 1, 32))
-        assert spec.plan == "dense"
-        widths = [s.units for s in spec.layer_specs() if s.kind == "Dense"]
+        plan = build_predictor((32,))
+        assert kinds(plan) == DENSE_KINDS
+        widths = [s.units for s in plan if s.kind == "Dense"]
         assert widths == [64, 32, 1]
 
     def test_dense_plan_when_pooling_twice_impossible(self):
-        assert build_predictor((2, 2, 8)).plan == "dense"
+        assert kinds(build_predictor((2, 2, 8))) == DENSE_KINDS
 
     def test_kernel_adapts_to_tap_size(self):
-        assert build_predictor((16, 16, 8)).kernel == 3
-        assert build_predictor((12, 12, 16)).kernel == 2
-        assert build_predictor((9, 9, 8)).kernel == 1
+        assert build_predictor((16, 16, 8))[0].kernel == (3, 3)
+        assert build_predictor((12, 12, 16))[0].kernel == (2, 2)
+        assert build_predictor((9, 9, 8))[0].kernel == (1, 1)
 
     def test_zero_extent_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -74,8 +80,7 @@ class TestTrainPredictor:
 
     def test_recovers_linear_signal(self):
         samples = linear_signal_samples(100, 16, seed=1)
-        spec = build_predictor((1, 1, 16))
-        _, report = train_predictor(spec, samples, self.CFG)
+        _, report = train_predictor((16,), samples, self.CFG)
         baseline = closed_form_baseline_mse(samples)
         assert report.final_train_mse <= 0.01
         assert report.final_train_mse <= baseline + 0.01
@@ -83,8 +88,7 @@ class TestTrainPredictor:
 
     def test_training_reduces_loss(self):
         samples = linear_signal_samples(100, 16, seed=3)
-        spec = build_predictor((1, 1, 16))
-        _, report = train_predictor(spec, samples, self.CFG)
+        _, report = train_predictor((16,), samples, self.CFG)
         assert report.epoch_losses[-1] < report.epoch_losses[0]
 
     def test_signal_recovery_on_held_out_data(self):
@@ -92,31 +96,28 @@ class TestTrainPredictor:
         # held-out MSE must land well under the target variance
         train = linear_signal_samples(120, 16, seed=8, spread=0.9)
         heldout = linear_signal_samples(60, 16, seed=9, spread=0.9)
-        spec = build_predictor((1, 1, 16))
         cfg = TrainConfig(0.05, 80, 16, seed=2)
-        _, report = train_predictor(spec, train, cfg, heldout=heldout)
+        _, report = train_predictor((16,), train, cfg, heldout=heldout)
         variance = float(np.var([t for _, t in heldout]))
         assert report.heldout_mse <= 0.05 * variance
 
     def test_permutation_control(self):
         train = linear_signal_samples(100, 16, seed=4, shuffle_targets=True)
         heldout = linear_signal_samples(60, 16, seed=5)
-        spec = build_predictor((1, 1, 16))
-        _, report = train_predictor(spec, train, self.CFG, heldout=heldout)
+        _, report = train_predictor((16,), train, self.CFG, heldout=heldout)
         variance = float(np.var([t for _, t in heldout]))
         assert report.heldout_mse >= 0.5 * variance
 
     def test_degenerate_targets_warn_but_train(self):
         samples = [(np.full(8, 0.3, np.float32), 0.7) for _ in range(10)]
-        spec = build_predictor((1, 1, 8))
         with pytest.warns(UserWarning, match="identical"):
-            model, _ = train_predictor(spec, samples, TrainConfig(0.05, 2, 4, 0))
+            model, _ = train_predictor((8,), samples, TrainConfig(0.05, 2, 4, 0))
         assert model.net is not None
 
     def test_target_range_enforced(self):
         samples = [(np.zeros(8, np.float32), 1.5)]
         with pytest.raises(DataError, match=r"\[0, 1\]"):
-            train_predictor(build_predictor((1, 1, 8)), samples * 3,
+            train_predictor((8,), samples * 3,
                             TrainConfig(0.05, 1, 4, 0))
 
     @pytest.mark.parametrize("heldout", [False, True])
@@ -125,7 +126,7 @@ class TestTrainPredictor:
         bad = samples[:3] + [(np.zeros(8, np.float32), float("nan"))]
         train, held = (samples, bad) if heldout else (bad, None)
         with pytest.raises(DataError, match=r"\[0, 1\]"):
-            train_predictor(build_predictor((1, 1, 8)), train,
+            train_predictor((8,), train,
                             TrainConfig(0.05, 1, 4, 0), heldout=held)
 
     def test_fitting_imports_no_masked_arrays(self):
@@ -133,9 +134,9 @@ class TestTrainPredictor:
         code = (
             "import sys, numpy as np\n"
             "from cactusnet.nn import TrainConfig\n"
-            "from cactusnet.predictor import build_predictor, train_predictor\n"
+            "from cactusnet.predictor import train_predictor\n"
             "samples = [(np.full(8, i / 9, np.float32), i / 9) for i in range(10)]\n"
-            "train_predictor(build_predictor((1, 1, 8)), samples,\n"
+            "train_predictor((8,), samples,\n"
             "                TrainConfig(0.05, 1, 4, 0))\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
         proc = subprocess.run([sys.executable, "-c", code],
@@ -143,10 +144,18 @@ class TestTrainPredictor:
         assert proc.returncode == 0, proc.stderr
 
     def test_activation_shape_mismatch(self):
-        spec = build_predictor((1, 1, 8))
         samples = [(np.zeros((2, 2, 2), np.float32), 0.5)] * 4
         with pytest.raises(ShapeMismatchError):
-            train_predictor(spec, samples, TrainConfig(0.05, 1, 4, 0))
+            train_predictor((8,), samples, TrainConfig(0.05, 1, 4, 0))
+
+    @pytest.mark.parametrize("bad", [np.zeros((1, 1, 8), np.float32),
+                                     np.zeros(9, np.float32)])
+    def test_flat_tap_samples_are_not_reshaped(self, bad):
+        # a flat tap keeps its own shape: a (1, 1, d) sample is refused,
+        # and so is a ragged one
+        samples = [(np.zeros(8, np.float32), 0.5)] * 3 + [(bad, 0.5)]
+        with pytest.raises(ShapeMismatchError, match=r"does not match tap \(8,\)"):
+            train_predictor((8,), samples, TrainConfig(0.05, 1, 4, 0))
 
     def test_conv_plan_trains_too(self):
         rng = np.random.default_rng(6)
@@ -155,9 +164,9 @@ class TestTrainPredictor:
                 + rng.normal(0, 0.05, size=(60, 6, 6, 3))).astype(np.float32)
         samples = [(acts[i], float(np.clip(0.2 + 0.6 * base[i], 0, 1)))
                    for i in range(60)]
-        spec = build_predictor((6, 6, 3))
-        assert spec.plan == "conv"
-        _, report = train_predictor(spec, samples, TrainConfig(0.05, 30, 8, 7))
+        model, report = train_predictor((6, 6, 3), samples,
+                                        TrainConfig(0.05, 30, 8, 7))
+        assert kinds(model.net.specs) == CONV_KINDS
         assert report.final_train_mse <= 0.02
 
 
@@ -166,15 +175,14 @@ class TestTrainingReport:
 
     def test_one_loss_per_epoch(self):
         samples = linear_signal_samples(50, 8, seed=11)
-        _, report = train_predictor(build_predictor((1, 1, 8)), samples, self.CFG)
+        _, report = train_predictor((8,), samples, self.CFG)
         assert len(report.epoch_losses) == self.CFG.epochs
         assert all(isinstance(v, float) for v in report.epoch_losses)
 
     def test_final_mse_is_the_full_set_mse_of_the_returned_net(self):
         samples = linear_signal_samples(50, 8, seed=12)
-        spec = build_predictor((1, 1, 8))
-        model, report = train_predictor(spec, samples, self.CFG)
-        x, y = predictor._stack_samples(spec, samples)
+        model, report = train_predictor((8,), samples, self.CFG)
+        x, y = predictor._stack_samples((8,), samples)
         assert report.final_train_mse == predictor._mse(model.net, model.normalize(x), y)
 
     @pytest.mark.parametrize("with_heldout", [False, True])
@@ -189,19 +197,17 @@ class TestTrainingReport:
         monkeypatch.setattr(predictor, "predict", counting_predict)
         samples = linear_signal_samples(50, 8, seed=13)
         heldout = linear_signal_samples(20, 8, seed=14) if with_heldout else None
-        train_predictor(build_predictor((1, 1, 8)), samples, self.CFG,
-                        heldout=heldout)
+        train_predictor((8,), samples, self.CFG, heldout=heldout)
         assert calls == ([50, 20] if with_heldout else [50])
 
 
-def constant_model(bias, tap=(1, 1, 8)):
-    spec = build_predictor(tap)
-    net = Network.build(spec.layer_specs(), spec.tap_shape, seed=0)
+def constant_model(bias, tap=(8,)):
+    net = Network.build(build_predictor(tap), tap, seed=0)
     params = list(net.params)
     last = max(net.param_layers())
     params[last] = {"W": np.zeros_like(params[last]["W"]),
                     "b": np.full_like(params[last]["b"], bias)}
-    return PredictorModel(spec, net.with_params(params), 0, 0.0, 1.0)
+    return PredictorModel(net.with_params(params), 0, 0.0, 1.0)
 
 
 class TestPredict:
@@ -220,6 +226,10 @@ class TestPredict:
     def test_percent_scale_reference(self):
         # fraction-space error matches the percent-scale row it came from
         assert 100 * abs(0.9670 - 0.9592) == pytest.approx(0.78, abs=1e-9)
+
+    def test_batch_refuses_a_flat_tap_in_another_layout(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(5, 1, 1, 8\)"):
+            predict_batch(constant_model(0.4), np.zeros((5, 1, 1, 8), np.float32))
 
     def test_batch_matches_scalar(self):
         model = constant_model(0.4)
@@ -250,8 +260,7 @@ class TestEvaluate:
 class TestPredictorCheckpoint:
     def test_round_trip(self, tmp_path):
         samples = linear_signal_samples(50, 8, seed=9)
-        model, _ = train_predictor(build_predictor((1, 1, 8)), samples,
-                                   TrainConfig(0.05, 5, 8, 1),
+        model, _ = train_predictor((8,), samples, TrainConfig(0.05, 5, 8, 1),
                                    layer_index=4, train_class_ids=(1, 2))
         path = tmp_path / "pred.ckpt"
         save_predictor(model, path)
@@ -261,3 +270,14 @@ class TestPredictorCheckpoint:
         act = np.random.default_rng(3).random(8).astype(np.float32)
         assert predict_applicability(back, act) == \
             predict_applicability(model, act)
+
+    def test_header_is_the_only_description(self, tmp_path):
+        samples = linear_signal_samples(20, 8, seed=10)
+        model, _ = train_predictor((8,), samples, TrainConfig(0.05, 1, 8, 1))
+        path = tmp_path / "pred.ckpt"
+        save_predictor(model, path)
+        net, extra = checkpoint_load_with_extra(path, magic=predictor.PREDICTOR_MAGIC)
+        assert net.input_shape == (8,)
+        assert kinds(net.specs) == DENSE_KINDS
+        assert set(extra) == {"layer_index", "in_mean", "in_scale",
+                              "train_class_ids"}
