@@ -180,18 +180,21 @@ class SplitStore:
         return self._splits[class_id].test
 
 
-def build_splits(manifest: DatasetManifest, sources) -> SplitStore:
-    """Split every manifest class into disjoint train/test pools.
+def build_splits(manifest: DatasetManifest, sources, class_ids=None) -> SplitStore:
+    """Split the manifest classes ``class_ids`` (default: every one) into
+    disjoint train/test pools.
 
     ``sources`` maps class_id to an image stack.  The shuffle is seeded
     from (manifest seed, class id), so a manifest fully determines its
-    splits.
+    splits, whichever other classes are split with a class.
     """
-    missing = [c.class_id for c in manifest.classes if c.class_id not in sources]
+    entries = (manifest.classes if class_ids is None
+               else [manifest.entry(c) for c in class_ids])
+    missing = [c.class_id for c in entries if c.class_id not in sources]
     if missing:
         raise ManifestError(f"no image source for class ids {missing}")
     splits = {}
-    for entry in manifest.classes:
+    for entry in entries:
         images = np.asarray(sources[entry.class_id])
         n = images.shape[0]
         order = rng_for(manifest.seed, 0x5417, entry.class_id).permutation(n)

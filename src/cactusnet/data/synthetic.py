@@ -36,8 +36,9 @@ class SyntheticClass:
 
 @dataclass
 class SyntheticDataset:
-    classes: tuple
-    images: dict          # class_id -> [per_class, side, side, 1] float32
+    classes: tuple        # every class of the corpus
+    images: dict          # class_id -> [per_class, side, side, 1] float32,
+                          # for each class rendered
     image_side: int
     per_class: int
     seed: int
@@ -125,12 +126,15 @@ def _manufactured_images(period, orient, motif, duty, rngs, side):
 
 
 def generate_synthetic(num_classes_per_family: int, per_class: int,
-                       image_side: int, seed: int) -> SyntheticDataset:
+                       image_side: int, seed: int,
+                       class_ids=None) -> SyntheticDataset:
     """Generate both families; deterministic given ``seed``.
 
     Image ``i`` of class ``c`` draws from ``rng_for(seed, family, c,
     1000 + i)`` alone; each class is then rendered in array passes over
-    ``RENDER_CHUNK`` images at a time.
+    ``RENDER_CHUNK`` images at a time.  So with ``class_ids`` only those
+    classes are rendered (``()`` for names only), each bitwise as in the
+    full corpus; ``classes`` always lists every class.
     """
     if num_classes_per_family < 1 or per_class < 1:
         raise DataError("class and image counts must be >= 1")
@@ -145,19 +149,23 @@ def generate_synthetic(num_classes_per_family: int, per_class: int,
             stack[lo:hi, ..., 0] = render(rngs, image_side)
         return stack
 
+    n = num_classes_per_family
+    wanted = set(range(2 * n) if class_ids is None else class_ids)
     classes = []
     images = {}
-    n = num_classes_per_family
     for c in range(n):
         classes.append(SyntheticClass(c, f"{ORGANIC}_{c:02d}", ORGANIC))
-        images[c] = as_stack(partial(_organic_images, _organic_class_params(seed, c)),
-                             0, c)
+        if c in wanted:
+            images[c] = as_stack(partial(_organic_images,
+                                         _organic_class_params(seed, c)), 0, c)
 
     periods, orients, motifs, duties = _manufactured_family_params(seed, n)
     for c in range(n):
         classes.append(SyntheticClass(n + c, f"{MANUFACTURED}_{c:02d}", MANUFACTURED))
-        images[n + c] = as_stack(partial(_manufactured_images, periods[c], orients[c],
-                                         int(motifs[c]), duties[c]), 1, c)
+        if n + c in wanted:
+            images[n + c] = as_stack(partial(_manufactured_images, periods[c],
+                                             orients[c], int(motifs[c]), duties[c]),
+                                     1, c)
 
     return SyntheticDataset(tuple(classes), images, image_side, per_class, seed)
 
@@ -167,15 +175,17 @@ def generate_synthetic(num_classes_per_family: int, per_class: int,
 # ---------------------------------------------------------------------
 
 def save_dataset(ds: SyntheticDataset, path):
+    """Write the rendered classes of ``ds``."""
+    classes = [c for c in ds.classes if c.class_id in ds.images]
     header = {
         "classes": [{"class_id": c.class_id, "name": c.name, "family": c.family}
-                    for c in ds.classes],
+                    for c in classes],
         "image_side": ds.image_side,
         "per_class": ds.per_class,
         "seed": ds.seed,
     }
     write_container(path, DATASET_MAGIC, header,
-                    [ds.images[c.class_id] for c in ds.classes])
+                    [ds.images[c.class_id] for c in classes])
 
 
 def _parse_header(header):

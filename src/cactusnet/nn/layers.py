@@ -149,8 +149,8 @@ def _im2col(x, kh, kw, stride, h_out, w_out):
     Row ``(b, y, x)`` holds the window at output position ``(y, x)`` of
     image ``b``, its columns in ``(i, j, c)`` order, so that the
     convolution is ``cols @ kernels.reshape(kh*kw*c_in, c_out)``.  For a
-    1x1 stride-1 kernel the view's extra axes have size 1, so the reshape
-    is a view of a contiguous ``x``, not a copy.
+    1x1 stride-1 kernel the rows are ``x``'s pixels: a plain reshape, a
+    view of a contiguous ``x``, with no strided view built.
     """
     n, h, w, c_in = x.shape
     # the strided view below reads whatever memory its shape reaches
@@ -158,6 +158,8 @@ def _im2col(x, kh, kw, stride, h_out, w_out):
         raise ShapeMismatchError(
             f"{h_out}x{w_out} outputs do not match {kh}x{kw} windows at "
             f"stride {stride} over input {x.shape}")
+    if (kh, kw, stride) == (1, 1, 1):
+        return x.reshape(n * h * w, c_in)
     sn, sh, sw, sc = x.strides
     windows = as_strided(x, (n, h_out, w_out, kh, kw, c_in),
                          (sn, stride * sh, stride * sw, sh, sw, sc),
@@ -200,7 +202,9 @@ def conv2d_backward(x, kernels, dout, stride=1, need_dx=True):
     ``_im2col(x).T @ dout``.  The input gradient is the column-matrix
     gradient ``dout @ K.T`` folded back (col2im): each window element's
     ``(i, j)`` slice is added into the strided slice of a zero ``dx`` it
-    was read from, in row-major ``(i, j)`` order.
+    was read from, in row-major ``(i, j)`` order.  A 1x1 stride-1 kernel
+    reads each pixel once, so there ``dx`` is the column gradient itself,
+    plus 0: adding 0 turns a -0 into +0, as the sum into zeros does.
     """
     kh, kw, c_in, c_out = kernels.shape
     n, h_out, w_out, _ = dout.shape
@@ -208,8 +212,10 @@ def conv2d_backward(x, kernels, dout, stride=1, need_dx=True):
     dk = (_im2col(x, kh, kw, stride, h_out, w_out).T @ d2).reshape(kernels.shape)
     if not need_dx:
         return None, dk
-    dcols = (d2 @ kernels.reshape(kh * kw * c_in, c_out).T).reshape(
-        n, h_out, w_out, kh, kw, c_in)
+    dcols = d2 @ kernels.reshape(kh * kw * c_in, c_out).T
+    if (kh, kw, stride) == (1, 1, 1):
+        return np.add(dcols, 0, dtype=x.dtype).reshape(x.shape), dk
+    dcols = dcols.reshape(n, h_out, w_out, kh, kw, c_in)
     dx = np.zeros_like(x)
     for i in range(kh):
         for j in range(kw):
@@ -360,6 +366,10 @@ class LayerKind:
     rank: int | None = None       # input rank it needs; None takes any
     out_shape: Callable = lambda spec, shape: shape
     weight_shape: Callable | None = None  # None: no parameters
+    # (forward, backward): whether the step's output is finite whenever
+    # its input is, for the backward step the input gradient of a finite
+    # ``dy``; a check of such an output can never fire
+    keeps_finite: Callable = lambda spec: (False, False)
 
 
 def _kind(name) -> LayerKind:
@@ -420,7 +430,9 @@ KINDS = {
         backward=lambda spec, p, x, y, cache, dy, need_dx: (maxpool2d_backward(
             x.shape, cache, dy, spec.kernel, spec.stride), None),
         fields={"kernel": None, "stride": lambda spec: spec.kernel[0]}, rank=3,
-        out_shape=lambda spec, shape: _window_out(spec, shape, shape[2])),
+        out_shape=lambda spec, shape: _window_out(spec, shape, shape[2]),
+        # overlapping windows sum gradients, and a sum can overflow
+        keeps_finite=lambda spec: (True, spec.stride >= max(spec.kernel))),
     "Dense": LayerKind(
         forward=_dense_step_forward,
         backward=_dense_step_backward,
@@ -429,7 +441,8 @@ KINDS = {
         weight_shape=lambda spec, shape: (shape[0], spec.units)),
     "ReLU": LayerKind(
         forward=lambda spec, p, x, lead: (relu(x), None),
-        backward=lambda spec, p, x, y, cache, dy, need_dx: (relu_backward(x, dy), None)),
+        backward=lambda spec, p, x, y, cache, dy, need_dx: (relu_backward(x, dy), None),
+        keeps_finite=lambda spec: (True, True)),
     "Softmax": LayerKind(
         forward=lambda spec, p, x, lead: (softmax(x), None),
         backward=lambda spec, p, x, y, cache, dy, need_dx: (softmax_backward(y, dy), None),
@@ -438,5 +451,6 @@ KINDS = {
         forward=lambda spec, p, x, lead: (
             x.reshape(*x.shape[:lead], prod(x.shape[lead:])), None),
         backward=lambda spec, p, x, y, cache, dy, need_dx: (dy.reshape(x.shape), None),
-        out_shape=lambda spec, shape: (prod(shape),)),
+        out_shape=lambda spec, shape: (prod(shape),),
+        keeps_finite=lambda spec: (True, True)),
 }

@@ -161,12 +161,18 @@ def predict(net: Network, batch):
 def _run_layers(net: Network, x):
     """The forward loop behind ``forward`` and ``backward``: per-layer
     outputs and caches (the max-pool argmax, else None).  Raises at the
-    first layer whose output is not finite."""
+    first layer whose output is not finite.
+
+    Every layer's input but the batch has been found finite, so the
+    check is skipped after layer 0 where the kind keeps finite inputs
+    finite (``keeps_finite``): it could not fire there.
+    """
     acts, caches = [], []
     lead = x.ndim - len(net.input_shape)
     for i, (spec, p) in enumerate(zip(net.specs, net.params)):
-        x, cache = L.KINDS[spec.kind].forward(spec, p, x, lead)
-        if not np.isfinite(x).all():
+        kind = L.KINDS[spec.kind]
+        x, cache = kind.forward(spec, p, x, lead)
+        if (i == 0 or not kind.keeps_finite(spec)[0]) and not np.isfinite(x).all():
             raise NumericFailureError(
                 f"non-finite activation at layer {i} ({spec.kind})",
                 layer_index=i)
@@ -205,6 +211,11 @@ def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):
     ``{"W": ..., "b": ...}`` and a stack's loss holds one value per
     network.  Backpropagation stops as soon as no unfrozen parameterized
     layer remains below the current depth.
+
+    The delta below each layer is checked for finiteness, except where
+    the kind keeps a finite delta finite (``keeps_finite``) and the delta
+    it read was checked: every layer's but the first visited, which reads
+    the loss gradient.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -226,8 +237,9 @@ def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):
         start -= 1  # delta already sits at the softmax input
     for i in range(start, -1, -1):
         spec = net.specs[i]
+        kind = L.KINDS[spec.kind]
         # frozen layers pass the gradient through; their own is dropped
-        delta, g = L.KINDS[spec.kind].backward(
+        delta, g = kind.backward(
             spec, net.params[i], acts[i - 1] if i else x, acts[i], caches[i],
             delta, i > lowest)
         acts[i] = caches[i] = None  # no layer below reads them
@@ -240,7 +252,8 @@ def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):
             grads[i] = g
         if i == lowest:
             break
-        if not np.isfinite(delta).all():
+        if ((i == start or not kind.keeps_finite(spec)[1])
+                and not np.isfinite(delta).all()):
             raise NumericFailureError(
                 f"non-finite delta below layer {i} ({spec.kind})", layer_index=i)
     return grads, loss

@@ -2,11 +2,18 @@
 
 Small regressors that map a layer's activation tensor to a scalar
 predicted applicability in [0, 1].  Convolutional taps get a two-block
-CNN (two convs + 2x2 max-pool per block; 32 filters in the first block,
-64 in the second) with the kernel size adapted so valid shapes survive
-both poolings; flat taps of shape (d,) and small maps get a small MLP
-instead.  A predictor is described by its ``Network`` alone: the tap
-shape is its input shape, the plan its layers.
+CNN (conv, ReLU, conv, 2x2 max-pool, ReLU per block; 32 filters in the
+first block, 64 in the second) with the kernel size adapted so valid
+shapes survive both poolings; flat taps of shape (d,) and small maps get
+a small MLP instead.  A predictor is described by its ``Network`` alone:
+the tap shape is its input shape, the plan its layers.
+
+Each block pools before its last ReLU, so the ReLU runs on the pooled
+map, a quarter of the elements.  ReLU and max commute, ``relu(max(x)) ==
+max(relu(x))``, and in both orders the gradient reaches the window's
+first maximum or is zero, so the two orders compute the same outputs and
+SGD steps to the last bit.  A checkpoint saved with the ReLU before the
+pool keeps that order in its header and predicts as it did.
 Targets are class-level applicabilities assigned to every image of the
 class, trained with mean squared error.
 """
@@ -28,12 +35,12 @@ DENSE_HIDDEN = (64, 32)
 
 
 def _conv_plan(kernel):
+    # each block pools before its last ReLU: the same function as ReLU
+    # before pooling, on a quarter of the elements (module docstring)
     return [LayerSpec.conv(32, kernel), LayerSpec.relu(),
-            LayerSpec.conv(32, kernel), LayerSpec.relu(),
-            LayerSpec.maxpool(2),
+            LayerSpec.conv(32, kernel), LayerSpec.maxpool(2), LayerSpec.relu(),
             LayerSpec.conv(64, kernel), LayerSpec.relu(),
-            LayerSpec.conv(64, kernel), LayerSpec.relu(),
-            LayerSpec.maxpool(2),
+            LayerSpec.conv(64, kernel), LayerSpec.maxpool(2), LayerSpec.relu(),
             LayerSpec.flatten(), LayerSpec.dense(1)]
 
 
@@ -106,6 +113,8 @@ def _stack_samples(tap_shape, samples):
                 f"activation shape {arr.shape} does not match tap {tap_shape}")
         acts.append(arr)
         targets.append(float(target))
+    if not acts:
+        raise DataError("no predictor samples given")
     x = np.stack(acts)
     y = np.asarray(targets, dtype=np.float32)
     # written so that a NaN target, for which every comparison is false,

@@ -50,12 +50,14 @@ REPORT_DIR = "report"
 # Shared plumbing
 # ---------------------------------------------------------------------
 
-def resolve_sources(cfg: ExperimentConfig, manifest: DatasetManifest):
-    """class_id -> image stack for every manifest class."""
+def resolve_sources(cfg: ExperimentConfig, class_ids):
+    """class_id -> image stack; a synthetic corpus renders only
+    ``class_ids``."""
     if cfg.dataset.type == "synthetic":
         ds = generate_synthetic(cfg.dataset.classes_per_family,
                                 cfg.dataset.per_class,
-                                cfg.dataset.image_side, cfg.dataset.seed)
+                                cfg.dataset.image_side, cfg.dataset.seed,
+                                class_ids)
         return ds.images
     sources = {}
     for i, group in enumerate(cfg.dataset.groups):
@@ -83,7 +85,7 @@ def prepare(cfg: ExperimentConfig) -> Path:
                           "point `manifest` at an existing file instead")
     ds = generate_synthetic(cfg.dataset.classes_per_family,
                             cfg.dataset.per_class,
-                            cfg.dataset.image_side, cfg.dataset.seed)
+                            cfg.dataset.image_side, cfg.dataset.seed, ())
     manifest = synthetic_manifest(
         ds, cfg.dataset.num_known, cfg.dataset.num_objective_unknown,
         cfg.dataset.num_nonobjective_unknown, cfg.k, cfg.train_fraction,
@@ -93,8 +95,12 @@ def prepare(cfg: ExperimentConfig) -> Path:
     return cfg.manifest_path
 
 
-def _splits(cfg: ExperimentConfig, manifest: DatasetManifest):
-    return build_splits(manifest, resolve_sources(cfg, manifest))
+def _splits(cfg: ExperimentConfig, manifest: DatasetManifest, class_ids=None):
+    """Train/test splits of the manifest classes ``class_ids`` (default:
+    every one); a synthetic corpus renders only those."""
+    if class_ids is None:
+        class_ids = [c.class_id for c in manifest.classes]
+    return build_splits(manifest, resolve_sources(cfg, class_ids), class_ids)
 
 
 def _known_training_set(manifest, splits):
@@ -118,7 +124,7 @@ def run_train_base(cfg: ExperimentConfig) -> dict:
     manifest = load_manifest(cfg)
     if not manifest.known_ids:
         raise ConfigError("manifest has no objective-known classes")
-    splits = _splits(cfg, manifest)
+    splits = _splits(cfg, manifest, manifest.known_ids)
     images, labels, test, test_labels = _known_training_set(manifest, splits)
 
     net = Network.build(cfg.layers, cfg.input_shape,
@@ -293,13 +299,17 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
         raise ConfigError("base checkpoint missing: run train-base first")
     table, manifest = load_table(cfg)
     net = checkpoint_load(out / BASE_CKPT)
-    splits = _splits(cfg, manifest)
+    splits = _splits(cfg, manifest, manifest.measured_ids)
 
     heldout = list(cfg.heldout_classes) or _auto_heldout(manifest, table, cfg.taps)
     bad = [c for c in heldout if c not in manifest.measured_ids]
     if bad:
         raise ConfigError(f"held-out classes {bad} are not measured classes")
     train_ids = [c for c in manifest.measured_ids if c not in heldout]
+    if not train_ids:
+        raise ConfigError(f"held-out classes {sorted(heldout)} are every measured "
+                          "class, so no class is left to train the predictors "
+                          "on; hold out fewer in heldout_classes")
 
     train_acts = {cid: app.tap_features(net, splits.train_images(cid), cfg.taps)
                   for cid in manifest.measured_ids}
@@ -414,13 +424,10 @@ def read_stream(cfg: ExperimentConfig, manifest, doc):
             if isinstance(per, bool) or not isinstance(per, int) or per < 1:
                 raise ConfigError(
                     f"stream per_class must be an integer >= 1, got {per!r}")
-            splits = _splits(cfg, manifest)
-            items = []
-            for cid in doc["classes"]:
-                entry = manifest.entry(cid)
-                images = splits.test_images(cid)[:per]
-                items.extend(((img, None), entry.subset.value) for img in images)
-            return items
+            entries = [manifest.entry(cid) for cid in doc["classes"]]
+            splits = _splits(cfg, manifest, [e.class_id for e in entries])
+            return [((img, None), e.subset.value) for e in entries
+                    for img in splits.test_images(e.class_id)[:per]]
         if kind == "dataset":
             ds = load_dataset(cfg.path(doc["path"]))
             return [((img, None), ds.family(cid))

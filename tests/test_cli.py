@@ -370,6 +370,19 @@ def test_stale_flat_tap_predictor_exits_2(pipeline_dir, tmp_path, capsys):
     assert not (out / "tree").exists()
 
 
+def test_every_measured_class_held_out_exits_2(pipeline_dir, tmp_path, capsys):
+    # the tiny manifest measures classes 0, 1, 2 and 4
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    for ckpt in (base / "out").glob("predictor_*"):
+        ckpt.unlink()
+    cfg = write_tiny_config(base, heldout_classes=[0, 1, 2, 4])
+    capsys.readouterr()
+    assert run(cfg, "train-predictors") == 2
+    assert "heldout_classes" in capsys.readouterr().err
+    assert not list((base / "out").glob("predictor_*"))
+
+
 def test_seed_spread_salt_zero_matches_train_predictors(pipeline_dir):
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(

@@ -281,6 +281,38 @@ class TestSplits:
                              for c in entries if c.class_id < 10})
 
 
+class TestClassSubset:
+    def test_subset_renders_the_full_corpus_stacks_bitwise(self):
+        # more images than one render chunk, so chunks are split too
+        full = generate_synthetic(3, 70, 10, seed=4)
+        part = generate_synthetic(3, 70, 10, 4, [4, 1])
+        assert part.classes == full.classes and sorted(part.images) == [1, 4]
+        for c in (1, 4):
+            assert part.images[c].tobytes() == full.images[c].tobytes()
+        names = generate_synthetic(3, 70, 10, 4, ())
+        assert names.classes == full.classes and names.images == {}
+
+    def test_subset_splits_match_the_full_splits(self):
+        ds = generate_synthetic(6, 12, 10, seed=2)
+        m = synthetic_manifest(ds, num_known=2, num_objective_unknown=2,
+                               num_nonobjective_unknown=2, k=4,
+                               train_fraction=0.75, seed=11)
+        full = build_splits(m, ds.images)
+        part = build_splits(m, generate_synthetic(6, 12, 10, 2, m.known_ids).images,
+                            m.known_ids)
+        assert part.class_ids == sorted(m.known_ids)
+        for c in m.known_ids:
+            assert part.train_images(c).tobytes() == full.train_images(c).tobytes()
+            assert part.test_images(c).tobytes() == full.test_images(c).tobytes()
+
+    def test_cache_holds_the_rendered_classes(self, tmp_path):
+        part = generate_synthetic(2, 3, 8, 1, [3])
+        save_dataset(part, tmp_path / "part.bin")
+        back = load_dataset(tmp_path / "part.bin")
+        assert [c.class_id for c in back.classes] == [3]
+        assert back.images[3].tobytes() == part.images[3].tobytes()
+
+
 class TestSyntheticManifest:
     def test_structure(self):
         ds = generate_synthetic(6, 4, 10, seed=2)

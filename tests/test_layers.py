@@ -6,7 +6,7 @@ is central finite differences through the network's own forward pass.
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from cactusnet.errors import NumericFailureError, ShapeMismatchError
 from cactusnet.nn import LayerSpec, Network, backward, conv2d, forward
@@ -199,6 +199,76 @@ class TestConv2dGemmMatchesEinsum:
         want_dx, want_dk = einsum_conv2d_backward(x, k, dout)
         _close(dk, want_dk)
         _close(dx, want_dx)
+
+
+def strided_conv2d(x, kernels, stride=1):
+    """The general im2col product: columns read through a strided view."""
+    kh, kw, c_in, c_out = kernels.shape
+    n, h, w, _ = x.shape
+    h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sn, sh, sw, sc = x.strides
+    cols = as_strided(x, (n, h_out, w_out, kh, kw, c_in),
+                      (sn, stride * sh, stride * sw, sh, sw, sc),
+                      writeable=False).reshape(n * h_out * w_out, kh * kw * c_in)
+    return cols, (cols @ kernels.reshape(-1, c_out)).reshape(n, h_out, w_out, c_out)
+
+
+def strided_conv2d_backward(x, kernels, dout, stride=1):
+    """The general kernel gradient and col2im input gradient, summed into
+    a zero ``dx``."""
+    kh, kw, c_in, c_out = kernels.shape
+    n, h_out, w_out, _ = dout.shape
+    cols, _ = strided_conv2d(x, kernels, stride)
+    d2 = dout.reshape(-1, c_out)
+    dk = (cols.T @ d2).reshape(kernels.shape)
+    dcols = (d2 @ kernels.reshape(-1, c_out).T).reshape(n, h_out, w_out, kh, kw, c_in)
+    dx = np.zeros_like(x)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += \
+                dcols[:, :, :, i, j]
+    return dx, dk
+
+
+class TestConv1x1PathKeepsBits:
+    """A 1x1 stride-1 conv reshapes instead of building a strided view,
+    and returns the column gradient as ``dx``, with the general path's
+    bits under any sgemm kernel."""
+
+    @staticmethod
+    def check(x, k, dout):
+        assert conv2d(x, k).tobytes() == strided_conv2d(x, k)[1].tobytes()
+        dx, dk = conv2d_backward(x, k, dout)
+        want_dx, want_dk = strided_conv2d_backward(x, k, dout)
+        assert dx.shape == x.shape and dx.dtype == want_dx.dtype
+        assert dx.tobytes() == want_dx.tobytes() and dk.tobytes() == want_dk.tobytes()
+        return dx
+
+    @pytest.mark.parametrize("shape,c_out", [((16, 9, 9, 8), 32), ((16, 4, 4, 32), 64),
+                                             ((1, 9, 9, 8), 32)])
+    def test_contiguous_input(self, shape, c_out):
+        rng = np.random.default_rng(21)
+        x = rng.random(shape, dtype=np.float32)
+        k = rng.uniform(-0.3, 0.3, (1, 1, shape[3], c_out)).astype(np.float32)
+        self.check(x, k, rng.standard_normal((*shape[:3], c_out)).astype(np.float32))
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(22)
+        x = rng.random((4, 20, 18, 6), dtype=np.float32)[:, :, ::2, 1:4]
+        assert not x.flags.c_contiguous
+        k = rng.uniform(-0.3, 0.3, (1, 1, 3, 5)).astype(np.float32)
+        self.check(x, k, rng.standard_normal((4, 20, 9, 5)).astype(np.float32))
+
+    def test_signed_zero_column_gradient_gives_positive_zero(self):
+        # image 0's column-gradient entries are sums of -0 * 0.5 products;
+        # dx holds +0 there, as the sum into a zero dx gives
+        rng = np.random.default_rng(23)
+        x = rng.random((3, 5, 5, 4), dtype=np.float32)
+        k = np.full((1, 1, 4, 6), 0.5, np.float32)
+        dout = rng.standard_normal((3, 5, 5, 6)).astype(np.float32)
+        dout[0] = -0.0
+        dx = self.check(x, k, dout)
+        assert (dx[0] == 0).all() and not np.signbit(dx[0]).any()
 
 
 class TestMaxPool:
@@ -400,7 +470,7 @@ def kink_margin(net, batch):
     smooth; a parameter step of 1e-3 moves activations by well under the
     0.02 margin enforced by ``draw_kink_safe``.
     """
-    from numpy.lib.stride_tricks import sliding_window_view
+    from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
     trace = forward(net, batch)
     margin = np.inf

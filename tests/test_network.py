@@ -96,6 +96,71 @@ class TestBackwardLoss:
         assert exc.value.layer_index == 0
 
 
+def with_param(net, i, key, edit):
+    """``net`` with ``edit`` applied to a copy of layer ``i``'s ``key``."""
+    params = list(net.params)
+    value = params[i][key].copy()
+    edit(value)
+    params[i] = dict(params[i], **{key: value})
+    return net.with_params(params)
+
+
+class TestFinitenessChecks:
+    """Checks are skipped only where they cannot fire; every raise keeps
+    its layer and message."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_conv_behind_relu_is_named_at_the_conv(self, bad):
+        # the ReLU and pool after layer 2 would absorb a -inf
+        net = Network.build([LayerSpec.conv(4, 1), LayerSpec.relu(),
+                             LayerSpec.conv(4, 1), LayerSpec.maxpool(2),
+                             LayerSpec.relu(), LayerSpec.flatten(),
+                             LayerSpec.dense(1)], (4, 4, 3), seed=1)
+        net = with_param(net, 2, "b", lambda b: b.__setitem__(1, bad))
+        x = np.ones((2, 4, 4, 3), np.float32)
+        for run in (lambda: forward(net, x),
+                    lambda: backward(net, x, np.zeros((2, 1), np.float32), "MSE")):
+            with pytest.raises(NumericFailureError,
+                               match=r"non-finite activation at layer 2 \(Conv2D\)") as exc:
+                run()
+            assert exc.value.layer_index == 2
+
+    def test_leading_relu_raises_on_inf_and_passes_minus_inf(self):
+        net = Network.build([LayerSpec.relu(), LayerSpec.dense(2)], (3,), seed=2)
+        with pytest.raises(NumericFailureError) as exc:
+            forward(net, np.array([[1.0, np.inf, 0.0]], np.float32))
+        assert exc.value.layer_index == 0
+        out = forward(net, np.array([[1.0, -np.inf, 0.0]], np.float32))
+        assert np.isfinite(out[-1]).all() and out[0][0, 1] == 0
+
+    def test_overlapping_pool_backward_checks_its_delta(self):
+        # the centre is the maximum of all nine 3x3 windows, so its
+        # gradient sums nine finite shares of about 2e38 and overflows
+        net = Network.build([LayerSpec.conv(1, 1), LayerSpec.maxpool(3, stride=1),
+                             LayerSpec.flatten(), LayerSpec.dense(1)], (5, 5, 1), seed=3)
+        net = with_param(net, 0, "W", lambda w: w.fill(1.0))
+        net = with_param(net, 3, "W", lambda w: w.fill(1.0))
+        x = np.zeros((1, 5, 5, 1), np.float32)
+        x[0, 2, 2, 0] = 1e-3
+        with pytest.raises(NumericFailureError,
+                           match=r"non-finite delta below layer 1 \(MaxPool2D\)") as exc, \
+                np.errstate(over="ignore"):
+            backward(net, x, np.full((1, 1), -1e38, np.float32), "MSE")
+        assert exc.value.layer_index == 1
+
+    def test_first_layer_backprop_visits_checks_the_loss_gradient(self):
+        # cross-entropy without a final softmax divides by the clipped
+        # output: 1e30 / 1e-12 overflows float32 at the ReLU
+        net = Network.build([LayerSpec.dense(2), LayerSpec.relu()], (2,), seed=4)
+        net = with_param(net, 0, "W", lambda w: w.fill(-1.0))
+        with pytest.raises(NumericFailureError,
+                           match=r"non-finite delta below layer 1 \(ReLU\)") as exc, \
+                np.errstate(over="ignore", invalid="ignore"):
+            backward(net, np.ones((1, 2), np.float32),
+                     np.array([[1e30, 0.0]], np.float32), "CrossEntropy")
+        assert exc.value.layer_index == 1
+
+
 class TestSgdStep:
     def setup_method(self):
         self.net = Network(

@@ -8,7 +8,8 @@ import pytest
 
 from cactusnet import predictor
 from cactusnet.errors import DataError, LeakageError, ShapeMismatchError
-from cactusnet.nn import Network, TrainConfig, checkpoint_load_with_extra
+from cactusnet.nn import (LayerSpec, Network, TrainConfig,
+                          checkpoint_load_with_extra, predict, sgd_epochs)
 from cactusnet.predictor import (PredictorModel, build_predictor,
                                  evaluate_predictor, load_predictor,
                                  predict_applicability, predict_batch,
@@ -16,8 +17,8 @@ from cactusnet.predictor import (PredictorModel, build_predictor,
 from test_cli import child_env
 
 
-CONV_KINDS = ["Conv2D", "ReLU", "Conv2D", "ReLU", "MaxPool2D",
-              "Conv2D", "ReLU", "Conv2D", "ReLU", "MaxPool2D",
+CONV_KINDS = ["Conv2D", "ReLU", "Conv2D", "MaxPool2D", "ReLU",
+              "Conv2D", "ReLU", "Conv2D", "MaxPool2D", "ReLU",
               "Flatten", "Dense"]
 DENSE_KINDS = ["Flatten", "Dense", "ReLU", "Dense", "ReLU", "Dense"]
 
@@ -52,6 +53,75 @@ class TestBuildPredictor:
     def test_zero_extent_rejected(self):
         with pytest.raises(ShapeMismatchError):
             build_predictor((0, 4, 8))
+
+
+def relu_before_pool_plan(kernel):
+    """The conv plan as it was before each block pooled before its last
+    ReLU."""
+    return [LayerSpec.conv(32, kernel), LayerSpec.relu(),
+            LayerSpec.conv(32, kernel), LayerSpec.relu(), LayerSpec.maxpool(2),
+            LayerSpec.conv(64, kernel), LayerSpec.relu(),
+            LayerSpec.conv(64, kernel), LayerSpec.relu(), LayerSpec.maxpool(2),
+            LayerSpec.flatten(), LayerSpec.dense(1)]
+
+
+def param_bits(net):
+    return [p[k].tobytes() for p in net.params if p is not None for k in ("W", "b")]
+
+
+class TestPoolBeforeReluKeepsBits:
+    """Pooling before the block's last ReLU is the old plan's function and
+    gradient to the last bit, under any sgemm kernel."""
+
+    @staticmethod
+    def nets(tap):
+        new = Network.build(build_predictor(tap), tap, seed=5)
+        params = list(new.params)
+        for i in (2, 7):  # the convs that feed a pool
+            # a third of their filters start far below zero, so whole
+            # pooling windows are negative
+            b = params[i]["b"].copy()
+            b[::3] = -4.0
+            params[i] = dict(params[i], b=b)
+        new = new.with_params(params)
+        old = Network(relu_before_pool_plan(new.specs[0].kernel), tap, new.params)
+        return old, new
+
+    @staticmethod
+    def batch(tap, n=24, seed=6):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, *tap)).astype(np.float32)
+        h, w, c = tap
+        # 2x2 blocks of equal pixels (ties under 1x1 kernels) and constant
+        # maps (ties under every kernel)
+        blocks = rng.standard_normal((8, (h + 1) // 2, (w + 1) // 2, c))
+        x[:8] = np.repeat(np.repeat(blocks, 2, 1), 2, 2)[:, :h, :w]
+        x[8:12] = rng.standard_normal((4, 1, 1, c))
+        return x
+
+    @pytest.mark.parametrize("tap", [(9, 9, 8), (16, 16, 2)])
+    def test_outputs_and_sgd_steps_are_bitwise_equal(self, tap):
+        old, new = self.nets(tap)
+        assert kinds(old.specs) != kinds(new.specs)
+        x = self.batch(tap)
+        assert predict(old, x).tobytes() == predict(new, x).tobytes()
+        y = np.random.default_rng(7).random((len(x), 1)).astype(np.float32)
+        cfg = TrainConfig(0.05, 3, 8, seed=8)
+        for (a, _), (b, _) in zip(sgd_epochs(old, x, y, cfg, "MSE"),
+                                  sgd_epochs(new, x, y, cfg, "MSE")):
+            assert param_bits(a) == param_bits(b)
+        assert predict(a, x).tobytes() == predict(b, x).tobytes()
+
+    def test_old_order_checkpoint_predicts_the_new_order_bits(self, tmp_path):
+        tap = (9, 9, 8)
+        old, new = self.nets(tap)
+        path = tmp_path / "old.ckpt"
+        save_predictor(PredictorModel(old, 2, 0.1, 1.5), path)
+        back = load_predictor(path)
+        assert kinds(back.net.specs) == kinds(relu_before_pool_plan(1))
+        x = self.batch(tap)
+        assert predict_batch(back, x).tobytes() == \
+            predict_batch(PredictorModel(new, 2, 0.1, 1.5), x).tobytes()
 
 
 def linear_signal_samples(n, dim, seed, shuffle_targets=False, spread=0.6):
@@ -142,6 +212,15 @@ class TestTrainPredictor:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("heldout", [False, True])
+    def test_no_samples_is_a_data_error(self, heldout):
+        samples = linear_signal_samples(20, 8, seed=12)
+        with pytest.raises(DataError, match="no predictor samples"):
+            if heldout:
+                train_predictor((8,), samples, self.CFG, heldout=[])
+            else:
+                train_predictor((8,), [], self.CFG)
 
     def test_activation_shape_mismatch(self):
         samples = [(np.zeros((2, 2, 2), np.float32), 0.5)] * 4
