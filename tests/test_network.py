@@ -96,11 +96,9 @@ class TestBackwardLoss:
         assert exc.value.layer_index == 0
 
 
-def with_param(net, i, key, edit):
-    """``net`` with ``edit`` applied to a copy of layer ``i``'s ``key``."""
+def with_param(net, i, key, value):
+    """``net`` with layer ``i``'s ``key`` parameter replaced by ``value``."""
     params = list(net.params)
-    value = params[i][key].copy()
-    edit(value)
     params[i] = dict(params[i], **{key: value})
     return net.with_params(params)
 
@@ -116,7 +114,9 @@ class TestFinitenessChecks:
                              LayerSpec.conv(4, 1), LayerSpec.maxpool(2),
                              LayerSpec.relu(), LayerSpec.flatten(),
                              LayerSpec.dense(1)], (4, 4, 3), seed=1)
-        net = with_param(net, 2, "b", lambda b: b.__setitem__(1, bad))
+        b = net.params[2]["b"].copy()
+        b[1] = bad
+        net = with_param(net, 2, "b", b)
         x = np.ones((2, 4, 4, 3), np.float32)
         for run in (lambda: forward(net, x),
                     lambda: backward(net, x, np.zeros((2, 1), np.float32), "MSE")):
@@ -138,8 +138,8 @@ class TestFinitenessChecks:
         # gradient sums nine finite shares of about 2e38 and overflows
         net = Network.build([LayerSpec.conv(1, 1), LayerSpec.maxpool(3, stride=1),
                              LayerSpec.flatten(), LayerSpec.dense(1)], (5, 5, 1), seed=3)
-        net = with_param(net, 0, "W", lambda w: w.fill(1.0))
-        net = with_param(net, 3, "W", lambda w: w.fill(1.0))
+        for i in (0, 3):
+            net = with_param(net, i, "W", np.ones_like(net.params[i]["W"]))
         x = np.zeros((1, 5, 5, 1), np.float32)
         x[0, 2, 2, 0] = 1e-3
         with pytest.raises(NumericFailureError,
@@ -152,7 +152,7 @@ class TestFinitenessChecks:
         # cross-entropy without a final softmax divides by the clipped
         # output: 1e30 / 1e-12 overflows float32 at the ReLU
         net = Network.build([LayerSpec.dense(2), LayerSpec.relu()], (2,), seed=4)
-        net = with_param(net, 0, "W", lambda w: w.fill(-1.0))
+        net = with_param(net, 0, "W", -np.ones_like(net.params[0]["W"]))
         with pytest.raises(NumericFailureError,
                            match=r"non-finite delta below layer 1 \(ReLU\)") as exc, \
                 np.errstate(over="ignore", invalid="ignore"):
