@@ -58,21 +58,11 @@ class AppEntry:
 class ApplicabilityTable:
     """(class, layer) -> applicability, with the records behind each cell."""
     entries: dict
-    probe_set: tuple
     k: int
     classes: dict     # class_id -> ClassEntry
-    failures: tuple = ()
 
     def app(self, class_id, layer_index) -> float:
         return self.entries[(class_id, layer_index)].app
-
-    @property
-    def layers(self):
-        return sorted({layer for _, layer in self.entries})
-
-    def row(self, class_id):
-        return {layer: e.app for (cid, layer), e in self.entries.items()
-                if cid == class_id}
 
 
 # ---------------------------------------------------------------------
@@ -298,7 +288,7 @@ def class_applicability(records) -> float:
     return math.fsum(r.xi for r in records) / len(records)
 
 
-def build_table(records, classes, probe_set, k, failures=()) -> ApplicabilityTable:
+def build_table(records, classes, k) -> ApplicabilityTable:
     """Assemble the (class, layer) table; incomplete cells stay absent."""
     cells = {}
     for r in records:
@@ -309,8 +299,7 @@ def build_table(records, classes, probe_set, k, failures=()) -> ApplicabilityTab
             continue  # failed or partial cell: mark absent
         recs = tuple(sorted(recs, key=lambda r: r.un_j))
         entries[key] = AppEntry(class_applicability(recs), recs)
-    return ApplicabilityTable(entries, tuple(probe_set), k, dict(classes),
-                              tuple(failures))
+    return ApplicabilityTable(entries, k, dict(classes))
 
 
 @dataclass(frozen=True)
@@ -392,9 +381,11 @@ def layer_sweep(net, classes_to_measure, probe_set, splits, cfg, layers,
                 on_record=None, on_cell=None) -> SweepResult:
     """Measure every (class, layer) applicability over the probe set.
 
-    Total jobs: len(classes) * len(probe_set) * len(layers).  Jobs whose
-    (x, un_j, layer) key appears in ``completed`` are skipped, which
-    makes interrupted sweeps resumable.
+    Total jobs: len(classes) * len(probe_set) * len(layers).  The jobs of
+    the ``completed`` records are skipped and their records returned with
+    the new ones, so a resumed sweep returns the records and table an
+    uninterrupted one would.  Two records of one job in ``completed``
+    raise ``DataError``.
     """
     measure = sorted(classes_to_measure)
     probes = sorted(probe_set)
@@ -403,13 +394,21 @@ def layer_sweep(net, classes_to_measure, probe_set, splits, cfg, layers,
         # a self-pair would silently run the self-control instead
         raise DataError(
             f"classes {sorted(overlap)} appear both as measured and probe")
-    done = set(completed)
+    done = {}
+    for r in completed:
+        job = (r.x, r.un_j, r.layer_index)
+        if job in done:
+            raise DataError(f"completed holds two records of job (x={r.x}, "
+                            f"un_j={r.un_j}, layer={r.layer_index})")
+        done[job] = r
     jobs = [j for j in sweep_jobs(measure, probes, layers) if j not in done]
     records, failures = run_jobs(net, jobs, splits, cfg, master_seed,
                                  on_record=on_record, on_cell=on_cell)
+    records = sorted([*done.values(), *records],
+                     key=lambda r: (r.x, r.layer_index, r.un_j))
     if classes is None:
         classes = {cid: splits.entry(cid) for cid in measure}
-    table = build_table(records, classes, probes, len(probes), failures)
+    table = build_table(records, classes, len(probes))
     return SweepResult(table, tuple(records), tuple(failures))
 
 

@@ -12,7 +12,6 @@ decision depth, with strictly-greater comparisons at both thresholds.
 """
 
 import json
-import math
 import shutil
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .applicability import ApplicabilityTable
+from .applicability import ApplicabilityTable, subset_average
 from .data.manifest import SubsetLabel
 from .errors import ConfigError, RoutingError
 from .fileio import atomic_open, write_json
@@ -65,25 +64,22 @@ def decide(app: float, thresholds: Thresholds) -> Verdict:
     return Verdict.NONOBJECTIVE_UNKNOWN
 
 
-def baseline_from_tables(table: ApplicabilityTable, labels, layer: int,
+def baseline_from_tables(table: ApplicabilityTable, layer: int,
                          final_layer: int):
-    """Pick (q, y1, y2) from a measured applicability table.
+    """Pick (q, y1, y2) from the subset curves of a measured table.
 
     q and y1 are the objective-known and objective-unknown subset means
     at ``layer``; y2 is the nonobjective-unknown mean at ``final_layer``.
     """
-    def subset_mean(subset, at_layer):
-        vals = [entry.app for (cid, lay), entry in table.entries.items()
-                if lay == at_layer and labels[cid] is subset]
-        if not vals:
+    curves = subset_average(table)
+    keys = [(SubsetLabel.OBJECTIVE_KNOWN, layer),
+            (SubsetLabel.OBJECTIVE_UNKNOWN, layer),
+            (SubsetLabel.NONOBJECTIVE_UNKNOWN, final_layer)]
+    for subset, at_layer in keys:
+        if (subset, at_layer) not in curves:
             raise ConfigError(
                 f"table has no {subset.value} entries at layer {at_layer}")
-        return math.fsum(vals) / len(vals)
-
-    q = subset_mean(SubsetLabel.OBJECTIVE_KNOWN, layer)
-    y1 = subset_mean(SubsetLabel.OBJECTIVE_UNKNOWN, layer)
-    y2 = subset_mean(SubsetLabel.NONOBJECTIVE_UNKNOWN, final_layer)
-    return q, y1, y2
+    return tuple(curves[key] for key in keys)
 
 
 # ---------------------------------------------------------------------

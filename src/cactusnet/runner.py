@@ -212,16 +212,15 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     fingerprint = {**settings, "base_ckpt_sha256": _sha256(base_path)}
     records_path = out / RECORDS_CSV
     fingerprint_path = out / RUN_FINGERPRINT
-    completed_records = []
+    completed = []
     if records_path.is_file():
-        completed_records = app.read_records_csv(records_path)
-        _check_resume(records_path, completed_records, fingerprint_path, fingerprint)
+        completed = app.read_records_csv(records_path)
+        _check_resume(records_path, completed, fingerprint_path, fingerprint)
     else:
         # written before the journal, so a journal always has one
         write_json(fingerprint_path, fingerprint)
-    completed = {(r.x, r.un_j, r.layer_index) for r in completed_records}
     # rewrite the journal without a torn last row, so appends start a line
-    app.write_records_csv(records_path, completed_records)
+    app.write_records_csv(records_path, completed)
 
     result = app.layer_sweep(
         net, manifest.measured_ids, manifest.probe_set, splits,
@@ -234,32 +233,25 @@ def run_measure(cfg: ExperimentConfig) -> dict:
         print(f"job failed (x={f.x}, un_j={f.un_j}, layer={f.layer_index}): "
               f"{f.error}", file=sys.stderr)
 
-    all_records = sorted(set(completed_records) | set(result.records),
-                         key=lambda r: (r.x, r.layer_index, r.un_j))
-    table = app.build_table(all_records,
-                            {c.class_id: c for c in manifest.classes},
-                            sorted(manifest.probe_set), manifest.k,
-                            failures=result.failures)
     # canonical rewrite: byte-identical regardless of completion order
-    app.write_records_csv(records_path, all_records)
-    app.write_table_csv(out / TABLE_CSV, table)
-    curves = app.subset_average(table)
-    app.write_curves_csv(out / CURVES_CSV, curves)
+    app.write_records_csv(records_path, result.records)
+    app.write_table_csv(out / TABLE_CSV, result.table)
+    app.write_curves_csv(out / CURVES_CSV, app.subset_average(result.table))
     write_json(out / MEASURE_META, {
         **settings,
-        "jobs": len(all_records),
+        "jobs": len(result.records),
         "failures": [{"x": f.x, "un_j": f.un_j, "layer": f.layer_index,
                       "error": f.error} for f in result.failures],
     })
-    return {"records": len(all_records), "failures": len(result.failures),
-            "entries": len(table.entries)}
+    return {"records": len(result.records), "failures": len(result.failures),
+            "entries": len(result.table.entries)}
 
 
 def load_table(cfg: ExperimentConfig):
     manifest = load_manifest(cfg)
     records = app.read_records_csv(cfg.out_path / RECORDS_CSV)
     return app.build_table(records, {c.class_id: c for c in manifest.classes},
-                           sorted(manifest.probe_set), manifest.k), manifest
+                           manifest.k), manifest
 
 
 # ---------------------------------------------------------------------
@@ -368,19 +360,13 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
 # cactus-run
 # ---------------------------------------------------------------------
 
-def _baseline_thresholds(cfg, table, manifest) -> cactus.Thresholds:
-    labels = {cid: manifest.entry(cid).subset for cid in manifest.measured_ids}
-    q, y1, y2 = cactus.baseline_from_tables(
-        table, labels, cfg.threshold_reference_tap, cfg.threshold_final_tap)
-    return cactus.compute_thresholds(q, y1, y2)
-
-
 def build_cactus_tree(cfg: ExperimentConfig, mock=False):
     out = cfg.out_path
     net = checkpoint_load(out / BASE_CKPT)
     table, manifest = load_table(cfg)
-    thresholds = (cfg.threshold_overrides
-                  or _baseline_thresholds(cfg, table, manifest))
+    thresholds = cfg.threshold_overrides or cactus.compute_thresholds(
+        *cactus.baseline_from_tables(table, cfg.threshold_reference_tap,
+                                     cfg.threshold_final_tap))
     predictors = {}
     for tap in cfg.taps:
         if mock:

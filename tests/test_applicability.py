@@ -263,14 +263,43 @@ class TestSweep:
         manifest, splits, net, cfg = small_world
         full = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
                            splits, cfg, TAPS, master_seed=17)
-        done_keys = [(r.x, r.un_j, r.layer_index) for r in full.records[:5]]
+        new = []
         partial = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
                               splits, cfg, TAPS, master_seed=17,
-                              completed=done_keys)
-        assert len(partial.records) == len(full.records) - 5
-        merged = sorted(set(partial.records) | set(full.records[:5]),
+                              completed=full.records[:5], on_record=new.append)
+        assert len(new) == len(full.records) - 5
+        merged = sorted(set(new) | set(full.records[:5]),
                         key=lambda r: (r.x, r.layer_index, r.un_j))
         assert merged == list(full.records)
+        assert partial.records == full.records
+
+    @pytest.mark.parametrize("cut", ["first_five", "one_cells_first", "all"])
+    def test_resumed_sweep_returns_the_uninterrupted_result(self, small_world,
+                                                            cut):
+        manifest, splits, net, cfg = small_world
+        full = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
+                           splits, cfg, TAPS, master_seed=17)
+        k = len(manifest.probe_set)
+        completed = {"first_five": full.records[:5],
+                     "one_cells_first": full.records[k:k + 1],
+                     "all": full.records[::-1]}[cut]
+        resumed = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
+                              splits, cfg, TAPS, master_seed=17,
+                              completed=completed)
+        assert resumed.records == full.records
+        assert resumed.table == full.table
+        assert resumed == full
+
+    def test_two_records_of_one_job_rejected(self, small_world):
+        manifest, splits, net, cfg = small_world
+        first = layer_sweep(net, manifest.measured_ids[:1], manifest.probe_set,
+                            splits, cfg, TAPS[:1], master_seed=17).records[0]
+        for twin in (first, SeparabilityRecord(first.x, first.un_j,
+                                               first.layer_index, 0.5, first.seed)):
+            with pytest.raises(DataError, match=f"x={first.x}, un_j={first.un_j}"):
+                layer_sweep(net, manifest.measured_ids, manifest.probe_set,
+                            splits, cfg, TAPS, master_seed=17,
+                            completed=[first, twin])
 
     def test_measured_probe_overlap_rejected(self, small_world):
         manifest, splits, net, cfg = small_world
@@ -326,11 +355,15 @@ class TestTapFeatures:
 
     def test_completed_resume_runs_no_forward(self, small_world, monkeypatch):
         manifest, splits, net, cfg = small_world
-        done = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)
+        done = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
+                           splits, cfg, TAPS, master_seed=17).records
         counts = self.count_forwards(monkeypatch)
+        new = []
         result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
-                             splits, cfg, TAPS, master_seed=17, completed=done)
-        assert result.records == () and result.failures == ()
+                             splits, cfg, TAPS, master_seed=17, completed=done,
+                             on_record=new.append)
+        assert new == [] and result.failures == ()
+        assert result.records == done
         assert counts == {"outside": 0, "inside": 0}
 
     def test_non_finite_between_taps_fails_only_deeper_jobs(self, small_world,
@@ -495,13 +528,17 @@ class TestStackedCell:
                                                            monkeypatch):
         manifest, splits, net, cfg = small_world
         jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)
+        first = pair_separability(net, jobs[0][2], *jobs[0][:2], splits,
+                                  cfg.with_seed(job_seed(17, *jobs[0])))
         trained = self.capture_training(monkeypatch)
+        new = []
         result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
                              splits, cfg, TAPS, master_seed=17,
-                             completed=jobs[:1])
+                             completed=[first], on_record=new.append)
         k = len(manifest.probe_set)
         assert [t.stack for t in trained] == [(k - 1,)] + [(k,)] * (len(jobs) // k - 1)
-        assert len(result.records) == len(jobs) - 1
+        assert len(new) == len(jobs) - 1
+        assert len(result.records) == len(jobs)
 
 
 class TestSubsetAverage:
@@ -513,7 +550,7 @@ class TestSubsetAverage:
             classes[cid] = ClassEntry(cid, f"c{cid}", subset)
             for layer, app in enumerate(row):
                 entries[(cid, layer)] = type("E", (), {"app": app})()
-        return ApplicabilityTable(entries, (90, 91), 2, classes)
+        return ApplicabilityTable(entries, 2, classes)
 
     def test_single_class_subset_equals_row(self):
         t = self.table_with([(1, SubsetLabel.OBJECTIVE_KNOWN, [0.9, 0.8])])

@@ -88,29 +88,26 @@ def toy_table():
         classes[cid] = ClassEntry(cid, f"c{cid}", subset)
         for layer, app in row.items():
             entries[(cid, layer)] = type("E", (), {"app": app})()
-    return ApplicabilityTable(entries, (9,), 1, classes)
+    return ApplicabilityTable(entries, 1, classes)
 
 
 class TestBaselines:
     def test_single_class_rows(self):
         table = toy_table()
-        labels = {cid: e.subset for cid, e in table.classes.items()}
-        q, y1, y2 = baseline_from_tables(table, labels, layer=2, final_layer=5)
+        q, y1, y2 = baseline_from_tables(table, layer=2, final_layer=5)
         assert (q, y1, y2) == pytest.approx((0.986, 0.983, 0.923))
 
     def test_mean_matches_arithmetic_oracle(self):
         table = toy_table()
         table.classes[3] = ClassEntry(3, "c3", SubsetLabel.OBJECTIVE_KNOWN)
         table.entries[(3, 2)] = type("E", (), {"app": 0.9})()
-        labels = {cid: e.subset for cid, e in table.classes.items()}
-        q, _, _ = baseline_from_tables(table, labels, layer=2, final_layer=5)
+        q, _, _ = baseline_from_tables(table, layer=2, final_layer=5)
         assert abs(q - (0.986 + 0.9) / 2) <= 1e-9
 
     def test_missing_subset_coverage(self):
         table = toy_table()
-        labels = {cid: e.subset for cid, e in table.classes.items()}
         with pytest.raises(ConfigError, match="no"):
-            baseline_from_tables(table, labels, layer=3, final_layer=5)
+            baseline_from_tables(table, layer=3, final_layer=5)
 
 
 # ---------------------------------------------------------------------

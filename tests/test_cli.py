@@ -126,6 +126,24 @@ class TestPipelineOutputs:
         assert rows[0] == "class,subset,layer,actual_app,mean_predicted,abs_err"
         assert len(rows) - 1 == 1 * 3  # one held-out class, three taps
 
+    def test_tree_baselines_are_the_subset_curves(self, pipeline_dir):
+        out = pipeline_dir / "out"
+        with open(out / "subset_curves.csv", encoding="utf-8", newline="") as fh:
+            curves = {(r["subset"], int(r["layer"])): float(r["mean_app"])
+                      for r in csv.DictReader(fh)}
+        ref, final = TINY["threshold_reference_tap"], TINY["threshold_final_tap"]
+        want = {"q": curves[("objective_known", ref)],
+                "y1": curves[("objective_unknown", ref)],
+                "y2": curves[("nonobjective_unknown", final)]}
+        nodes = [json.loads((out / "tree" / "tree.json").read_text())["root"]]
+        found = []
+        while nodes:
+            node = nodes.pop()
+            nodes.extend(node["children"])
+            if node["thresholds"] is not None:
+                found.append({key: node["thresholds"][key] for key in want})
+        assert found and all(got == want for got in found)
+
     def test_growth_log_is_json_lines(self, pipeline_dir):
         lines = (pipeline_dir / "out" / "growth_log.jsonl").read_text().splitlines()
         assert len(lines) == 1 + 5  # header + one decision per input
