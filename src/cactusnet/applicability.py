@@ -444,13 +444,29 @@ def write_records_csv(path, records):
 
 
 def read_records_csv(path):
-    """Records of the newline-terminated rows; a last row cut short by a
-    kill is dropped, so its job runs again."""
+    """Records of the newline-terminated rows, one per job; a last row cut
+    short by a kill is dropped, so its job runs again.  A row repeated
+    exactly reads once.  A row that does not parse, or a second, different
+    record of one job, raises ``DataError`` naming its line."""
     with open(path, encoding="utf-8", newline="") as fh:
-        lines = [line for line in fh if line.endswith("\n")]
-    return [SeparabilityRecord(int(row["x"]), int(row["un_j"]), int(row["layer"]),
-                               float(row["xi"]), int(row["seed"]))
-            for row in csv.DictReader(lines)]
+        rows = csv.DictReader(line for line in fh if line.endswith("\n"))
+        try:
+            parsed = [(SeparabilityRecord(int(row["x"]), int(row["un_j"]),
+                                          int(row["layer"]), float(row["xi"]),
+                                          int(row["seed"])), rows.line_num)
+                      for row in rows]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path} line {rows.line_num}: not a record: "
+                            f"{exc!r}") from exc
+    records = {}
+    for r, line in parsed:
+        if records.setdefault((r.x, r.un_j, r.layer_index), r) != r:
+            raise DataError(
+                f"{path} line {line}: a second, different record of job "
+                f"(x={r.x}, un_j={r.un_j}, layer={r.layer_index})")
+    return list(records.values())
 
 
 def append_record_csv(path, record):

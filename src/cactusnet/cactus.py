@@ -21,7 +21,7 @@ import numpy as np
 
 from .applicability import ApplicabilityTable, subset_average
 from .data.manifest import SubsetLabel
-from .errors import ConfigError, RoutingError
+from .errors import ConfigError, DataError, RoutingError
 from .fileio import atomic_open, write_json
 from .nn import Network, checkpoint_load, checkpoint_save, forward
 from .seeding import derive_seed
@@ -570,9 +570,14 @@ def save_growth_log(log: GrowthLog, path):
 
 
 def load_growth_log(path) -> GrowthLog:
+    """The log at ``path``; a file that is not one raises ``DataError``
+    naming it."""
     with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    log = GrowthLog(GrowthConfig(**lines[0]["config"]))
-    log.decisions = [RouteDecision(**{**doc, "verdict": Verdict(doc["verdict"])})
-                     for doc in lines[1:]]
+        try:
+            header, *docs = [json.loads(line) for line in fh if line.strip()]
+            log = GrowthLog(GrowthConfig(**header["config"]))
+            log.decisions = [RouteDecision(**{**doc, "verdict": Verdict(doc["verdict"])})
+                             for doc in docs]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path} is not a growth log: {exc!r}") from exc
     return log

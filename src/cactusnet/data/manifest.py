@@ -111,8 +111,13 @@ class DatasetManifest:
 
     @staticmethod
     def load(path) -> "DatasetManifest":
+        """The manifest at ``path``; a file that is not one raises
+        ``ManifestError`` naming it."""
         with open(path, encoding="utf-8") as fh:
-            return DatasetManifest.from_dict(json.load(fh))
+            try:
+                return DatasetManifest.from_dict(json.load(fh))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ManifestError(f"{path} is not a manifest: {exc!r}") from exc
 
 
 def sample_probe_set(classes, k, seed, exclude=()):

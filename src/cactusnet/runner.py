@@ -269,8 +269,7 @@ def _auto_heldout(manifest, table, taps) -> list:
     picks = []
     for subset in SubsetLabel:
         ids = [cid for cid in manifest.measured_ids
-               if manifest.entry(cid).subset is subset
-               and all((cid, t) in table.entries for t in taps)]
+               if manifest.entry(cid).subset is subset]
         if not ids:
             continue
         mean = {t: sum(table.app(c, t) for c in ids) / len(ids) for t in taps}
@@ -290,6 +289,13 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
     if not (out / BASE_CKPT).is_file():
         raise ConfigError("base checkpoint missing: run train-base first")
     table, manifest = load_table(cfg)
+    missing = [(cid, tap) for cid in manifest.measured_ids for tap in cfg.taps
+               if (cid, tap) not in table.entries]
+    if missing:
+        raise ConfigError(
+            f"the applicability table lacks the (class, layer) cells "
+            f"{', '.join(map(str, missing))}: a job failed or its record is "
+            "missing; rerun measure to fill them")
     net = checkpoint_load(out / BASE_CKPT)
     splits = _splits(cfg, manifest, manifest.measured_ids)
 
@@ -403,8 +409,14 @@ def read_stream(cfg: ExperimentConfig, manifest, doc):
     try:
         kind = doc.get("type")
         if kind == "mock":
+            apps = doc["apps"]
+            for i, a in enumerate(apps):
+                if isinstance(a, bool) or not (isinstance(a, (int, float))
+                                               and 0 <= a <= 1):
+                    raise ConfigError(f"stream apps[{i}] must be a number in "
+                                      f"[0, 1], got {a!r}")
             blank = np.zeros(cfg.input_shape, dtype=np.float32)
-            return [((blank, float(a)), "mock") for a in doc["apps"]]
+            return [((blank, float(a)), "mock") for a in apps]
         if kind == "manifest":
             per = doc.get("per_class", 1)
             if isinstance(per, bool) or not isinstance(per, int) or per < 1:
@@ -472,6 +484,19 @@ def run_report(cfg: ExperimentConfig) -> dict:
                if not (out / name).is_file()]
     if missing:
         raise ConfigError(f"report inputs missing: {missing}")
+    # predictor fidelity: one row per held-out class, taken at the
+    # reference tap (the full per-layer sweep stays in predictor_eval.csv)
+    try:
+        with open(out / PREDICTOR_EVAL, encoding="utf-8", newline="") as fh:
+            eval_rows = sorted(
+                ([r["class"], r["subset"], r["actual_app"], r["mean_predicted"],
+                  r["abs_err"]] for r in csv.DictReader(fh)
+                 if int(r["layer"]) == cfg.threshold_reference_tap),
+                key=lambda row: int(row[0]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{out / PREDICTOR_EVAL} holds a corrupt row: "
+                        f"{exc!r}") from exc
+    log = cactus.load_growth_log(out / GROWTH_LOG)
     report = out / REPORT_DIR
     report.mkdir(parents=True, exist_ok=True)
 
@@ -479,21 +504,13 @@ def run_report(cfg: ExperimentConfig) -> dict:
     with atomic_open(report / "curves.csv", "wb") as fh:
         fh.write((out / CURVES_CSV).read_bytes())
 
-    # predictor fidelity: one row per held-out class, taken at the
-    # reference tap (the full per-layer sweep stays in predictor_eval.csv)
-    with open(out / PREDICTOR_EVAL, encoding="utf-8", newline="") as fh:
-        eval_rows = [r for r in csv.DictReader(fh)
-                     if int(r["layer"]) == cfg.threshold_reference_tap]
     with atomic_open(report / "predictor_fidelity.csv", encoding="utf-8",
                      newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["class", "subset", "actual_app", "mean_predicted",
                     "abs_err"])
-        for r in sorted(eval_rows, key=lambda r: int(r["class"])):
-            w.writerow([r["class"], r["subset"], r["actual_app"],
-                        r["mean_predicted"], r["abs_err"]])
+        w.writerows(eval_rows)
 
-    log = cactus.load_growth_log(out / GROWTH_LOG)
     counts = {v.value: c for v, c in sorted(
         log.verdict_counts().items(), key=lambda kv: kv[0].value)}
     write_json(report / "growth_summary.json", {

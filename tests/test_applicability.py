@@ -283,9 +283,11 @@ class TestSweep:
         completed = {"first_five": full.records[:5],
                      "one_cells_first": full.records[k:k + 1],
                      "all": full.records[::-1]}[cut]
+        new = []
         resumed = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
                               splits, cfg, TAPS, master_seed=17,
-                              completed=completed)
+                              completed=completed, on_record=new.append)
+        assert len(new) == len(full.records) - len(completed)
         assert resumed.records == full.records
         assert resumed.table == full.table
         assert resumed == full

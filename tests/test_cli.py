@@ -317,7 +317,11 @@ class TestExitCodes:
         '{"type": "dataset", "path": "."}',
         '{"type": "manifest", "classes": [0], "per_class": 0}',
         '{"type": "manifest", "classes": [0], "per_class": -1}',
-        '{"type": "manifest", "classes": [0], "per_class": 2.7}'])
+        '{"type": "manifest", "classes": [0], "per_class": 2.7}',
+        '{"type": "mock", "apps": [NaN]}', '{"type": "mock", "apps": [0.5, Infinity]}',
+        '{"type": "mock", "apps": [-Infinity]}', '{"type": "mock", "apps": [5.0]}',
+        '{"type": "mock", "apps": [-0.1]}', '{"type": "mock", "apps": [true]}',
+        '{"type": "mock", "apps": [0.5, false]}', '{"type": "mock", "apps": [2]}'])
     def test_malformed_stream_exits_2(self, pipeline_dir, tmp_path, capsys, text):
         stream = tmp_path / "malformed.json"
         stream.write_text(text)
@@ -399,6 +403,107 @@ def test_every_measured_class_held_out_exits_2(pipeline_dir, tmp_path, capsys):
     assert run(cfg, "train-predictors") == 2
     assert "heldout_classes" in capsys.readouterr().err
     assert not list((base / "out").glob("predictor_*"))
+
+
+def snapshot(base: Path) -> dict:
+    return {p.relative_to(base): p.read_bytes()
+            for p in sorted(base.rglob("*")) if p.is_file()}
+
+
+def test_incomplete_table_exits_2(pipeline_dir, tmp_path, capsys):
+    # a cell whose job failed, or whose record is lost, is absent from the table
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    out = base / "out"
+    for ckpt in out.glob("predictor_*"):
+        ckpt.unlink()
+    records = out / "records.csv"
+    lines = records.read_text().splitlines(keepends=True)
+    x, un_j, layer = lines[3].split(",")[:3]
+    records.write_text("".join(lines[:3] + lines[4:]))
+    before = snapshot(base)
+    capsys.readouterr()
+    assert run(base / "config.json", "train-predictors") == 2
+    err = capsys.readouterr().err
+    assert f"({x}, {layer})" in err and "measure" in err
+    assert snapshot(base) == before
+    assert not list(out.glob("predictor_*"))
+
+
+@pytest.mark.parametrize("twin, code", [("different", 2), ("exact", 0)])
+def test_journal_with_two_records_of_one_job(pipeline_dir, tmp_path, capsys,
+                                             twin, code):
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    records = base / "out" / "records.csv"
+    journal = records.read_bytes()
+    lines = journal.decode().splitlines(keepends=True)
+    x, un_j, layer, xi, seed = lines[1].rstrip("\r\n").split(",")
+    if twin == "different":
+        xi = repr(1.0 - float(xi))
+    records.write_bytes(journal + f"{x},{un_j},{layer},{xi},{seed}\r\n".encode())
+    before = snapshot(base)
+    capsys.readouterr()
+    assert run(base / "config.json", "measure") == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"(x={x}, un_j={un_j}, layer={layer})" in err
+        assert f"line {len(lines) + 1}" in err
+        assert snapshot(base) == before
+    else:
+        assert snapshot(base) == {**before, Path("out/records.csv"): journal}
+
+
+def _replace_line(index, text):
+    def corrupt(path):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[index] = text
+        path.write_text("".join(lines))
+    return corrupt
+
+
+def _overwrite(text):
+    return lambda path: path.write_text(text)
+
+
+@pytest.mark.parametrize("name, corrupt, verb", [
+    ("out/records.csv", _replace_line(5, "1,x,5,0.5,7\n"), "measure"),
+    ("out/records.csv", _replace_line(5, "1,2,5,high,7\n"), "train-predictors"),
+    ("out/records.csv", _replace_line(5, "1,2,5,0.5\n"), "cactus-run"),
+    ("out/records.csv", _replace_line(0, "y,un_j,layer,xi,seed\n"), "measure"),
+    ("out/records.csv", _replace_line(0, "y,un_j,layer,xi,seed\n"),
+     "train-predictors"),
+    ("out/records.csv", _replace_line(0, "y,un_j,layer,xi,seed\n"), "cactus-run"),
+    ("out/records.csv", lambda path: path.write_bytes(path.read_bytes() + b"\xff\n"),
+     "measure"),
+    ("manifest.json", _overwrite("{not json"), "train-base"),
+    ("manifest.json", _overwrite("{}"), "train-base"),
+    ("manifest.json", _overwrite('{"classes": [3]}'), "measure"),
+    ("out/growth_log.jsonl", _overwrite("{not json\n"), "report"),
+    ("out/growth_log.jsonl", _overwrite(""), "report"),
+    ("out/predictor_eval.csv", _replace_line(1, "2,objective_unknown,five,0.9,0.9,0\n"),
+     "report"),
+    ("out/predictor_eval.csv", _overwrite("class,subset\n2,objective_unknown\n"),
+     "report")], ids=[
+    "records-non-integer-measure", "records-non-float-train-predictors",
+    "records-short-row-cactus-run", "records-no-x-measure",
+    "records-no-x-train-predictors", "records-no-x-cactus-run",
+    "records-not-utf8-measure",
+    "manifest-not-json", "manifest-empty-object", "manifest-class-not-object",
+    "growth-log-not-json", "growth-log-empty", "eval-non-integer-layer",
+    "eval-no-layer-column"])
+def test_corrupt_input_file_exits_2(pipeline_dir, tmp_path, capsys, name,
+                                    corrupt, verb):
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    corrupt(base / name)
+    before = snapshot(base)
+    argv = [str(base / "stream.json")] if verb == "cactus-run" else []
+    capsys.readouterr()
+    assert run(base / "config.json", verb, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and Path(name).name in err
+    assert snapshot(base) == before
 
 
 def test_seed_spread_salt_zero_matches_train_predictors(pipeline_dir):
