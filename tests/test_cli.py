@@ -440,7 +440,7 @@ def test_journal_with_two_records_of_one_job(pipeline_dir, tmp_path, capsys,
     lines = journal.decode().splitlines(keepends=True)
     x, un_j, layer, xi, seed = lines[1].rstrip("\r\n").split(",")
     if twin == "different":
-        xi = repr(1.0 - float(xi))
+        xi = "0.125" if float(xi) != 0.125 else "0.25"
     records.write_bytes(journal + f"{x},{un_j},{layer},{xi},{seed}\r\n".encode())
     before = snapshot(base)
     capsys.readouterr()
