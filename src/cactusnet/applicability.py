@@ -7,22 +7,25 @@ world" with a k-class probe set, fine-tune a 2-way head for each
 frozen, and read off the balanced test accuracy.  The mean over the
 probe set is the class applicability at that layer.
 
-The k jobs of one (class, layer) cell share the frozen suffix's
-architecture, feature shapes and budget, so they train as one stack of
-networks (``nn.network.stack``): one SGD loop whose every step moves all
-k heads, each on its own seeded batches, with the bits it would get alone.
+The jobs at one tap share the frozen suffix's architecture and budget,
+and mostly their feature shapes, so consecutive (class, layer) cells of a
+tap train as one stack of networks (``nn.network.stack``): one SGD loop
+whose every step moves all their heads, each on its own seeded batches,
+with the bits it would get alone.  A stack grows only while its
+estimated memory stays within the costliest single cell's.
 """
 
 import csv
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
+from itertools import groupby, islice
 
 import numpy as np
 
 from .data.manifest import SplitStore, SubsetLabel
-from .errors import AggregationError, DataError, NumericFailureError
+from .errors import (AggregationError, DataError, NumericFailureError,
+                     ShapeMismatchError)
 from .fileio import atomic_open, fmt_float
 from .nn import TrainConfig, backward, forward, predict, replace_head, sgd_step
 from .nn.network import Network, head_index, one_hot, split_at, stack
@@ -310,10 +313,11 @@ class SweepResult:
 
 
 def sweep_jobs(classes_to_measure, probe_set, layers):
-    """The deterministic job list of a sweep: (x, un_j, layer) triples."""
+    """The deterministic job list of a sweep: (x, un_j, layer) triples,
+    tap-major, so that the cells of one tap are consecutive."""
     return [(x, un_j, layer)
-            for x in sorted(classes_to_measure)
             for layer in sorted(layers)
+            for x in sorted(classes_to_measure)
             for un_j in sorted(probe_set)]
 
 
@@ -331,46 +335,107 @@ def _job_alone(net, job, features, cfg, seed):
         return JobFailure(*job, seed, str(exc))
 
 
+def _job_cost(suffix: Network, rows: int) -> int:
+    """Floats one job of a stack holds while it trains: one ``rows``-row
+    batch of the suffix's input and activations, its largest column
+    matrix, and four copies of its parameters (the stack's, their
+    gradients, the step's scaled gradients and the next snapshot's)."""
+    shapes = [suffix.input_shape, *suffix.shapes]
+    cols = max((math.prod(out[:2]) * math.prod(spec.kernel) * shape[-1]
+                for spec, shape, out in zip(suffix.specs, shapes, suffix.shapes)
+                if spec.kind == "Conv2D"), default=0)
+    params = sum(v.size for p in suffix.params if p is not None for v in p.values())
+    return rows * (sum(map(math.prod, shapes)) + cols) + 4 * params
+
+
+def _job_rows(features, job, batch_size) -> int:
+    """The rows of a job's largest batch: a pair batch, or one class's
+    balanced test rows, which ``_pair_accuracies`` forwards at once."""
+    x, un_j, tap = job
+    try:
+        test = min(features.get(c, "test", tap).shape[0] for c in (x, un_j))
+    except Exception:  # noqa: BLE001 - its stack failed; the job fails when run
+        test = 0
+    return max(batch_size, test // 2 if x == un_j else test)
+
+
+def _cell_stacks(net, cells, features, batch_size):
+    """The cells split into runs of consecutive cells of one tap, each
+    trained as one stack.
+
+    A cell joins the stack before it while the stack's estimated working
+    set (``_job_cost``, summed over its jobs) stays within that of the
+    costliest single cell, so that joining cells costs no more memory
+    than the largest cell alone.
+    """
+    costs = []
+    for cell in cells:
+        try:
+            suffix = split_at(net, cell[0][2])[1]
+        except ShapeMismatchError:  # no suffix: every job of the cell fails
+            costs.append(0)
+            continue
+        costs.append(sum(_job_cost(suffix, _job_rows(features, job, batch_size))
+                         for job in cell))
+    bound = max(costs, default=0)
+    stacks, load = [], 0
+    for cell, cost in zip(cells, costs):
+        if stacks and stacks[-1][-1][0][2] == cell[0][2] and load + cost <= bound:
+            stacks[-1].append(cell)
+            load += cost
+        else:
+            stacks.append([cell])
+            load = cost
+    return stacks
+
+
 def run_jobs(net, jobs, splits, cfg, master_seed, *, on_record=None,
              on_cell=None):
     """Execute 1-vs-1 jobs in order in this thread, each seeded purely
     from its identity.
 
     The features of every (class, split) the jobs touch are forwarded
-    once, before any job runs (``TapFeatures``).  Each run of consecutive
-    jobs with one (x, layer) cell trains as one stack
-    (``stacked_separability``); if the stack raises, its jobs run again
-    one at a time, so each failure carries its own job's seed and error.
-    Failed jobs are collected, not raised, so a long sweep always
-    completes.  ``on_record`` is called after each record, in job order
-    (used for journaling); an error it raises stops the sweep.
-    ``on_cell(i, cells, x, layer, jobs, failed)`` is called after the
-    i-th cell of ``cells``.
+    once, before any job runs (``TapFeatures``).  Runs of consecutive
+    jobs with one (x, layer) cell are cells; consecutive cells of one
+    tap train as one stack (``stacked_separability``) while the stack
+    fits in the costliest cell's estimated memory (``_cell_stacks``).
+    If a stack raises, its jobs run again one at a time, so each failure
+    carries its own job's seed and error.  Failed jobs are collected,
+    not raised, so a long sweep always completes.  ``on_record`` is
+    called after each record, in job order (used for journaling); an
+    error it raises stops the sweep.  ``on_cell(i, cells, x, layer,
+    jobs, failed)`` is called after the i-th cell of ``cells``, once its
+    stack is done.
     """
     features = TapFeatures.build(net, splits, _taps_by_class(jobs))
     cells = [list(cell) for _, cell in groupby(jobs, key=lambda j: (j[0], j[2]))]
-    records, failures = [], []
-    for i, cell in enumerate(cells, start=1):
-        x, _, layer = cell[0]
-        seeds = [job_seed(master_seed, *job) for job in cell]
+    records, failures, i = [], [], 0
+    for stack_cells in _cell_stacks(net, cells, features, cfg.batch_size):
+        stacked = [job for cell in stack_cells for job in cell]
+        layer = stacked[0][2]
+        seeds = [job_seed(master_seed, *job) for job in stacked]
         try:
-            xis = stacked_separability(net, layer, [job[:2] for job in cell],
+            xis = stacked_separability(net, layer, [job[:2] for job in stacked],
                                        features, cfg, seeds)
-            done = [SeparabilityRecord(*job[:2], layer, float(xi), seed)
-                    for job, xi, seed in zip(cell, xis, seeds)]
+            outcomes = [SeparabilityRecord(*job[:2], layer, float(xi), seed)
+                        for job, xi, seed in zip(stacked, xis, seeds)]
         except Exception:  # noqa: BLE001 - each job's own outcome below
-            done = [_job_alone(net, job, features, cfg, seed)
-                    for job, seed in zip(cell, seeds)]
-        for rec in done:
-            if isinstance(rec, JobFailure):
-                failures.append(rec)
-                continue
-            records.append(rec)
-            if on_record:
-                on_record(rec)
-        if on_cell:
-            on_cell(i, len(cells), x, layer, len(cell),
-                    sum(isinstance(rec, JobFailure) for rec in done))
+            outcomes = [_job_alone(net, job, features, cfg, seed)
+                        for job, seed in zip(stacked, seeds)]
+        outcomes = iter(outcomes)
+        for cell in stack_cells:
+            i += 1
+            done = list(islice(outcomes, len(cell)))
+            for rec in done:
+                if isinstance(rec, JobFailure):
+                    failures.append(rec)
+                    continue
+                records.append(rec)
+                if on_record:
+                    on_record(rec)
+            if on_cell:
+                on_cell(i, len(cells), cell[0][0], layer, len(cell),
+                        sum(isinstance(rec, JobFailure) for rec in done))
     records.sort(key=lambda r: (r.x, r.layer_index, r.un_j))
     failures.sort(key=lambda f: (f.x, f.layer_index, f.un_j))
     return records, failures
@@ -446,8 +511,9 @@ def write_records_csv(path, records):
 def read_records_csv(path):
     """Records of the newline-terminated rows, one per job; a last row cut
     short by a kill is dropped, so its job runs again.  A row repeated
-    exactly reads once.  A row that does not parse, or a second, different
-    record of one job, raises ``DataError`` naming its line."""
+    exactly reads once.  A row that does not parse, whose ``xi`` is not in
+    [0, 1], or that is a second, different record of one job raises
+    ``DataError`` naming its line."""
     with open(path, encoding="utf-8", newline="") as fh:
         rows = csv.DictReader(line for line in fh if line.endswith("\n"))
         try:
@@ -462,6 +528,9 @@ def read_records_csv(path):
                             f"{exc!r}") from exc
     records = {}
     for r, line in parsed:
+        if not 0.0 <= r.xi <= 1.0:  # NaN fails this too
+            raise DataError(f"{path} line {line}: xi {r.xi!r} is not an "
+                            "accuracy in [0, 1]")
         if records.setdefault((r.x, r.un_j, r.layer_index), r) != r:
             raise DataError(
                 f"{path} line {line}: a second, different record of job "

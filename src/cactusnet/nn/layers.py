@@ -14,12 +14,14 @@ reaches every network.
 The steps take every axis before a layer's per-sample axes as a batch
 axis.  A stack of networks (``network.stack``) holds its parameters with
 a leading stack axis and its activations as ``[stack, n, *sample]``.
-Conv2D then calls the kernels once per stacked network, so that one
-network's column matrix is alive at a time; Dense is one matrix product
-batched over the stack, through ``_dense`` and ``_dense_backward``,
-because readers of the public kernels' arguments (perfbench's layer
-metrics) take them for one network's.  Each network's slice has the
-bits it would have alone.
+Conv2D builds one column matrix over the whole stack and runs one
+batched matrix product each for its output, kernel gradient and column
+gradient (``_conv2d``, ``_conv2d_backward``); Dense is one batched
+product (``_dense``, ``_dense_backward``).  These are private because
+readers of the public kernels' arguments (perfbench's layer metrics)
+take them for one network's.  A batched product runs one GEMM per
+network with the shapes that network has alone, so each network's slice
+has the bits it would have alone.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -144,27 +146,37 @@ class LayerSpec:
 # ---------------------------------------------------------------------
 
 def _im2col(x, kh, kw, stride, h_out, w_out):
-    """The ``[n*h_out*w_out, kh*kw*c_in]`` column matrix of ``x``'s windows.
+    """The column matrix of the windows of ``x``, ``[*stack, n, h, w, c_in]``.
 
-    Row ``(b, y, x)`` holds the window at output position ``(y, x)`` of
-    image ``b``, its columns in ``(i, j, c)`` order, so that the
-    convolution is ``cols @ kernels.reshape(kh*kw*c_in, c_out)``.  For a
-    1x1 stride-1 kernel the rows are ``x``'s pixels: a plain reshape, a
-    view of a contiguous ``x``, with no strided view built.
+    Returns ``[*stack, n*h_out*w_out, kh*kw*c_in]``: row ``(b, y, x)``
+    holds the window at output position ``(y, x)`` of image ``b``, its
+    columns in ``(i, j, c)`` order, so that the convolution is
+    ``cols @ kernels.reshape(kh*kw*c_in, c_out)``.  For a 1x1 stride-1
+    kernel the rows are ``x``'s pixels: a plain reshape, a view of a
+    contiguous ``x``, with no strided view built.  A single-channel
+    input is copied one window position at a time, from the strided
+    slice holding that element of every window: the general strided
+    view's contiguous runs would be only ``kw`` floats long.
     """
-    n, h, w, c_in = x.shape
+    h, w, c_in = x.shape[-3:]
     # the strided view below reads whatever memory its shape reaches
     if (h_out, w_out) != ((h - kh) // stride + 1, (w - kw) // stride + 1):
         raise ShapeMismatchError(
             f"{h_out}x{w_out} outputs do not match {kh}x{kw} windows at "
             f"stride {stride} over input {x.shape}")
+    shape = (*x.shape[:-4], x.shape[-4] * h_out * w_out, kh * kw * c_in)
     if (kh, kw, stride) == (1, 1, 1):
-        return x.reshape(n * h * w, c_in)
-    sn, sh, sw, sc = x.strides
-    windows = as_strided(x, (n, h_out, w_out, kh, kw, c_in),
-                         (sn, stride * sh, stride * sw, sh, sw, sc),
+        return x.reshape(shape)
+    if c_in == 1:
+        cols = np.empty((*x.shape[:-3], h_out, w_out, kh * kw), x.dtype)
+        for t, sl in enumerate(_window_slices((kh, kw), stride, h_out, w_out)):
+            cols[..., t:t + 1] = x[sl]
+        return cols.reshape(shape)
+    *lead, sh, sw, sc = x.strides
+    windows = as_strided(x, (*x.shape[:-3], h_out, w_out, kh, kw, c_in),
+                         (*lead, stride * sh, stride * sw, sh, sw, sc),
                          writeable=False)
-    return windows.reshape(n * h_out * w_out, kh * kw * c_in)
+    return windows.reshape(shape)
 
 
 def conv2d(image, kernels, stride=1):
@@ -183,15 +195,26 @@ def conv2d(image, kernels, stride=1):
         raise ShapeMismatchError(
             f"conv2d expects image [h,w,c] or [n,h,w,c] and kernels "
             f"[kh,kw,c_in,c_out], got {np.asarray(image).shape} and {k.shape}")
-    n, h, w, c_in = x.shape
-    kh, kw, kc_in, c_out = k.shape
+    h, w, c_in = x.shape[1:]
+    kh, kw, kc_in, _ = k.shape
     if kc_in != c_in or kh > h or kw > w:
         raise ShapeMismatchError(
             f"kernels {k.shape} do not fit input {np.asarray(image).shape}")
+    out = _conv2d(x, k, stride)
+    return out[0] if single else out
+
+
+def _conv2d(x, kernels, stride):
+    """``conv2d`` of ``[*stack, n, h, w, c_in]`` by ``[*stack, kh, kw,
+    c_in, c_out]``: one column matrix over the whole stack and one
+    batched product, which runs each network's GEMM with the shapes it
+    has alone."""
+    kh, kw, c_in, c_out = kernels.shape[-4:]
+    h, w = x.shape[-3:-1]
     h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
     cols = _im2col(x, kh, kw, stride, h_out, w_out)
-    out = (cols @ k.reshape(kh * kw * c_in, c_out)).reshape(n, h_out, w_out, c_out)
-    return out[0] if single else out
+    out = cols @ kernels.reshape(*kernels.shape[:-4], kh * kw * c_in, c_out)
+    return out.reshape(*x.shape[:-3], h_out, w_out, c_out)
 
 
 def conv2d_backward(x, kernels, dout, stride=1, need_dx=True):
@@ -206,21 +229,30 @@ def conv2d_backward(x, kernels, dout, stride=1, need_dx=True):
     reads each pixel once, so there ``dx`` is the column gradient itself,
     plus 0: adding 0 turns a -0 into +0, as the sum into zeros does.
     """
-    kh, kw, c_in, c_out = kernels.shape
-    n, h_out, w_out, _ = dout.shape
-    d2 = dout.reshape(-1, c_out)
-    dk = (_im2col(x, kh, kw, stride, h_out, w_out).T @ d2).reshape(kernels.shape)
+    return _conv2d_backward(x, kernels, dout, stride, need_dx)
+
+
+def _conv2d_backward(x, kernels, dout, stride, need_dx):
+    """``conv2d_backward`` over leading stack axes, as ``_conv2d``: one
+    column matrix, a batched product each for the kernel and column
+    gradients, and one col2im loop."""
+    kh, kw, c_in, c_out = kernels.shape[-4:]
+    stack = kernels.shape[:-4]
+    h_out, w_out = dout.shape[-3:-1]
+    d2 = dout.reshape(*stack, -1, c_out)
+    cols = _im2col(x, kh, kw, stride, h_out, w_out)
+    dk = (cols.swapaxes(-1, -2) @ d2).reshape(kernels.shape)
     if not need_dx:
         return None, dk
-    dcols = d2 @ kernels.reshape(kh * kw * c_in, c_out).T
+    dcols = d2 @ kernels.reshape(*stack, kh * kw * c_in, c_out).swapaxes(-1, -2)
     if (kh, kw, stride) == (1, 1, 1):
         return np.add(dcols, 0, dtype=x.dtype).reshape(x.shape), dk
-    dcols = dcols.reshape(n, h_out, w_out, kh, kw, c_in)
+    dcols = dcols.reshape(*dout.shape[:-1], kh, kw, c_in)
     dx = np.zeros_like(x)
     for i in range(kh):
         for j in range(kw):
-            dx[:, i:i + stride * h_out:stride,
-               j:j + stride * w_out:stride, :] += dcols[:, :, :, i, j]
+            dx[..., i:i + stride * h_out:stride,
+               j:j + stride * w_out:stride, :] += dcols[..., i, j, :]
     return dx, dk
 
 
@@ -390,21 +422,14 @@ def _stacked(p) -> bool:
 
 
 def _conv_step_forward(spec, p, x, lead):
-    if _stacked(p):  # one product per network: one column matrix alive at a time
-        y = np.stack([conv2d(xj, wj, spec.stride) for xj, wj in zip(x, p["W"])])
-    else:
-        y = conv2d(x, p["W"], spec.stride)
+    y = (_conv2d if _stacked(p) else conv2d)(x, p["W"], spec.stride)
     y += p["b"][..., None, None, None, :]
     return y, None
 
 
 def _conv_step_backward(spec, p, x, y, cache, dy, need_dx):
-    if _stacked(p):
-        dxs, dws = zip(*(conv2d_backward(xj, wj, dyj, spec.stride, need_dx)
-                         for xj, wj, dyj in zip(x, p["W"], dy)))
-        dx, dw = np.stack(dxs) if need_dx else None, np.stack(dws)
-    else:
-        dx, dw = conv2d_backward(x, p["W"], dy, spec.stride, need_dx)
+    dx, dw = (_conv2d_backward if _stacked(p) else conv2d_backward)(
+        x, p["W"], dy, spec.stride, need_dx)
     return dx, {"W": dw, "b": dy.sum(axis=(-4, -3, -2))}
 
 

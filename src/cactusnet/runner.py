@@ -254,6 +254,17 @@ def load_table(cfg: ExperimentConfig):
                            manifest.k), manifest
 
 
+def _require_cells(cfg: ExperimentConfig, table, manifest):
+    """Refuse a table that lacks a measured (class, tap) cell."""
+    missing = [(cid, tap) for cid in manifest.measured_ids for tap in cfg.taps
+               if (cid, tap) not in table.entries]
+    if missing:
+        raise ConfigError(
+            f"the applicability table lacks the (class, layer) cells "
+            f"{', '.join(map(str, missing))}: a job failed or its record is "
+            "missing; rerun measure to fill them")
+
+
 # ---------------------------------------------------------------------
 # train-predictors
 # ---------------------------------------------------------------------
@@ -289,13 +300,7 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
     if not (out / BASE_CKPT).is_file():
         raise ConfigError("base checkpoint missing: run train-base first")
     table, manifest = load_table(cfg)
-    missing = [(cid, tap) for cid in manifest.measured_ids for tap in cfg.taps
-               if (cid, tap) not in table.entries]
-    if missing:
-        raise ConfigError(
-            f"the applicability table lacks the (class, layer) cells "
-            f"{', '.join(map(str, missing))}: a job failed or its record is "
-            "missing; rerun measure to fill them")
+    _require_cells(cfg, table, manifest)
     net = checkpoint_load(out / BASE_CKPT)
     splits = _splits(cfg, manifest, manifest.measured_ids)
 
@@ -370,6 +375,8 @@ def build_cactus_tree(cfg: ExperimentConfig, mock=False):
     out = cfg.out_path
     net = checkpoint_load(out / BASE_CKPT)
     table, manifest = load_table(cfg)
+    if not cfg.threshold_overrides:
+        _require_cells(cfg, table, manifest)
     thresholds = cfg.threshold_overrides or cactus.compute_thresholds(
         *cactus.baseline_from_tables(table, cfg.threshold_reference_tap,
                                      cfg.threshold_final_tap))

@@ -1,12 +1,15 @@
 """Separability jobs, applicability aggregation, sweeps, subset curves."""
 
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
 
 from cactusnet.applicability import (ApplicabilityTable, SeparabilityRecord,
-                                     TapFeatures, class_applicability, job_seed,
+                                     TapFeatures, _cell_stacks, _job_cost,
+                                     _job_rows, _taps_by_class,
+                                     class_applicability, job_seed,
                                      layer_sweep, pair_separability,
                                      read_records_csv, run_jobs,
                                      subset_average, sweep_jobs,
@@ -398,6 +401,13 @@ class TestTapFeatures:
 
 
 class TestRunJobs:
+    def test_a_tap_past_the_head_fails_its_jobs_without_raising(self, small_world):
+        manifest, splits, net, cfg = small_world
+        jobs = sweep_jobs(manifest.measured_ids[:1], manifest.probe_set, [99])
+        records, failures = run_jobs(net, jobs, splits, cfg, 17)
+        assert records == []
+        assert [(f.x, f.un_j, f.layer_index) for f in failures] == jobs
+
     def test_journal_error_stops_the_sweep(self, small_world):
         manifest, splits, net, cfg = small_world
         jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)[:4]
@@ -462,6 +472,32 @@ class TestStackedCell:
             assert rec == alone
             lone = trained.pop()
             assert lone.stack == (1,)
+            for p_stack, p_alone in zip(stacked.params, lone.params):
+                for key in () if p_alone is None else ("W", "b"):
+                    assert p_stack[key][j].tobytes() == p_alone[key][0].tobytes()
+
+    @pytest.mark.parametrize("tap", range(9))
+    def test_a_stack_spanning_classes_gives_each_job_its_lone_bits(
+            self, deep, tap, monkeypatch):
+        net, splits, x, others, cfg = deep
+        # a four-job cell, then two two-job cells of other classes, which
+        # fit in one stack within the four-job cell's cost
+        jobs = [(x, un_j, tap) for un_j in others]
+        jobs += [(c, un_j, tap) for c in others[::2] for un_j in others[1::2]]
+        trained = self.capture_training(monkeypatch)
+        records, failures = run_jobs(net, jobs, splits, cfg, 5)
+        assert failures == [] and [t.stack for t in trained] == [(4,), (4,)]
+        stacks = {job: (trained[0], j) for j, job in enumerate(jobs[:4])}
+        stacks.update({job: (trained[1], j) for j, job in enumerate(jobs[4:])})
+        del trained[:]
+        features = TapFeatures.build(net, splits, _taps_by_class(jobs))
+        by_job = {(r.x, r.un_j, r.layer_index): r for r in records}
+        for job in jobs:
+            alone = pair_separability(net, tap, *job[:2], features,
+                                      cfg.with_seed(job_seed(5, *job)))
+            assert by_job[job] == alone
+            stacked, j = stacks[job]
+            lone = trained.pop()
             for p_stack, p_alone in zip(stacked.params, lone.params):
                 for key in () if p_alone is None else ("W", "b"):
                     assert p_stack[key][j].tobytes() == p_alone[key][0].tobytes()
@@ -538,9 +574,68 @@ class TestStackedCell:
                              splits, cfg, TAPS, master_seed=17,
                              completed=[first], on_record=new.append)
         k = len(manifest.probe_set)
-        assert [t.stack for t in trained] == [(k - 1,)] + [(k,)] * (len(jobs) // k - 1)
+        # tap 2: the resumed first cell's one job, then the two other
+        # cells, each alone, since a tap-2 cell is the costliest; tap 5:
+        # all three cells in one stack
+        assert [t.stack for t in trained] == [(k - 1,), (k,), (k,), (3 * k,)]
         assert len(new) == len(jobs) - 1
         assert len(result.records) == len(jobs)
+
+
+class TestCellStacks:
+    """Which consecutive cells of a sweep train as one stack."""
+
+    @staticmethod
+    def cells(jobs):
+        return [list(cell) for _, cell in groupby(jobs, key=lambda j: (j[0], j[2]))]
+
+    @staticmethod
+    def cost(net, features, cell, batch_size):
+        suffix = split_at(net, cell[0][2])[1]
+        return sum(_job_cost(suffix, _job_rows(features, job, batch_size))
+                   for job in cell)
+
+    @pytest.mark.parametrize("done", [0, 1, 3, 7])
+    def test_stacks_are_whole_cells_of_one_tap_within_the_costliest(
+            self, small_world, done):
+        manifest, splits, _, cfg = small_world
+        net = Network.build(DEEP_SPECS, (12, 12, 1), seed=4)
+        taps = [0, 2, 3, 5, 7]
+        jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, taps)[done:]
+        features = TapFeatures.build(net, splits, _taps_by_class(jobs))
+        cells = self.cells(jobs)
+        stacks = _cell_stacks(net, cells, features, cfg.batch_size)
+        assert [cell for stack in stacks for cell in stack] == cells
+        costs = {id(cell): self.cost(net, features, cell, cfg.batch_size)
+                 for cell in cells}
+        bound = max(costs.values())
+        for stack, after in zip(stacks, stacks[1:] + [None]):
+            assert len({cell[0][2] for cell in stack}) == 1
+            load = sum(costs[id(cell)] for cell in stack)
+            assert load <= bound
+            # a stack ends only at a new tap or where the next cell would
+            # take it past the bound
+            if after and after[0][0][2] == stack[0][0][2]:
+                assert load + costs[id(after[0])] > bound
+        # taps 5 and 7 train only dense heads: each tap is one stack
+        assert [len(stack) for stack in stacks[-2:]] == [len(manifest.measured_ids)] * 2
+
+    def test_default_architecture_at_the_benchmark_size(self):
+        # 20x20 images, 12 test images per class, pair batches of 32: a
+        # tap-2 cell is the costliest; tap 5 stacks five cells, taps 7
+        # and 10 all eleven
+        from cactusnet.config import DEFAULTS, config_from_dict
+        cfg = config_from_dict(DEFAULTS)
+        net = Network.build(cfg.layers, cfg.input_shape, seed=0)
+
+        class TwelveTestRows:
+            def get(self, class_id, split, tap):
+                return np.zeros((12, *net.shapes[tap]), np.float32)
+
+        jobs = sweep_jobs(range(11), range(11, 17), cfg.taps)
+        stacks = _cell_stacks(net, self.cells(jobs), TwelveTestRows(), 32)
+        assert [(stack[0][0][2], len(stack)) for stack in stacks] == (
+            [(2, 1)] * 11 + [(5, 5), (5, 5), (5, 1), (7, 11), (10, 11)])
 
 
 class TestSubsetAverage:
@@ -588,6 +683,22 @@ class TestCsvRoundTrip:
         write_records_csv(path, recs)
         path.write_bytes(path.read_bytes()[:-6])  # cut mid-seed, no newline
         assert read_records_csv(path) == recs[:1]
+
+    @pytest.mark.parametrize("xi", ["5.0", "-0.25", "1.0000001", "nan", "inf"])
+    def test_xi_outside_the_unit_interval_names_its_line(self, tmp_path, xi):
+        path = tmp_path / "records.csv"
+        write_records_csv(path, records_for([0.25, 0.5, 0.75]))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = ",".join(lines[2].split(",")[:3] + [xi] + lines[2].split(",")[4:])
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=f"line 3: xi {xi}"):
+            read_records_csv(path)
+
+    def test_xi_at_the_interval_ends_reads(self, tmp_path):
+        path = tmp_path / "records.csv"
+        recs = records_for([0.0, 1.0])
+        write_records_csv(path, recs)
+        assert read_records_csv(path) == recs
 
     def test_table_csv_schema(self, tmp_path, small_world):
         manifest, splits, net, cfg = small_world

@@ -454,6 +454,51 @@ def test_journal_with_two_records_of_one_job(pipeline_dir, tmp_path, capsys,
         assert snapshot(base) == {**before, Path("out/records.csv"): journal}
 
 
+@pytest.mark.parametrize("xi", ["5.0", "nan"])
+def test_journal_xi_outside_the_unit_interval_exits_2(pipeline_dir, tmp_path,
+                                                      capsys, xi):
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    records = base / "out" / "records.csv"
+    lines = records.read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    fields[3] = xi
+    lines[1] = ",".join(fields)
+    records.write_text("".join(lines))
+    before = snapshot(base)
+    capsys.readouterr()
+    assert run(base / "config.json", "measure") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "records.csv line 2" in err and f"xi {xi}" in err
+    assert snapshot(base) == before
+
+
+def test_cactus_run_on_an_incomplete_table_exits_2(pipeline_dir, tmp_path,
+                                                   capsys):
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    manifest = json.loads((base / "manifest.json").read_text())
+    known = min(c["class_id"] for c in manifest["classes"]
+                if c["subset"] == "objective_known")
+    records = base / "out" / "records.csv"
+    lines = records.read_text().splitlines(keepends=True)
+    victim = next(i for i, line in enumerate(lines[1:], start=1)
+                  if line.split(",")[0] == str(known)
+                  and line.split(",")[2] == str(TINY["threshold_reference_tap"]))
+    records.write_text("".join(lines[:victim] + lines[victim + 1:]))
+    before = snapshot(base)
+    capsys.readouterr()
+    assert run(base / "config.json", "cactus-run", str(base / "stream.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"({known}, {TINY['threshold_reference_tap']})" in err
+    assert snapshot(base) == before
+    # train-predictors refuses the same table, naming the same cells
+    assert run(base / "config.json", "train-predictors") == 2
+    assert capsys.readouterr().err == err
+
+
 def _replace_line(index, text):
     def corrupt(path):
         lines = path.read_text().splitlines(keepends=True)
@@ -765,7 +810,7 @@ class TestDeterminism:
         manifest = json.loads((base / "manifest.json").read_text())
         measured = sorted({c["class_id"] for c in manifest["classes"]}
                           - set(manifest["probe_set"]))
-        cells = [(x, tap) for x in measured for tap in TINY["taps"]]
+        cells = [(x, tap) for tap in TINY["taps"] for x in measured]
         assert lines == [
             f"measure: cell {i}/{len(cells)} (x={x}, layer={tap}): "
             f"{TINY['k']} jobs, 0 failed"

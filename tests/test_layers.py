@@ -275,6 +275,63 @@ class TestConv1x1PathKeepsBits:
         assert (dx[0] == 0).all() and not np.signbit(dx[0]).any()
 
 
+class TestSingleChannelIm2colKeepsBits:
+    """A one-channel input's columns, copied one window position at a
+    time, are the bytes of the general strided view's reshape."""
+
+    @pytest.mark.parametrize("kernel,stride", [((3, 3), 1), ((3, 3), 2), ((2, 3), 1)])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_columns_equal_the_strided_view(self, kernel, stride, contiguous):
+        rng = np.random.default_rng(31)
+        if contiguous:
+            x = rng.random((5, 20, 17, 1), dtype=np.float32)
+        else:
+            # every other column of one channel: a non-contiguous view
+            x = rng.random((5, 20, 34, 3), dtype=np.float32)[:, :, ::2, 1:2]
+            assert not x.flags.c_contiguous
+        (kh, kw), (h, w) = kernel, x.shape[1:3]
+        h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
+        got = layers._im2col(x, kh, kw, stride, h_out, w_out)
+        want = strided_cols(x, kh, kw, h_out, w_out, stride)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestStackedConvKeepsBits:
+    """A stacked Conv2D step gives each network's slice the output and
+    gradients that ``conv2d`` and ``conv2d_backward`` give that network
+    alone, to the last bit."""
+
+    SPECS = {"3x3": LayerSpec.conv(5, 3), "3x3-stride-2": LayerSpec.conv(5, 3, stride=2),
+             "2x2": LayerSpec.conv(4, 2), "1x1": LayerSpec.conv(6, 1)}
+
+    @pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_each_slice_has_its_lone_bits(self, spec, members, need_dx):
+        rng = np.random.default_rng(41)
+        kind = layers.KINDS["Conv2D"]
+        x = rng.random((members, 8, 9, 9, 3), dtype=np.float32)
+        params = [{"W": rng.uniform(-0.3, 0.3, (*spec.kernel, 3, spec.filters))
+                   .astype(np.float32),
+                   "b": rng.uniform(-0.1, 0.1, spec.filters).astype(np.float32)}
+                  for _ in range(members)]
+        stacked = {key: np.stack([p[key] for p in params]) for key in ("W", "b")}
+        y, cache = kind.forward(spec, stacked, x, 2)
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        dx, grads = kind.backward(spec, stacked, x, y, cache, dy, need_dx)
+        assert (dx is None) is not need_dx
+        for j, p in enumerate(params):
+            y_j = conv2d(x[j], p["W"], spec.stride) + p["b"]
+            dx_j, dw_j = conv2d_backward(x[j], p["W"], dy[j], spec.stride, need_dx)
+            assert y[j].tobytes() == y_j.tobytes()
+            assert grads["W"][j].tobytes() == dw_j.tobytes()
+            assert grads["b"][j].tobytes() == dy[j].sum(axis=(0, 1, 2)).tobytes()
+            if need_dx:
+                assert dx[j].shape == x[j].shape
+                assert dx[j].tobytes() == dx_j.tobytes()
+
+
 class TestMaxPool:
     def test_known_values(self):
         x = np.array([[1, 2, 5, 3],
