@@ -75,12 +75,11 @@ class ApplicabilityTable:
 def tap_features(net: Network, images, taps) -> dict:
     """tap -> the output of layer ``tap`` for ``images``.
 
-    One forward through the prefix up to the deepest tap yields every
-    tap; only the tap outputs are kept.
+    One inference forward through the prefix up to the deepest tap yields
+    every tap; only the tap outputs are kept.
     """
     taps = sorted(taps)
-    trace = forward(split_at(net, taps[-1])[0], images)
-    return {tap: trace[tap] for tap in taps}
+    return dict(zip(taps, forward(split_at(net, taps[-1])[0], images, taps)))
 
 
 class TapFeatures:
@@ -102,8 +101,9 @@ class TapFeatures:
         A stack that fails keeps the error for every tap it could not
         reach, and each job reading one of those taps raises it: a
         non-finite activation at layer i fails that stack's taps at and
-        above i; the shallower ones are forwarded again up to the deepest
-        of them.  Any other error fails all of the stack's taps.
+        above i, and any other error in the forward fails its deepest
+        tap; the shallower ones are forwarded again up to the deepest of
+        them.  A stack whose images cannot be read fails all its taps.
         """
         images_of = {"train": splits.train_images, "test": splits.test_images}
         return cls({(cid, split, tap): value
@@ -122,16 +122,20 @@ class TapFeatures:
 def _stack_features(net, images, taps) -> dict:
     """tap -> features of one stack, or the error that kept it from
     that tap (see ``TapFeatures.build``); ``images`` is called for the
-    stack inside the guard, so a missing stack fails only its taps."""
+    stack inside a guard, so a missing stack fails only its taps."""
+    try:
+        x = images()
+    except Exception as exc:  # noqa: BLE001 - fails its jobs only
+        return dict.fromkeys(taps, exc)
     entries = {}
     todo = taps
     while todo:
         try:
-            got = tap_features(net, images(), todo)
+            got = tap_features(net, x, todo)
         except NumericFailureError as exc:
             got = {t: exc for t in todo if t >= exc.layer_index}
         except Exception as exc:  # noqa: BLE001 - fails its jobs only
-            got = dict.fromkeys(todo, exc)
+            got = {todo[-1]: exc}
         entries.update(got)
         todo = [t for t in todo if t not in got]
     return entries
@@ -183,12 +187,17 @@ def _train_balanced_pair(net, train_pairs, seeds, cfg):
     return net
 
 
-def _pair_accuracies(net, feats_a, feats_b):
-    """Balanced test accuracy of each stacked job."""
-    pred_a = predict(net, feats_a).argmax(axis=-1)
-    pred_b = predict(net, feats_b).argmax(axis=-1)
-    correct = (pred_a == 0).sum(axis=-1) + (pred_b == 1).sum(axis=-1)
-    return [int(c) / (feats_a.shape[1] + feats_b.shape[1]) for c in correct]
+def _pair_accuracies(net, tests, batch_size):
+    """Balanced test accuracy of each stacked job; ``tests`` holds each
+    job's (a, b) test features, all of one size, stacked and forwarded
+    ``batch_size`` rows at a time."""
+    correct = np.zeros(len(tests), dtype=np.int64)
+    for label in (0, 1):
+        rows = tests[0][label].shape[0]
+        for lo in range(0, rows, batch_size):
+            chunk = np.stack([t[label][lo:lo + batch_size] for t in tests])
+            correct += (predict(net, chunk).argmax(axis=-1) == label).sum(axis=-1)
+    return [int(c) / sum(part.shape[0] for part in tests[0]) for c in correct]
 
 
 def _self_control_pools(train, test, seed: int):
@@ -243,8 +252,8 @@ def stacked_separability(net: Network, layer_index: int, pairs, features,
         trained = _train_balanced_pair(
             heads, [data[j][:2] for j in group],
             [derive_seed(seeds[j], 2) for j in group], cfg)
-        te_a, te_b = (np.stack([data[j][part] for j in group]) for part in (2, 3))
-        for j, xi in zip(group, _pair_accuracies(trained, te_a, te_b)):
+        tests = [data[j][2:] for j in group]
+        for j, xi in zip(group, _pair_accuracies(trained, tests, cfg.batch_size)):
             xis[j] = xi
     return xis
 
@@ -337,36 +346,27 @@ def _job_alone(net, job, features, cfg, seed):
 
 def _job_cost(suffix: Network, rows: int) -> int:
     """Floats one job of a stack holds while it trains: one ``rows``-row
-    batch of the suffix's input and activations, its largest column
-    matrix, and four copies of its parameters (the stack's, their
-    gradients, the step's scaled gradients and the next snapshot's)."""
+    batch of the suffix's input and activations, the column matrices its
+    forward keeps for backward, and four copies of its parameters (the
+    stack's, their gradients, the step's scaled gradients and the next
+    snapshot's)."""
     shapes = [suffix.input_shape, *suffix.shapes]
-    cols = max((math.prod(out[:2]) * math.prod(spec.kernel) * shape[-1]
-                for spec, shape, out in zip(suffix.specs, shapes, suffix.shapes)
-                if spec.kind == "Conv2D"), default=0)
+    cols = sum(math.prod(out[:2]) * math.prod(spec.kernel) * shape[-1]
+               for spec, shape, out in zip(suffix.specs, shapes, suffix.shapes)
+               if spec.kind == "Conv2D")
     params = sum(v.size for p in suffix.params if p is not None for v in p.values())
     return rows * (sum(map(math.prod, shapes)) + cols) + 4 * params
 
 
-def _job_rows(features, job, batch_size) -> int:
-    """The rows of a job's largest batch: a pair batch, or one class's
-    balanced test rows, which ``_pair_accuracies`` forwards at once."""
-    x, un_j, tap = job
-    try:
-        test = min(features.get(c, "test", tap).shape[0] for c in (x, un_j))
-    except Exception:  # noqa: BLE001 - its stack failed; the job fails when run
-        test = 0
-    return max(batch_size, test // 2 if x == un_j else test)
-
-
-def _cell_stacks(net, cells, features, batch_size):
+def _cell_stacks(net, cells, batch_size):
     """The cells split into runs of consecutive cells of one tap, each
     trained as one stack.
 
     A cell joins the stack before it while the stack's estimated working
     set (``_job_cost``, summed over its jobs) stays within that of the
     costliest single cell, so that joining cells costs no more memory
-    than the largest cell alone.
+    than the largest cell alone.  Every batch a job forwards, a pair
+    batch or a chunk of its test rows, has at most ``batch_size`` rows.
     """
     costs = []
     for cell in cells:
@@ -375,8 +375,7 @@ def _cell_stacks(net, cells, features, batch_size):
         except ShapeMismatchError:  # no suffix: every job of the cell fails
             costs.append(0)
             continue
-        costs.append(sum(_job_cost(suffix, _job_rows(features, job, batch_size))
-                         for job in cell))
+        costs.append(len(cell) * _job_cost(suffix, batch_size))
     bound = max(costs, default=0)
     stacks, load = [], 0
     for cell, cost in zip(cells, costs):
@@ -410,7 +409,7 @@ def run_jobs(net, jobs, splits, cfg, master_seed, *, on_record=None,
     features = TapFeatures.build(net, splits, _taps_by_class(jobs))
     cells = [list(cell) for _, cell in groupby(jobs, key=lambda j: (j[0], j[2]))]
     records, failures, i = [], [], 0
-    for stack_cells in _cell_stacks(net, cells, features, cfg.batch_size):
+    for stack_cells in _cell_stacks(net, cells, cfg.batch_size):
         stacked = [job for cell in stack_cells for job in cell]
         layer = stacked[0][2]
         seeds = [job_seed(master_seed, *job) for job in stacked]

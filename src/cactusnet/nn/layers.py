@@ -22,6 +22,12 @@ readers of the public kernels' arguments (perfbench's layer metrics)
 take them for one network's.  A batched product runs one GEMM per
 network with the shapes that network has alone, so each network's slice
 has the bits it would have alone.
+
+A forward step learns whether a backward step follows.  If one does, it
+keeps what that step reads: a Conv2D's column matrix, which
+``conv2d_backward`` then takes instead of building it again, and a max
+pool's argmax.  An inference forward computes no argmax and drops each
+column matrix when its step returns.  Both give the same outputs.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -179,12 +185,14 @@ def _im2col(x, kh, kw, stride, h_out, w_out):
     return windows.reshape(shape)
 
 
-def conv2d(image, kernels, stride=1):
+def conv2d(image, kernels, stride=1, return_cols=False):
     """Valid 2-D cross-correlation, as one matrix product over ``_im2col``.
 
     ``image`` is ``[h, w, c_in]`` or a batch ``[n, h, w, c_in]``;
     ``kernels`` is ``[kh, kw, c_in, c_out]``.  Output sides are
-    ``floor((s - k) / stride) + 1``.
+    ``floor((s - k) / stride) + 1``.  With ``return_cols`` it returns
+    ``(output, columns)``, the column matrix ``conv2d_backward`` takes
+    instead of building it again.
     """
     x = np.asarray(image)
     k = np.asarray(kernels)
@@ -200,39 +208,43 @@ def conv2d(image, kernels, stride=1):
     if kc_in != c_in or kh > h or kw > w:
         raise ShapeMismatchError(
             f"kernels {k.shape} do not fit input {np.asarray(image).shape}")
-    out = _conv2d(x, k, stride)
-    return out[0] if single else out
+    out, cols = _conv2d(x, k, stride)
+    if single:
+        out = out[0]
+    return (out, cols) if return_cols else out
 
 
 def _conv2d(x, kernels, stride):
     """``conv2d`` of ``[*stack, n, h, w, c_in]`` by ``[*stack, kh, kw,
-    c_in, c_out]``: one column matrix over the whole stack and one
-    batched product, which runs each network's GEMM with the shapes it
-    has alone."""
+    c_in, c_out]``, with its column matrix: one column matrix over the
+    whole stack and one batched product, which runs each network's GEMM
+    with the shapes it has alone."""
     kh, kw, c_in, c_out = kernels.shape[-4:]
     h, w = x.shape[-3:-1]
     h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
     cols = _im2col(x, kh, kw, stride, h_out, w_out)
     out = cols @ kernels.reshape(*kernels.shape[:-4], kh * kw * c_in, c_out)
-    return out.reshape(*x.shape[:-3], h_out, w_out, c_out)
+    return out.reshape(*x.shape[:-3], h_out, w_out, c_out), cols
 
 
-def conv2d_backward(x, kernels, dout, stride=1, need_dx=True):
+def conv2d_backward(x, kernels, dout, stride=1, need_dx=True, cols=None):
     """Gradients of ``conv2d`` w.r.t. kernels and (optionally) input.
 
     With ``dout`` as ``[n*h_out*w_out, c_out]`` rows and
     ``K = kernels.reshape(kh*kw*c_in, c_out)``, the kernel gradient is
-    ``_im2col(x).T @ dout``.  The input gradient is the column-matrix
-    gradient ``dout @ K.T`` folded back (col2im): each window element's
-    ``(i, j)`` slice is added into the strided slice of a zero ``dx`` it
-    was read from, in row-major ``(i, j)`` order.  A 1x1 stride-1 kernel
-    reads each pixel once, so there ``dx`` is the column gradient itself,
-    plus 0: adding 0 turns a -0 into +0, as the sum into zeros does.
+    ``_im2col(x).T @ dout``; ``cols``, the columns ``conv2d`` returned
+    for ``x``, stands in for ``_im2col(x)``.  The input gradient is the
+    column-matrix gradient ``dout @ K.T`` folded back (col2im): each
+    window element's ``(i, j)`` slice is added into the strided slice of a
+    zero ``dx`` it was read from, in row-major ``(i, j)`` order.  A 1x1
+    stride-1 kernel reads each pixel once, so there ``dx`` is the column
+    gradient itself, plus 0: adding 0 turns a -0 into +0, as the sum into
+    zeros does.
     """
-    return _conv2d_backward(x, kernels, dout, stride, need_dx)
+    return _conv2d_backward(x, kernels, dout, stride, need_dx, cols)
 
 
-def _conv2d_backward(x, kernels, dout, stride, need_dx):
+def _conv2d_backward(x, kernels, dout, stride, need_dx, cols=None):
     """``conv2d_backward`` over leading stack axes, as ``_conv2d``: one
     column matrix, a batched product each for the kernel and column
     gradients, and one col2im loop."""
@@ -240,7 +252,8 @@ def _conv2d_backward(x, kernels, dout, stride, need_dx):
     stack = kernels.shape[:-4]
     h_out, w_out = dout.shape[-3:-1]
     d2 = dout.reshape(*stack, -1, c_out)
-    cols = _im2col(x, kh, kw, stride, h_out, w_out)
+    if cols is None:
+        cols = _im2col(x, kh, kw, stride, h_out, w_out)
     dk = (cols.swapaxes(-1, -2) @ d2).reshape(kernels.shape)
     if not need_dx:
         return None, dk
@@ -271,12 +284,15 @@ def _window_slices(kernel, stride, h_out, w_out):
                  for i in range(kh) for j in range(kw))
 
 
-def maxpool2d(x, kernel, stride):
-    """Max pooling over ``[..., h, w, c]``. Returns (output, argmax indices).
+def maxpool2d(x, kernel, stride, need_idx=True):
+    """Max pooling over ``[..., h, w, c]``. Returns (output, argmax indices),
+    the indices None unless ``need_idx``.
 
     A running maximum over the kh*kw strided slices of ``x``; no window
     is copied.  The index of a window is the flat position of its first
     maximum, as ``argmax`` gives it, and a NaN in a window propagates.
+    Only ``maxpool2d_backward`` reads the index, so a forward that no
+    backward follows skips it; the output is the same either way.
 
     The index is kept without a data-dependent branch: at position t,
     ``max(idx, t * (s > out))`` sets t exactly where ``s > out``, because
@@ -293,6 +309,10 @@ def maxpool2d(x, kernel, stride):
     slices = _window_slices(kernel, stride, (h - kh) // stride + 1,
                             (w - kw) // stride + 1)
     out = x[slices[0]].copy()
+    if not need_idx:
+        for sl in slices[1:]:
+            np.maximum(x[sl], out, out=out)
+        return out, None
     idx = np.zeros(out.shape, dtype=np.uint8 if len(slices) <= 256 else np.intp)
     position = idx.dtype.type
     for t, sl in enumerate(slices[1:], start=1):
@@ -383,12 +403,14 @@ def softmax_backward(y, dout):
 class LayerKind:
     """Everything one layer kind means, in one place.
 
-    ``forward(spec, params, x, lead)`` returns ``(y, cache)``, where the
-    first ``lead`` axes of ``x`` are batch axes (a stack's axes, then the
-    sample axis); ``backward(spec, params, x, y, cache, dy, need_dx)``
-    returns ``(dx, grads)``, where ``grads`` is ``{"W", "b"}`` or None for
-    a kind without parameters, and ``dx`` may be None when ``need_dx`` is
-    false.
+    ``forward(spec, params, x, lead, train)`` returns ``(y, cache)``, where
+    the first ``lead`` axes of ``x`` are batch axes (a stack's axes, then
+    the sample axis) and ``cache`` is what the backward step reads (a
+    Conv2D's column matrix, a max pool's argmax), or None unless ``train``
+    says that a backward step follows.  ``backward(spec, params, x, y,
+    cache, dy, need_dx)`` returns ``(dx, grads)``, where ``grads`` is
+    ``{"W", "b"}`` or None for a kind without parameters, and ``dx`` may
+    be None when ``need_dx`` is false.
     """
     forward: Callable
     backward: Callable
@@ -421,19 +443,27 @@ def _stacked(p) -> bool:
     return p["b"].ndim > 1
 
 
-def _conv_step_forward(spec, p, x, lead):
-    y = (_conv2d if _stacked(p) else conv2d)(x, p["W"], spec.stride)
-    y += p["b"][..., None, None, None, :]
-    return y, None
+def _conv_step_forward(spec, p, x, lead, train):
+    if _stacked(p):
+        y, cols = _conv2d(x, p["W"], spec.stride)
+    else:
+        y, cols = conv2d(x, p["W"], spec.stride, return_cols=True)
+    # the bias is added over rows of w*c values, the bias tiled w times: the
+    # same float32 sums as over [..., w, c], in loops w times longer; y is
+    # the product's fresh contiguous output, so the reshape is a view
+    b, (w, c) = p["b"], y.shape[-2:]
+    rows = y.reshape(*y.shape[:-2], w * c)
+    rows += b[..., None, :].repeat(w, axis=-2).reshape(*b.shape[:-1], 1, 1, w * c)
+    return y, cols if train else None
 
 
 def _conv_step_backward(spec, p, x, y, cache, dy, need_dx):
     dx, dw = (_conv2d_backward if _stacked(p) else conv2d_backward)(
-        x, p["W"], dy, spec.stride, need_dx)
+        x, p["W"], dy, spec.stride, need_dx, cache)
     return dx, {"W": dw, "b": dy.sum(axis=(-4, -3, -2))}
 
 
-def _dense_step_forward(spec, p, x, lead):
+def _dense_step_forward(spec, p, x, lead, train):
     return (_dense if _stacked(p) else dense)(x, p["W"], p["b"]), None
 
 
@@ -451,7 +481,8 @@ KINDS = {
         out_shape=lambda spec, shape: _window_out(spec, shape, spec.filters),
         weight_shape=lambda spec, shape: (*spec.kernel, shape[2], spec.filters)),
     "MaxPool2D": LayerKind(
-        forward=lambda spec, p, x, lead: maxpool2d(x, spec.kernel, spec.stride),
+        forward=lambda spec, p, x, lead, train: maxpool2d(
+            x, spec.kernel, spec.stride, train),
         backward=lambda spec, p, x, y, cache, dy, need_dx: (maxpool2d_backward(
             x.shape, cache, dy, spec.kernel, spec.stride), None),
         fields={"kernel": None, "stride": lambda spec: spec.kernel[0]}, rank=3,
@@ -465,15 +496,15 @@ KINDS = {
         out_shape=lambda spec, shape: (spec.units,),
         weight_shape=lambda spec, shape: (shape[0], spec.units)),
     "ReLU": LayerKind(
-        forward=lambda spec, p, x, lead: (relu(x), None),
+        forward=lambda spec, p, x, lead, train: (relu(x), None),
         backward=lambda spec, p, x, y, cache, dy, need_dx: (relu_backward(x, dy), None),
         keeps_finite=lambda spec: (True, True)),
     "Softmax": LayerKind(
-        forward=lambda spec, p, x, lead: (softmax(x), None),
+        forward=lambda spec, p, x, lead, train: (softmax(x), None),
         backward=lambda spec, p, x, y, cache, dy, need_dx: (softmax_backward(y, dy), None),
         rank=1),
     "Flatten": LayerKind(
-        forward=lambda spec, p, x, lead: (
+        forward=lambda spec, p, x, lead, train: (
             x.reshape(*x.shape[:lead], prod(x.shape[lead:])), None),
         backward=lambda spec, p, x, y, cache, dy, need_dx: (dy.reshape(x.shape), None),
         out_shape=lambda spec, shape: (prod(shape),),

@@ -144,40 +144,54 @@ class Network:
         return x
 
 
-def forward(net: Network, batch) -> list:
-    """Run the batch through every layer; returns one activation per layer.
+def forward(net: Network, batch, taps=None) -> list:
+    """Run the batch through the network for inference; returns the
+    output of each layer in ``taps`` (default: every layer), in order.
 
-    The final entry is the network output.  A single un-batched input is
-    promoted to a batch of one.
+    Only the requested outputs are kept: every other layer's output is
+    dropped once the next layer has read it, and max pooling keeps no
+    argmax.  A single un-batched input is promoted to a batch of one.
     """
-    return _run_layers(net, net._normalize_batch(batch))[0]
+    taps = range(net.layer_count) if taps is None else taps
+    if not set(taps) <= set(range(net.layer_count)):
+        raise ShapeMismatchError(
+            f"taps {sorted(taps)} are not all layers of a "
+            f"{net.layer_count}-layer network")
+    acts = _run_layers(net, net._normalize_batch(batch), set(taps))[0]
+    return [acts[t] for t in taps]
 
 
 def predict(net: Network, batch):
-    """Network output for a batch (last entry of the forward trace)."""
-    return forward(net, batch)[-1]
+    """Network output for a batch: an inference forward that keeps only
+    the current activation."""
+    return forward(net, batch, [net.layer_count - 1])[0]
 
 
-def _run_layers(net: Network, x):
-    """The forward loop behind ``forward`` and ``backward``: per-layer
-    outputs and caches (the max-pool argmax, else None).  Raises at the
-    first layer whose output is not finite.
+def _run_layers(net: Network, x, keep, train_from=None):
+    """The forward loop behind ``forward`` and ``backward``: the outputs
+    of the layers in ``keep``, as index -> activation, and the caches of
+    the layers from ``train_from`` on, the ones a backward pass visits
+    (``LayerKind``), as index -> cache.  Raises at the first layer whose
+    output is not finite.
 
     Every layer's input but the batch has been found finite, so the
     check is skipped after layer 0 where the kind keeps finite inputs
     finite (``keeps_finite``): it could not fire there.
     """
-    acts, caches = [], []
+    acts, caches = {}, {}
     lead = x.ndim - len(net.input_shape)
+    train_from = net.layer_count if train_from is None else train_from
     for i, (spec, p) in enumerate(zip(net.specs, net.params)):
         kind = L.KINDS[spec.kind]
-        x, cache = kind.forward(spec, p, x, lead)
+        x, cache = kind.forward(spec, p, x, lead, i >= train_from)
         if (i == 0 or not kind.keeps_finite(spec)[0]) and not np.isfinite(x).all():
             raise NumericFailureError(
                 f"non-finite activation at layer {i} ({spec.kind})",
                 layer_index=i)
-        acts.append(x)
-        caches.append(cache)
+        if i in keep:
+            acts[i] = x
+        if i >= train_from:
+            caches[i] = cache
     return acts, caches
 
 
@@ -220,29 +234,31 @@ def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     x = net._normalize_batch(batch)
-    acts, caches = _run_layers(net, x)
+    last = net.layer_count - 1
+    # the layers backpropagation visits, down to the lowest trainable one,
+    # keep their caches; the outputs from the one below it on are read
+    lowest = min(net.unfrozen_param_layers(), default=last + 1)
+    acts, caches = _run_layers(net, x, range(max(lowest - 1, 0), last + 1), lowest)
 
-    loss, delta, fused = _loss_and_delta(net, acts[-1], targets, loss_kind)
+    loss, delta, fused = _loss_and_delta(net, acts[last], targets, loss_kind)
     if not np.isfinite(loss).all():
-        raise NumericFailureError("non-finite loss", layer_index=net.layer_count - 1)
+        raise NumericFailureError("non-finite loss", layer_index=last)
 
-    unfrozen = net.unfrozen_param_layers()
     grads = {}
-    if not unfrozen:
+    if lowest > last:
         return grads, loss
-    lowest = min(unfrozen)
 
-    start = net.layer_count - 1
+    start = last
     if fused:
         start -= 1  # delta already sits at the softmax input
     for i in range(start, -1, -1):
         spec = net.specs[i]
         kind = L.KINDS[spec.kind]
-        # frozen layers pass the gradient through; their own is dropped
+        # frozen layers pass the gradient through; their own is dropped.
+        # No layer below reads this layer's output or cache.
         delta, g = kind.backward(
-            spec, net.params[i], acts[i - 1] if i else x, acts[i], caches[i],
-            delta, i > lowest)
-        acts[i] = caches[i] = None  # no layer below reads them
+            spec, net.params[i], acts[i - 1] if i else x, acts.pop(i),
+            caches.pop(i), delta, i > lowest)
         if g is not None and not spec.frozen:
             for v in g.values():
                 if not np.isfinite(v).all():

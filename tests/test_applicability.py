@@ -8,7 +8,7 @@ import pytest
 
 from cactusnet.applicability import (ApplicabilityTable, SeparabilityRecord,
                                      TapFeatures, _cell_stacks, _job_cost,
-                                     _job_rows, _taps_by_class,
+                                     _taps_by_class,
                                      class_applicability, job_seed,
                                      layer_sweep, pair_separability,
                                      read_records_csv, run_jobs,
@@ -408,6 +408,21 @@ class TestRunJobs:
         assert records == []
         assert [(f.x, f.un_j, f.layer_index) for f in failures] == jobs
 
+    def test_a_tap_past_the_head_fails_only_its_own_jobs(self, small_world):
+        # taps 2 and 99 of one class share a forward; tap 99 cannot be
+        # reached, and only its jobs fail, each with its own seed and error
+        manifest, splits, net, cfg = small_world
+        x = manifest.measured_ids[0]
+        jobs = sweep_jobs([x], manifest.probe_set, [2, 99])
+        records, failures = run_jobs(net, jobs, splits, cfg, 17)
+        assert records == run_jobs(net, [j for j in jobs if j[2] == 2], splits,
+                                   cfg, 17)[0]
+        assert [(r.x, r.un_j, r.layer_index) for r in records] == jobs[:len(records)]
+        assert [(f.x, f.un_j, f.layer_index, f.seed) for f in failures] == [
+            (*job, job_seed(17, *job)) for job in jobs if job[2] == 99]
+        for f in failures:
+            assert "layer_index 99 out of range" in f.error
+
     def test_journal_error_stops_the_sweep(self, small_world):
         manifest, splits, net, cfg = small_world
         jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)[:4]
@@ -590,10 +605,9 @@ class TestCellStacks:
         return [list(cell) for _, cell in groupby(jobs, key=lambda j: (j[0], j[2]))]
 
     @staticmethod
-    def cost(net, features, cell, batch_size):
+    def cost(net, cell, batch_size):
         suffix = split_at(net, cell[0][2])[1]
-        return sum(_job_cost(suffix, _job_rows(features, job, batch_size))
-                   for job in cell)
+        return sum(_job_cost(suffix, batch_size) for job in cell)
 
     @pytest.mark.parametrize("done", [0, 1, 3, 7])
     def test_stacks_are_whole_cells_of_one_tap_within_the_costliest(
@@ -602,11 +616,10 @@ class TestCellStacks:
         net = Network.build(DEEP_SPECS, (12, 12, 1), seed=4)
         taps = [0, 2, 3, 5, 7]
         jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, taps)[done:]
-        features = TapFeatures.build(net, splits, _taps_by_class(jobs))
         cells = self.cells(jobs)
-        stacks = _cell_stacks(net, cells, features, cfg.batch_size)
+        stacks = _cell_stacks(net, cells, cfg.batch_size)
         assert [cell for stack in stacks for cell in stack] == cells
-        costs = {id(cell): self.cost(net, features, cell, cfg.batch_size)
+        costs = {id(cell): self.cost(net, cell, cfg.batch_size)
                  for cell in cells}
         bound = max(costs.values())
         for stack, after in zip(stacks, stacks[1:] + [None]):
@@ -621,19 +634,13 @@ class TestCellStacks:
         assert [len(stack) for stack in stacks[-2:]] == [len(manifest.measured_ids)] * 2
 
     def test_default_architecture_at_the_benchmark_size(self):
-        # 20x20 images, 12 test images per class, pair batches of 32: a
-        # tap-2 cell is the costliest; tap 5 stacks five cells, taps 7
-        # and 10 all eleven
+        # 20x20 images, pair batches of 32: a tap-2 cell is the costliest;
+        # tap 5 stacks five cells, taps 7 and 10 all eleven
         from cactusnet.config import DEFAULTS, config_from_dict
         cfg = config_from_dict(DEFAULTS)
         net = Network.build(cfg.layers, cfg.input_shape, seed=0)
-
-        class TwelveTestRows:
-            def get(self, class_id, split, tap):
-                return np.zeros((12, *net.shapes[tap]), np.float32)
-
         jobs = sweep_jobs(range(11), range(11, 17), cfg.taps)
-        stacks = _cell_stacks(net, self.cells(jobs), TwelveTestRows(), 32)
+        stacks = _cell_stacks(net, self.cells(jobs), 32)
         assert [(stack[0][0][2], len(stack)) for stack in stacks] == (
             [(2, 1)] * 11 + [(5, 5), (5, 5), (5, 1), (7, 11), (10, 11)])
 

@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from cactusnet.errors import NumericFailureError, ShapeMismatchError
 from cactusnet.nn import LayerSpec, Network, backward, conv2d, forward
-from cactusnet.nn import layers
+from cactusnet.nn import layers, network
 from cactusnet.nn.layers import (conv2d_backward, maxpool2d, maxpool2d_backward,
                                  softmax)
 
@@ -317,10 +317,15 @@ class TestStackedConvKeepsBits:
                    "b": rng.uniform(-0.1, 0.1, spec.filters).astype(np.float32)}
                   for _ in range(members)]
         stacked = {key: np.stack([p[key] for p in params]) for key in ("W", "b")}
-        y, cache = kind.forward(spec, stacked, x, 2)
+        y, cache = kind.forward(spec, stacked, x, 2, True)
+        assert kind.forward(spec, stacked, x, 2, False)[0].tobytes() == y.tobytes()
         dy = rng.standard_normal(y.shape).astype(np.float32)
         dx, grads = kind.backward(spec, stacked, x, y, cache, dy, need_dx)
         assert (dx is None) is not need_dx
+        # the forward's column matrix stands in for the one backward builds
+        rebuilt_dx, rebuilt = kind.backward(spec, stacked, x, y, None, dy, need_dx)
+        assert grads["W"].tobytes() == rebuilt["W"].tobytes()
+        assert need_dx is False or dx.tobytes() == rebuilt_dx.tobytes()
         for j, p in enumerate(params):
             y_j = conv2d(x[j], p["W"], spec.stride) + p["b"]
             dx_j, dw_j = conv2d_backward(x[j], p["W"], dy[j], spec.stride, need_dx)
@@ -330,6 +335,116 @@ class TestStackedConvKeepsBits:
             if need_dx:
                 assert dx[j].shape == x[j].shape
                 assert dx[j].tobytes() == dx_j.tobytes()
+
+
+# every layer kind: a single-channel 3x3 conv (the copied im2col), an
+# overlapping 3x3 stride-1 pool, a 1x1 conv, a non-overlapping pool
+FORWARD_SPECS = [LayerSpec.conv(4, 3), LayerSpec.relu(), LayerSpec.maxpool(3, 1),
+                 LayerSpec.conv(6, 1), LayerSpec.maxpool(2), LayerSpec.relu(),
+                 LayerSpec.conv(5, 2, stride=2), LayerSpec.flatten(),
+                 LayerSpec.dense(7), LayerSpec.relu(), LayerSpec.dense(3),
+                 LayerSpec.softmax()]
+
+
+class TestInferenceForwardKeepsBits:
+    """An inference forward, which keeps no argmax and no columns, gives
+    every layer the activation the training forward inside ``backward``
+    gives it, to the last bit."""
+
+    @staticmethod
+    def nets(members):
+        nets = [Network.build(FORWARD_SPECS, (13, 13, 1), seed=60 + j)
+                for j in range(max(members, 1))]
+        return nets[0] if members == 0 else network.stack(nets)
+
+    @pytest.mark.parametrize("members", [0, 1, 3], ids=["single", "stack-1", "stack-3"])
+    def test_every_layer_has_its_training_bits(self, members):
+        net = self.nets(members)
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((*net.stack, 6, 13, 13, 1)).astype(np.float32)
+        every = range(net.layer_count)
+        trained, caches = network._run_layers(net, x, every, 0)
+        inferred = forward(net, x)
+        assert len(inferred) == net.layer_count
+        for i, spec in enumerate(net.specs):
+            assert inferred[i].dtype == trained[i].dtype, spec.kind
+            assert inferred[i].tobytes() == trained[i].tobytes(), spec.kind
+        assert network.predict(net, x).tobytes() == trained[net.layer_count - 1].tobytes()
+        # the training forward keeps what backward reads, inference nothing
+        assert {i for i, c in caches.items() if c is not None} == {
+            i for i, s in enumerate(net.specs) if s.kind in ("Conv2D", "MaxPool2D")}
+        assert network._run_layers(net, x, every)[1] == {}
+
+    def test_taps_keep_only_the_requested_outputs(self):
+        net = self.nets(0)
+        x = np.random.default_rng(62).standard_normal((4, 13, 13, 1)).astype(np.float32)
+        trace = forward(net, x)
+        got = forward(net, x, [5, 2])
+        assert [a.tobytes() for a in got] == [trace[5].tobytes(), trace[2].tobytes()]
+        with pytest.raises(ShapeMismatchError, match="taps"):
+            forward(net, x, [2, net.layer_count])
+
+    @pytest.mark.parametrize("kernel,stride", [((2, 2), 2), ((3, 3), 1), ((2, 3), 1)])
+    def test_pooling_without_the_index_keeps_the_output(self, kernel, stride):
+        x = np.random.default_rng(63).standard_normal((3, 8, 9, 4)).astype(np.float32)
+        x[0, 1, 1, 0] = np.nan
+        out, idx = maxpool2d(x, kernel, stride)
+        bare, none = maxpool2d(x, kernel, stride, need_idx=False)
+        assert none is None and idx is not None
+        assert bare.tobytes() == out.tobytes()
+
+
+class TestConvColumnsKeepBits:
+    """``conv2d_backward`` given the columns ``conv2d`` returned computes
+    what it computes from columns it builds itself, to the last bit."""
+
+    CASES = {"3x3-stride-2": ((4, 11, 12, 3), (3, 3, 3, 5), 2),
+             "2x3": ((4, 9, 8, 2), (2, 3, 2, 4), 1),
+             "single-channel": ((5, 10, 10, 1), (3, 3, 1, 4), 1),
+             "1x1": ((3, 6, 6, 8), (1, 1, 8, 16), 1)}
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_public_kernels(self, case, need_dx):
+        x_shape, k_shape, stride = case
+        rng = np.random.default_rng(71)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        k = rng.uniform(-0.3, 0.3, k_shape).astype(np.float32)
+        out, cols = conv2d(x, k, stride, return_cols=True)
+        assert out.tobytes() == conv2d(x, k, stride).tobytes()
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        dx, dk = conv2d_backward(x, k, dout, stride, need_dx, cols)
+        want_dx, want_dk = conv2d_backward(x, k, dout, stride, need_dx)
+        assert dk.tobytes() == want_dk.tobytes()
+        assert (dx is None and want_dx is None) or dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_stacked_kernels(self, case):
+        x_shape, k_shape, stride = case
+        rng = np.random.default_rng(72)
+        x = rng.standard_normal((3, *x_shape)).astype(np.float32)
+        k = rng.uniform(-0.3, 0.3, (3, *k_shape)).astype(np.float32)
+        out, cols = layers._conv2d(x, k, stride)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        dx, dk = layers._conv2d_backward(x, k, dout, stride, True, cols)
+        want_dx, want_dk = layers._conv2d_backward(x, k, dout, stride, True)
+        assert dk.tobytes() == want_dk.tobytes() and dx.tobytes() == want_dx.tobytes()
+
+    def test_backward_reads_the_forward_columns(self, monkeypatch):
+        # a backward through a net with a 3x3 conv builds each column
+        # matrix once, in its forward
+        net = Network.build(FORWARD_SPECS, (13, 13, 1), seed=73)
+        x = np.random.default_rng(74).standard_normal((2, 13, 13, 1)).astype(np.float32)
+        built = []
+        real = layers._im2col
+
+        def counting(*args):
+            built.append(args[1:4])
+            return real(*args)
+
+        monkeypatch.setattr(layers, "_im2col", counting)
+        backward(net, x, np.full((2, 3), 1 / 3, dtype=np.float32), "MSE")
+        assert built == [(3, 3, 1), (1, 1, 1), (2, 2, 2)]
 
 
 class TestMaxPool:

@@ -318,6 +318,27 @@ class TestPredict:
         np.testing.assert_allclose(batch, singles)
 
 
+    def test_predict_holds_one_layer_at_a_time(self):
+        # the tap-2 plan of the default base net (9x9x8, 1x1 convs) on the
+        # 192 rows a train-predictors fit scores: an inference forward
+        # holds one layer's input and output at a time, never the trace
+        import math
+        import tracemalloc
+        net = Network.build(build_predictor((9, 9, 8)), (9, 9, 8), seed=5)
+        x = np.random.default_rng(8).standard_normal((192, 9, 9, 8)).astype(np.float32)
+        predict(net, x)  # warm caches (pool slices) outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            predict(net, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        outputs = [x.shape[0] * math.prod(shape) * x.itemsize for shape in net.shapes]
+        pair = max(a + b for a, b in zip([x.nbytes, *outputs], outputs))
+        assert peak < sum(outputs)
+        assert peak <= pair + pair // 16
+
 class TestEvaluate:
     def test_constant_model_closed_form(self):
         model = constant_model(0.4)
