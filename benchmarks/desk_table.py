@@ -14,7 +14,7 @@ a drifting host.  Each run also compares the files the two sides wrote,
 byte for byte, and records the names of those that differ.
 
 Usage (from the root of the checkout to record; stdlib only, about
-40 s per run and side on 2 cores):
+15 s per run and side on 2 cores):
 
     python3 benchmarks/desk_table.py --label NAME [--runs 5] [--parent DIR]
 

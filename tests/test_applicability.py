@@ -634,8 +634,9 @@ class TestCellStacks:
         assert [len(stack) for stack in stacks[-2:]] == [len(manifest.measured_ids)] * 2
 
     def test_default_architecture_at_the_benchmark_size(self):
-        # 20x20 images, pair batches of 32: a tap-2 cell is the costliest;
-        # tap 5 stacks five cells, taps 7 and 10 all eleven
+        # 20x20 images, pair batches of 32, as at the benchmark's size and
+        # the desk default alike: a tap-2 cell is the costliest; tap 5
+        # stacks five cells, taps 7 and 10 all eleven
         from cactusnet.config import DEFAULTS, config_from_dict
         cfg = config_from_dict(DEFAULTS)
         net = Network.build(cfg.layers, cfg.input_shape, seed=0)
