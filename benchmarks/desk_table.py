@@ -4,21 +4,25 @@ Runs every CLI phase at the desk-default config (the config file ``{}``:
 every field at its default) as its own process, one BLAS thread, and
 records each phase's wall seconds, CPU seconds, peak RSS and minor page
 faults, from the child's resource usage.  The ``cactus-run`` stream is
-``--per-class`` images of every class of the manifest.
+``--per-class`` images of every class of the manifest.  Each run then
+times the tier-1 suite (``TIER1``, run from the root of the checkout)
+the same way, under ``tier_1``.
 
 With ``--parent DIR`` each run also builds the pipeline from the
 checkout at DIR.  The two sides run phase by phase, a phase of one side
 right after the same phase of the other, the side that goes first
-alternating from phase to phase, so that both see the same stretch of
-a drifting host.  Each run also compares the files the two sides wrote,
-byte for byte, and records the names of those that differ.
+alternating from phase to phase and on to the tier-1 suite, so that
+both see the same stretch of a drifting host.  Each run also compares
+the files the two sides' phases wrote, byte for byte, and records the
+names of those that differ.
 
 Usage (from the root of the checkout to record; stdlib only, about
-15 s per run and side on 2 cores):
+15 s per run and side on 2 cores, plus the tier-1 suite's time):
 
     python3 benchmarks/desk_table.py --label NAME [--runs 5] [--parent DIR]
 
-Exit status is 1 when a phase exited non-zero, else 0.
+Exit status is 1 when a phase or the tier-1 suite exited non-zero,
+else 0.
 """
 
 import argparse
@@ -39,6 +43,7 @@ from record import summary  # noqa: E402
 
 PHASES = ("prepare", "train-base", "measure", "train-predictors", "cactus-run")
 MEASURES = ("wall_s", "cpu_s", "peak_rss_mb", "minflt")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def side_env(root: Path) -> dict:
@@ -71,10 +76,16 @@ def run_phase(work: Path, env, phase, per_class):
                   "classes": sorted(c["class_id"] for c in manifest["classes"])}
         (work / "stream.json").write_text(json.dumps(stream), encoding="utf-8")
         verb.append("stream.json")
-    argv = [sys.executable, "-m", "cactusnet", "--config", "config.json", *verb]
-    with open(work / "phases.log", "a", encoding="utf-8") as log:
+    return run_child([sys.executable, "-m", "cactusnet", "--config", "config.json",
+                      *verb], work, env, work / "phases.log")
+
+
+def run_child(argv, cwd, env, log_path):
+    """One child process, its output appended to ``log_path``; returns
+    its exit code and resource usage."""
+    with open(log_path, "a", encoding="utf-8") as log:
         start = time.perf_counter()
-        proc = subprocess.Popen(argv, cwd=work, env=env, stdout=log,
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=log,
                                 stderr=subprocess.STDOUT)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
@@ -115,11 +126,15 @@ def main(argv=None):
                 d.mkdir()
                 (d / "config.json").write_text("{}", encoding="utf-8")
             run = {side: {} for side in sides}
-            for j, phase in enumerate(PHASES):
+            for j, phase in enumerate((*PHASES, "tier_1")):
                 order = list(sides)[::-1] if (i + j) % 2 else list(sides)
                 for side in order:
-                    rec = run_phase(work[side], side_env(sides[side]), phase,
-                                    args.per_class)
+                    env = side_env(sides[side])
+                    if phase == "tier_1":
+                        rec = run_child([sys.executable, *TIER1], sides[side], env,
+                                        scratch / f"{side}-tier_1.log")
+                    else:
+                        rec = run_phase(work[side], env, phase, args.per_class)
                     run[side][phase] = rec
                     ok &= rec["exit"] == 0
                     print(f"run {i} {phase} {side}: exit {rec['exit']}, "
@@ -135,17 +150,19 @@ def main(argv=None):
                 shutil.rmtree(d)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    doc["phases"] = {
-        phase: {side: {m: summary([r[side][phase][m] for r in doc["runs_detail"]])
+    def summaries(name):
+        return {side: {m: summary([r[side][name][m] for r in doc["runs_detail"]])
                        for m in MEASURES}
                 for side in sides}
-        for phase in PHASES}
+
+    doc["phases"] = {phase: summaries(phase) for phase in PHASES}
+    doc["tier_1"] = summaries("tier_1")
     out = root / f"BENCH_desk_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out.name}", file=sys.stderr)
-    for phase in PHASES:
-        cells = [f"{side} {doc['phases'][phase][side]['wall_s']['median']:.2f} s "
-                 f"{doc['phases'][phase][side]['peak_rss_mb']['median']:.1f} MB"
+    for phase, by_side in [*doc["phases"].items(), ("tier-1 suite", doc["tier_1"])]:
+        cells = [f"{side} {by_side[side]['wall_s']['median']:.2f} s "
+                 f"{by_side[side]['peak_rss_mb']['median']:.1f} MB"
                  for side in sides]
         print(f"{phase:17s} " + " | ".join(cells), file=sys.stderr)
     return 0 if ok else 1

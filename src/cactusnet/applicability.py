@@ -26,7 +26,7 @@ import numpy as np
 from .data.manifest import SplitStore, SubsetLabel
 from .errors import (AggregationError, DataError, NumericFailureError,
                      ShapeMismatchError)
-from .fileio import atomic_open, fmt_float
+from .fileio import fmt_float, write_csv
 from .nn import TrainConfig, backward, forward, predict, replace_head, sgd_step
 from .nn.network import Network, head_index, one_hot, split_at, stack
 from .seeding import derive_seed, rng_for
@@ -441,11 +441,12 @@ def run_jobs(net, jobs, splits, cfg, master_seed, *, on_record=None,
 
 
 def layer_sweep(net, classes_to_measure, probe_set, splits, cfg, layers,
-                master_seed, classes=None, completed=(),
-                on_record=None, on_cell=None) -> SweepResult:
+                master_seed, completed=(), on_record=None,
+                on_cell=None) -> SweepResult:
     """Measure every (class, layer) applicability over the probe set.
 
-    Total jobs: len(classes) * len(probe_set) * len(layers).  The jobs of
+    Total jobs: len(classes) * len(probe_set) * len(layers).  The table's
+    classes are the ``splits`` entries of the measured ones.  The jobs of
     the ``completed`` records are skipped and their records returned with
     the new ones, so a resumed sweep returns the records and table an
     uninterrupted one would.  Two records of one job in ``completed``
@@ -470,25 +471,19 @@ def layer_sweep(net, classes_to_measure, probe_set, splits, cfg, layers,
                                  on_record=on_record, on_cell=on_cell)
     records = sorted([*done.values(), *records],
                      key=lambda r: (r.x, r.layer_index, r.un_j))
-    if classes is None:
-        classes = {cid: splits.entry(cid) for cid in measure}
-    table = build_table(records, classes, len(probes))
+    table = build_table(records, {cid: splits.entry(cid) for cid in measure},
+                        len(probes))
     return SweepResult(table, tuple(records), tuple(failures))
 
 
-def subset_average(table: ApplicabilityTable, labels=None):
-    """Per-(subset, layer) mean applicability curves.
-
-    ``labels`` maps class_id to SubsetLabel; defaults to the class
-    entries stored in the table.
-    """
-    if labels is None:
-        labels = {cid: entry.subset for cid, entry in table.classes.items()}
+def subset_average(table: ApplicabilityTable):
+    """Per-(subset, layer) mean applicability curves, each class in the
+    subset of its entry in ``table.classes``."""
     by_curve = {}
     for (cid, layer), entry in table.entries.items():
-        if cid not in labels:
+        if cid not in table.classes:
             raise AggregationError(f"class {cid} has no subset label")
-        by_curve.setdefault((labels[cid], layer), []).append(entry.app)
+        by_curve.setdefault((table.classes[cid].subset, layer), []).append(entry.app)
     return {key: math.fsum(vals) / len(vals)
             for key, vals in sorted(by_curve.items(),
                                     key=lambda kv: (kv[0][0].value, kv[0][1]))}
@@ -498,13 +493,13 @@ def subset_average(table: ApplicabilityTable, labels=None):
 # CSV persistence
 # ---------------------------------------------------------------------
 
+def _record_row(r):
+    return [r.x, r.un_j, r.layer_index, fmt_float(r.xi), r.seed]
+
+
 def write_records_csv(path, records):
     rows = sorted(records, key=lambda r: (r.x, r.layer_index, r.un_j))
-    with atomic_open(path, encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "un_j", "layer", "xi", "seed"])
-        for r in rows:
-            w.writerow([r.x, r.un_j, r.layer_index, fmt_float(r.xi), r.seed])
+    write_csv(path, ["x", "un_j", "layer", "xi", "seed"], map(_record_row, rows))
 
 
 def read_records_csv(path):
@@ -539,23 +534,19 @@ def read_records_csv(path):
 
 def append_record_csv(path, record):
     with open(path, "a", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([record.x, record.un_j, record.layer_index,
-                    fmt_float(record.xi), record.seed])
+        csv.writer(fh).writerow(_record_row(record))
         fh.flush()
 
 
 def write_table_csv(path, table: ApplicabilityTable):
-    with atomic_open(path, encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class_id", "class_name", "subset", "layer", "app", "k",
-                    "n_records"])
-        for (cid, layer), entry in sorted(table.entries.items()):
-            meta = table.classes.get(cid)
-            w.writerow([cid,
-                        meta.class_name if meta else "",
-                        meta.subset.value if meta else "",
-                        layer, fmt_float(entry.app), table.k, len(entry.records)])
+    rows = []
+    for (cid, layer), entry in sorted(table.entries.items()):
+        meta = table.classes.get(cid)
+        rows.append([cid, meta.class_name if meta else "",
+                     meta.subset.value if meta else "",
+                     layer, entry.app, table.k, len(entry.records)])
+    write_csv(path, ["class_id", "class_name", "subset", "layer", "app", "k",
+                     "n_records"], rows)
 
 
 _SUBSET_ORDER = [SubsetLabel.OBJECTIVE_KNOWN, SubsetLabel.OBJECTIVE_UNKNOWN,
@@ -563,10 +554,7 @@ _SUBSET_ORDER = [SubsetLabel.OBJECTIVE_KNOWN, SubsetLabel.OBJECTIVE_UNKNOWN,
 
 
 def write_curves_csv(path, curves):
-    with atomic_open(path, encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subset", "layer", "mean_app"])
-        ordered = sorted(curves.items(),
-                         key=lambda kv: (_SUBSET_ORDER.index(kv[0][0]), kv[0][1]))
-        for (subset, layer), mean in ordered:
-            w.writerow([subset.value, layer, fmt_float(mean)])
+    ordered = sorted(curves.items(),
+                     key=lambda kv: (_SUBSET_ORDER.index(kv[0][0]), kv[0][1]))
+    write_csv(path, ["subset", "layer", "mean_app"],
+              ([subset.value, layer, mean] for (subset, layer), mean in ordered))

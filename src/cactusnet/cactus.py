@@ -450,12 +450,12 @@ def grow(tree: CactusTree, input_stream, growth_config: GrowthConfig) -> GrowthL
     created (up to ``max_branches_per_node``), so a homogeneous burst of
     novel inputs consolidates into a single branch instead of one per
     image.  Every input is logged; the log replays to the same tree.
-    A stream item is an image or an ``(image, mock_app)`` pair (see
-    ``classify_batch``).  The stream is routed ``ROUTE_CHUNK`` rows at a
-    time, then growth folds over the decisions in input order.
+    A stream item is an ``(image, mock_app)`` pair, ``mock_app`` None
+    for a predicted one (see ``classify_batch``).  The stream is routed
+    ``ROUTE_CHUNK`` rows at a time, then growth folds over the decisions
+    in input order.
     """
-    items = [item if isinstance(item, tuple) else (item, None)
-             for item in input_stream]
+    items = list(input_stream)
     log = GrowthLog(growth_config)
     for lo in range(0, len(items), ROUTE_CHUNK):
         images, mocks = zip(*items[lo:lo + ROUTE_CHUNK])
@@ -483,8 +483,7 @@ def grow(tree: CactusTree, input_stream, growth_config: GrowthConfig) -> GrowthL
                 state["last_absorb"][bid] = state["events"]
                 decision.routed_branch = bid
             elif len(branch_children) < growth_config.max_branches_per_node:
-                seed = derive_seed(growth_config.seed, 0x9120, created)
-                bid = create_branch(tree, node, seed=seed)
+                bid = create_branch(tree, node, _creation_seed(growth_config, created))
                 created += 1
                 state["last_absorb"][bid] = state["events"]
                 decision.branch_created = bid
@@ -495,6 +494,11 @@ def grow(tree: CactusTree, input_stream, growth_config: GrowthConfig) -> GrowthL
     return log
 
 
+def _creation_seed(growth_config: GrowthConfig, created: int) -> int:
+    """The seed of the growth's ``created``-th new branch."""
+    return derive_seed(growth_config.seed, 0x9120, created)
+
+
 def replay_log(tree: CactusTree, log: GrowthLog) -> CactusTree:
     """Re-apply the creation events of a log to a copy of the initial
     tree; creation seeds are a pure function of creation order, so the
@@ -502,9 +506,8 @@ def replay_log(tree: CactusTree, log: GrowthLog) -> CactusTree:
     created = 0
     for d in log.decisions:
         if d.branch_created is not None:
-            node = tree.nodes[d.stopped_at]
-            create_branch(tree, node,
-                          seed=derive_seed(log.config.seed, 0x9120, created))
+            create_branch(tree, tree.nodes[d.stopped_at],
+                          _creation_seed(log.config, created))
             created += 1
     return tree
 

@@ -1,13 +1,11 @@
 """Experiment configuration: one JSON file drives every phase.
 
-``DEFAULTS`` is its schema (see ``_merge``).  Top-level scalar fields can
-be overridden by environment variables of the form ``CNL_<FIELD>`` (e.g.
-``CNL_MASTER_SEED=7``, ``CNL_OUT_DIR=/tmp/run``); command-line flags
-override both.
+``DEFAULTS`` is its schema (see ``_merge``).  The command line's
+``--out`` and ``--seed`` override ``out_dir`` and ``master_seed``; no
+setting is read from the environment.
 """
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -15,19 +13,8 @@ from .cactus import GrowthConfig, Thresholds, compute_thresholds
 from .errors import ConfigError
 from .nn import LayerSpec, TrainConfig
 
-ENV_PREFIX = "CNL_"
-
 # settings since removed; a document that still carries one loads
 RETIRED_KEYS = ("workers",)
-
-# scalar fields that may come from the environment, with their parsers
-_ENV_FIELDS = {
-    "MASTER_SEED": ("master_seed", int),
-    "OUT_DIR": ("out_dir", str),
-    "K": ("k", int),
-    "DECISION_DEPTH": ("decision_depth", int),
-    "MANIFEST": ("manifest", str),
-}
 
 
 @dataclass
@@ -201,7 +188,7 @@ def _thresholds(doc) -> Thresholds:
 
 
 def load_config(path, cli_overrides=None) -> ExperimentConfig:
-    """Read a config file, apply env and CLI overrides, validate."""
+    """Read a config file, apply the CLI overrides, validate."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -217,14 +204,6 @@ def load_config(path, cli_overrides=None) -> ExperimentConfig:
 def config_from_dict(raw: dict, base_dir=Path("."),
                      cli_overrides=None) -> ExperimentConfig:
     merged = _merge(raw, DEFAULTS, retired=RETIRED_KEYS)
-    for env_key, (field_name, parse) in _ENV_FIELDS.items():
-        value = os.environ.get(ENV_PREFIX + env_key)
-        if value is not None:
-            try:
-                merged[field_name] = parse(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad {ENV_PREFIX}{env_key}={value!r}: {exc}") from exc
     for key, value in (cli_overrides or {}).items():
         if value is not None:
             merged[key] = value

@@ -71,12 +71,10 @@ class DatasetManifest:
                 return c
         raise ManifestError(f"class {class_id} not in manifest")
 
-    def ids_with(self, subset: SubsetLabel):
-        return [c.class_id for c in self.classes if c.subset is subset]
-
     @property
     def known_ids(self):
-        return self.ids_with(SubsetLabel.OBJECTIVE_KNOWN)
+        return [c.class_id for c in self.classes
+                if c.subset is SubsetLabel.OBJECTIVE_KNOWN]
 
     @property
     def measured_ids(self):
@@ -124,11 +122,9 @@ def sample_probe_set(classes, k, seed, exclude=()):
     """Draw a balanced probe set from the non-known classes.
 
     ceil(k/2) classes come from objective-unknown and floor(k/2) from
-    nonobjective-unknown; deterministic given ``seed``.  ``classes``
-    may be a manifest or any iterable of class entries.
+    nonobjective-unknown; deterministic given ``seed``.  ``classes`` is
+    an iterable of class entries.
     """
-    if isinstance(classes, DatasetManifest):
-        classes = classes.classes
     excluded = set(exclude)
     pools = {}
     for subset in (SubsetLabel.OBJECTIVE_UNKNOWN, SubsetLabel.NONOBJECTIVE_UNKNOWN):
@@ -174,9 +170,6 @@ class SplitStore:
 
     def entry(self, class_id) -> ClassEntry:
         return self._splits[class_id].entry
-
-    def subset(self, class_id) -> SubsetLabel:
-        return self._splits[class_id].entry.subset
 
     def train_images(self, class_id) -> np.ndarray:
         return self._splits[class_id].train

@@ -1,4 +1,4 @@
-"""On-disk formats: the binary container, JSON documents, CSV floats.
+"""On-disk formats: the binary container, JSON documents, CSV files.
 
 The container (checkpoints and dataset caches) is an 8-byte magic, a
 little-endian uint32 header length, a UTF-8 JSON header, then raw
@@ -6,6 +6,7 @@ little-endian float32 tensors.  Every whole file is written through
 ``atomic_open``.
 """
 
+import csv
 import json
 import os
 import struct
@@ -90,3 +91,13 @@ def write_json(path, doc):
 def fmt_float(v) -> str:
     """The CSV text of a float: its shortest round-trip repr."""
     return repr(float(v))
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` in ``csv``'s default dialect, each
+    float cell as ``fmt_float`` writes it."""
+    with atomic_open(path, encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([fmt_float(v) if isinstance(v, float) else v for v in row])

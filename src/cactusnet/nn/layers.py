@@ -1,7 +1,7 @@
 """Layer specifications and the forward/backward kernels behind them.
 
-All kernels are pure functions over numpy arrays.  Images and feature
-maps are channels-last: a single image is ``[h, w, c]``, a batch is
+All kernels are pure functions over numpy arrays, and every kernel and
+network takes batches.  Images and feature maps are channels-last,
 ``[n, h, w, c]``; dense activations are ``[n, d]``.  Convolutions are
 "valid" (no padding), so output sides are ``floor((s - k) / stride) + 1``.
 
@@ -188,29 +188,22 @@ def _im2col(x, kh, kw, stride, h_out, w_out):
 def conv2d(image, kernels, stride=1, return_cols=False):
     """Valid 2-D cross-correlation, as one matrix product over ``_im2col``.
 
-    ``image`` is ``[h, w, c_in]`` or a batch ``[n, h, w, c_in]``;
-    ``kernels`` is ``[kh, kw, c_in, c_out]``.  Output sides are
-    ``floor((s - k) / stride) + 1``.  With ``return_cols`` it returns
-    ``(output, columns)``, the column matrix ``conv2d_backward`` takes
-    instead of building it again.
+    ``image`` is a batch ``[n, h, w, c_in]``; ``kernels`` is ``[kh, kw,
+    c_in, c_out]``.  Output sides are ``floor((s - k) / stride) + 1``.
+    With ``return_cols`` it returns ``(output, columns)``, the column
+    matrix ``conv2d_backward`` takes instead of building it again.
     """
     x = np.asarray(image)
     k = np.asarray(kernels)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     if x.ndim != 4 or k.ndim != 4:
         raise ShapeMismatchError(
-            f"conv2d expects image [h,w,c] or [n,h,w,c] and kernels "
-            f"[kh,kw,c_in,c_out], got {np.asarray(image).shape} and {k.shape}")
+            f"conv2d expects image [n,h,w,c] and kernels "
+            f"[kh,kw,c_in,c_out], got {x.shape} and {k.shape}")
     h, w, c_in = x.shape[1:]
     kh, kw, kc_in, _ = k.shape
     if kc_in != c_in or kh > h or kw > w:
-        raise ShapeMismatchError(
-            f"kernels {k.shape} do not fit input {np.asarray(image).shape}")
+        raise ShapeMismatchError(f"kernels {k.shape} do not fit input {x.shape}")
     out, cols = _conv2d(x, k, stride)
-    if single:
-        out = out[0]
     return (out, cols) if return_cols else out
 
 

@@ -129,16 +129,13 @@ class Network:
         return net
 
     def _normalize_batch(self, batch):
-        """``batch`` as ``[*stack, n, *input_shape]``; one network also
-        takes a single input as a batch of one."""
+        """``batch`` as an array, checked to be ``[*stack, n, *input_shape]``."""
         x = np.asarray(batch)
         stack = self.stack
-        if not stack and x.shape == self.input_shape:
-            x = x[None]
         if (x.shape[:len(stack)] != stack
                 or x.shape[len(stack) + 1:] != self.input_shape):
             raise ShapeMismatchError(
-                f"batch shape {np.asarray(batch).shape} does not conform to "
+                f"batch shape {x.shape} does not conform to "
                 f"network input {self.input_shape}"
                 + (f" stacked {stack}" if stack else ""))
         return x
@@ -150,7 +147,7 @@ def forward(net: Network, batch, taps=None) -> list:
 
     Only the requested outputs are kept: every other layer's output is
     dropped once the next layer has read it, and max pooling keeps no
-    argmax.  A single un-batched input is promoted to a batch of one.
+    argmax.
     """
     taps = range(net.layer_count) if taps is None else taps
     if not set(taps) <= set(range(net.layer_count)):

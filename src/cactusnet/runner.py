@@ -23,7 +23,7 @@ from .data import (DatasetManifest, SubsetLabel, build_splits,
                    generate_synthetic, load_dataset, load_idx,
                    synthetic_manifest)
 from .errors import CactusNetError, ConfigError, DataError
-from .fileio import atomic_open, fmt_float, write_json
+from .fileio import atomic_open, write_csv, write_json
 # perfbench's tracer patches and checks the runner.forward binding
 from .nn import (Network, accuracy, checkpoint_load, checkpoint_save,  # noqa: F401
                  forward, train_classifier)
@@ -50,15 +50,17 @@ REPORT_DIR = "report"
 # Shared plumbing
 # ---------------------------------------------------------------------
 
+def _synthetic(cfg: ExperimentConfig, class_ids):
+    """The config's synthetic corpus, with only ``class_ids`` rendered."""
+    return generate_synthetic(cfg.dataset.classes_per_family, cfg.dataset.per_class,
+                              cfg.dataset.image_side, cfg.dataset.seed, class_ids)
+
+
 def resolve_sources(cfg: ExperimentConfig, class_ids):
     """class_id -> image stack; a synthetic corpus renders only
     ``class_ids``."""
     if cfg.dataset.type == "synthetic":
-        ds = generate_synthetic(cfg.dataset.classes_per_family,
-                                cfg.dataset.per_class,
-                                cfg.dataset.image_side, cfg.dataset.seed,
-                                class_ids)
-        return ds.images
+        return _synthetic(cfg, class_ids).images
     sources = {}
     for i, group in enumerate(cfg.dataset.groups):
         images = load_idx(cfg.path(group["images"]))
@@ -83,16 +85,21 @@ def prepare(cfg: ExperimentConfig) -> Path:
     if cfg.dataset.type != "synthetic":
         raise ConfigError("prepare only generates synthetic manifests; "
                           "point `manifest` at an existing file instead")
-    ds = generate_synthetic(cfg.dataset.classes_per_family,
-                            cfg.dataset.per_class,
-                            cfg.dataset.image_side, cfg.dataset.seed, ())
     manifest = synthetic_manifest(
-        ds, cfg.dataset.num_known, cfg.dataset.num_objective_unknown,
+        _synthetic(cfg, ()), cfg.dataset.num_known, cfg.dataset.num_objective_unknown,
         cfg.dataset.num_nonobjective_unknown, cfg.k, cfg.train_fraction,
         seed=cfg.dataset.seed)
     cfg.manifest_path.parent.mkdir(parents=True, exist_ok=True)
     manifest.save(cfg.manifest_path)
     return cfg.manifest_path
+
+
+def _load_base(cfg: ExperimentConfig) -> Network:
+    """The base network; a missing checkpoint raises ``ConfigError``."""
+    path = cfg.out_path / BASE_CKPT
+    if not path.is_file():
+        raise ConfigError(f"base checkpoint missing: {path} (run train-base first)")
+    return checkpoint_load(path)
 
 
 def _splits(cfg: ExperimentConfig, manifest: DatasetManifest, class_ids=None):
@@ -104,16 +111,15 @@ def _splits(cfg: ExperimentConfig, manifest: DatasetManifest, class_ids=None):
 
 
 def _known_training_set(manifest, splits):
-    known = manifest.known_ids
-    images = np.concatenate([splits.train_images(c) for c in known])
-    labels = np.concatenate([
-        np.full(splits.train_images(c).shape[0], i, dtype=np.int64)
-        for i, c in enumerate(known)])
-    test = np.concatenate([splits.test_images(c) for c in known])
-    test_labels = np.concatenate([
-        np.full(splits.test_images(c).shape[0], i, dtype=np.int64)
-        for i, c in enumerate(known)])
-    return images, labels, test, test_labels
+    """(train images, labels, test images, labels) of the known classes,
+    each labelled by its position in ``known_ids``."""
+    out = []
+    for images_of in (splits.train_images, splits.test_images):
+        stacks = [images_of(c) for c in manifest.known_ids]
+        out += [np.concatenate(stacks),
+                np.concatenate([np.full(len(x), i, dtype=np.int64)
+                                for i, x in enumerate(stacks)])]
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -136,11 +142,8 @@ def run_train_base(cfg: ExperimentConfig) -> dict:
     out = cfg.out_path
     out.mkdir(parents=True, exist_ok=True)
     checkpoint_save(net, out / BASE_CKPT)
-    with atomic_open(out / BASE_METRICS, encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss", "accuracy"])
-        for row in history:
-            w.writerow([row["epoch"], fmt_float(row["loss"]), fmt_float(row["accuracy"])])
+    write_csv(out / BASE_METRICS, ["epoch", "loss", "accuracy"],
+              ([row["epoch"], row["loss"], row["accuracy"]] for row in history))
     return {"test_accuracy": test_acc, "epochs": len(history),
             "checkpoint": str(out / BASE_CKPT)}
 
@@ -202,10 +205,7 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     manifest = load_manifest(cfg)
     out = cfg.out_path
     base_path = out / BASE_CKPT
-    if not base_path.is_file():
-        raise ConfigError(f"base checkpoint missing: {base_path} "
-                          "(run train-base first)")
-    net = checkpoint_load(base_path)
+    net = _load_base(cfg)
     splits = _splits(cfg, manifest)
 
     settings = _measure_settings(cfg, manifest)
@@ -225,7 +225,6 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     result = app.layer_sweep(
         net, manifest.measured_ids, manifest.probe_set, splits,
         cfg.train.pair, cfg.taps, master_seed=cfg.master_seed,
-        classes={c.class_id: c for c in manifest.classes},
         completed=completed,
         on_record=partial(app.append_record_csv, records_path),
         on_cell=_print_cell)
@@ -297,11 +296,9 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
     out = cfg.out_path
     if not (out / RECORDS_CSV).is_file():
         raise ConfigError("applicability records missing: run measure first")
-    if not (out / BASE_CKPT).is_file():
-        raise ConfigError("base checkpoint missing: run train-base first")
+    net = _load_base(cfg)
     table, manifest = load_table(cfg)
     _require_cells(cfg, table, manifest)
-    net = checkpoint_load(out / BASE_CKPT)
     splits = _splits(cfg, manifest, manifest.measured_ids)
 
     heldout = list(cfg.heldout_classes) or _auto_heldout(manifest, table, cfg.taps)
@@ -322,15 +319,9 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
     summary = []
     eval_rows = []
     for tap in cfg.taps:
-        samples, held_samples = [], []
-        for cid in train_ids:
-            target = table.app(cid, tap)
-            acts = train_acts[cid][tap]
-            samples.extend((acts[i], target) for i in range(acts.shape[0]))
-        for cid in heldout:
-            target = table.app(cid, tap)
-            acts = train_acts[cid][tap]
-            held_samples.extend((acts[i], target) for i in range(acts.shape[0]))
+        samples, held_samples = (
+            [(act, table.app(cid, tap)) for cid in ids for act in train_acts[cid][tap]]
+            for ids in (train_ids, heldout))
         budget = cfg.train.predictor.with_seed(
             derive_seed(cfg.master_seed, 0x93ED, tap))
         model, report = train_predictor(net.shapes[tap], samples, budget,
@@ -343,27 +334,15 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
                         "heldout_mse": report.heldout_mse})
         held_eval = {cid: (test_acts[cid][tap], table.app(cid, tap))
                      for cid in heldout}
-        ev = evaluate_predictor(model, held_eval)
-        for row in ev.rows:
-            eval_rows.append({
-                "class": row.class_id,
-                "subset": manifest.entry(row.class_id).subset.value,
-                "layer": tap,
-                "actual_app": row.actual_app,
-                "mean_predicted": row.mean_predicted,
-                "abs_err": row.abs_err,
-            })
+        eval_rows += [[row.class_id, manifest.entry(row.class_id).subset.value, tap,
+                       row.actual_app, row.mean_predicted, row.abs_err]
+                      for row in evaluate_predictor(model, held_eval).rows]
 
     write_json(out / PREDICTOR_SUMMARY,
                 {"layers": summary, "heldout_classes": sorted(heldout)})
-    with atomic_open(out / PREDICTOR_EVAL, encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class", "subset", "layer", "actual_app",
-                    "mean_predicted", "abs_err"])
-        for row in sorted(eval_rows, key=lambda r: (r["class"], r["layer"])):
-            w.writerow([row["class"], row["subset"], row["layer"],
-                        fmt_float(row["actual_app"]), fmt_float(row["mean_predicted"]),
-                        fmt_float(row["abs_err"])])
+    write_csv(out / PREDICTOR_EVAL, ["class", "subset", "layer", "actual_app",
+                                     "mean_predicted", "abs_err"],
+              sorted(eval_rows, key=lambda r: (r[0], r[2])))
     return {"layers": summary, "heldout": sorted(heldout)}
 
 
@@ -373,7 +352,7 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
 
 def build_cactus_tree(cfg: ExperimentConfig, mock=False):
     out = cfg.out_path
-    net = checkpoint_load(out / BASE_CKPT)
+    net = _load_base(cfg)
     table, manifest = load_table(cfg)
     if not cfg.threshold_overrides:
         _require_cells(cfg, table, manifest)
@@ -470,11 +449,8 @@ def run_cactus(cfg: ExperimentConfig, stream_path) -> dict:
     for (item, subset), decision in zip(items, log.decisions):
         key = (subset, decision.verdict.value)
         counts[key] = counts.get(key, 0) + 1
-    with atomic_open(out / HISTOGRAM_CSV, encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subset", "verdict", "count"])
-        for (subset, verdict), count in sorted(counts.items()):
-            w.writerow([subset, verdict, count])
+    write_csv(out / HISTOGRAM_CSV, ["subset", "verdict", "count"],
+              ([*key, count] for key, count in sorted(counts.items())))
     branches = [d.branch_created for d in log.decisions
                 if d.branch_created is not None]
     return {"inputs": len(log.decisions), "branches_created": branches,
@@ -511,12 +487,8 @@ def run_report(cfg: ExperimentConfig) -> dict:
     with atomic_open(report / "curves.csv", "wb") as fh:
         fh.write((out / CURVES_CSV).read_bytes())
 
-    with atomic_open(report / "predictor_fidelity.csv", encoding="utf-8",
-                     newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class", "subset", "actual_app", "mean_predicted",
-                    "abs_err"])
-        w.writerows(eval_rows)
+    write_csv(report / "predictor_fidelity.csv",
+              ["class", "subset", "actual_app", "mean_predicted", "abs_err"], eval_rows)
 
     counts = {v.value: c for v, c in sorted(
         log.verdict_counts().items(), key=lambda kv: kv[0].value)}

@@ -259,7 +259,7 @@ class TestClassifyBatch:
     def test_chunked_stream_matches_one_input_at_a_time(self, gcfg):
         images = np.random.default_rng(11).normal(
             size=(2 * ROUTE_CHUNK + 7, 8)).astype(np.float32)
-        log = grow(scored_tree(), images, gcfg)
+        log = grow(scored_tree(), [(image, None) for image in images], gcfg)
         created = [d.input_index for d in log.decisions
                    if d.branch_created is not None]
         assert created and created[0] < ROUTE_CHUNK
@@ -275,7 +275,7 @@ class TestClassifyBatch:
             assert (d.verdict, d.label, d.path, d.stopped_at) == \
                 (one.verdict, one.label, one.path, one.stopped_at)
             np.testing.assert_allclose(d.apps, one.apps, rtol=0, atol=1e-6)
-            step = grow(alone, [image], gcfg).decisions[0]
+            step = grow(alone, [(image, None)], gcfg).decisions[0]
             assert (d.branch_created, d.routed_branch, d.unrouted) == \
                 (step.branch_created, step.routed_branch, step.unrouted)
 

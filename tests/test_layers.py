@@ -35,26 +35,27 @@ def conv2d_loop_oracle(image, kernels, stride=1):
 
 
 class TestConv2d:
+    # conv2d takes batches; each case is a batch of one image
     def test_identity_kernel(self):
-        img = np.arange(9, dtype=np.float32).reshape(3, 3, 1)
+        img = np.arange(9, dtype=np.float32).reshape(1, 3, 3, 1)
         k = np.ones((1, 1, 1, 1), dtype=np.float32)
         np.testing.assert_array_equal(conv2d(img, k, 1), img)
 
     def test_zero_kernel_annihilates(self):
         rng = np.random.default_rng(0)
-        img = rng.random((5, 4, 2), dtype=np.float32)
+        img = rng.random((1, 5, 4, 2), dtype=np.float32)
         k = np.zeros((2, 2, 2, 3), dtype=np.float32)
         np.testing.assert_array_equal(conv2d(img, k, 1),
-                                      np.zeros((4, 3, 3), dtype=np.float32))
+                                      np.zeros((1, 4, 3, 3), dtype=np.float32))
 
     def test_matches_loop_oracle_4x4(self):
         rng = np.random.default_rng(7)
         img = rng.random((4, 4, 1), dtype=np.float32)
         k = rng.random((2, 2, 1, 1), dtype=np.float32)
-        got = conv2d(img, k, 1)
+        got = conv2d(img[None], k, 1)
         want = conv2d_loop_oracle(img, k, 1)
-        assert got.shape == (3, 3, 1)
-        np.testing.assert_allclose(got, want, atol=1e-6)
+        assert got.shape == (1, 3, 3, 1)
+        np.testing.assert_allclose(got[0], want, atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_loop_oracle_random_shapes(self, seed):
@@ -67,19 +68,19 @@ class TestConv2d:
         stride = int(rng.integers(1, 3))
         img = rng.standard_normal((h, w, c_in))
         k = rng.standard_normal((kh, kw, c_in, c_out))
-        np.testing.assert_allclose(conv2d(img, k, stride),
+        np.testing.assert_allclose(conv2d(img[None], k, stride)[0],
                                    conv2d_loop_oracle(img, k, stride),
                                    rtol=1e-6, atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
-        img = np.zeros((3, 3, 2), dtype=np.float32)
+        img = np.zeros((1, 3, 3, 2), dtype=np.float32)
         k = np.zeros((2, 2, 1, 4), dtype=np.float32)
         with pytest.raises(ShapeMismatchError) as exc:
             conv2d(img, k)
-        assert "(3, 3, 2)" in str(exc.value) and "(2, 2, 1, 4)" in str(exc.value)
+        assert "(1, 3, 3, 2)" in str(exc.value) and "(2, 2, 1, 4)" in str(exc.value)
 
     def test_kernel_larger_than_input_rejected(self):
-        img = np.zeros((2, 2, 1), dtype=np.float32)
+        img = np.zeros((1, 2, 2, 1), dtype=np.float32)
         k = np.zeros((3, 3, 1, 1), dtype=np.float32)
         with pytest.raises(ShapeMismatchError):
             conv2d(img, k)
@@ -87,14 +88,9 @@ class TestConv2d:
 
 def einsum_conv2d(image, kernels, stride=1):
     """The window-view ``einsum`` convolution the GEMM kernel replaced."""
-    x = np.asarray(image)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     kh, kw = kernels.shape[:2]
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    out = np.einsum("nhwcij,ijco->nhwo", windows, kernels)
-    return out[0] if single else out
+    windows = sliding_window_view(image, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return np.einsum("nhwcij,ijco->nhwo", windows, kernels)
 
 
 def einsum_conv2d_backward(x, kernels, dout, stride=1):
@@ -172,12 +168,6 @@ class TestConv2dGemmMatchesEinsum:
         x, k, _ = self._arrays((2, 9, 9, 8), (3, 3), 4, 1)
         with pytest.raises(ShapeMismatchError):
             conv2d_backward(x, k, np.zeros((2, *out_side, 4), np.float32))
-
-    def test_unbatched_image(self):
-        x, k, _ = self._arrays((1, 9, 9, 8), (3, 3), 16, 1)
-        got = conv2d(x[0], k)
-        assert got.shape == (7, 7, 16)
-        _close(got, einsum_conv2d(x[0], k))
 
     def test_1x1_columns_are_a_view_of_the_input(self):
         x, _, _ = self._arrays((4, 9, 9, 8), (1, 1), 32, 1)

@@ -23,17 +23,17 @@ class TestForward:
         net = Network(
             [LayerSpec.relu()], (2,),
             [None])
-        trace = forward(net, np.array([-1.0, 2.0], dtype=np.float32))
+        trace = forward(net, np.array([[-1.0, 2.0]], dtype=np.float32))
         np.testing.assert_array_equal(trace[0], [[0.0, 2.0]])
 
     def test_single_softmax_symmetry(self):
         net = Network([LayerSpec.softmax()], (2,), [None])
-        out = predict(net, np.array([0.0, 0.0], dtype=np.float32))
+        out = predict(net, np.array([[0.0, 0.0]], dtype=np.float32))
         np.testing.assert_allclose(out, [[0.5, 0.5]])
 
     def test_identity_dense_then_relu(self):
         net = identity_dense_net()
-        out = predict(net, np.array([3.0, -3.0], dtype=np.float32))
+        out = predict(net, np.array([[3.0, -3.0]], dtype=np.float32))
         np.testing.assert_array_equal(out, [[3.0, 0.0]])
 
     def test_trace_has_one_entry_per_layer(self):
