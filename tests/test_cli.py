@@ -615,6 +615,14 @@ class TestConfig:
         cfg = load_config(cfg_path, cli_overrides={"master_seed": 7})
         assert cfg.master_seed == 7
 
+    def test_malformed_retired_variable_is_ignored(self, tmp_path,
+                                                    monkeypatch):
+        cfg_path = write_tiny_config(tmp_path)
+        monkeypatch.setenv("CNL_MASTER_SEED", "not-a-number")
+        monkeypatch.setenv("CNL_K", "-1")
+        cfg = load_config(cfg_path)
+        assert (cfg.master_seed, cfg.k) == (TINY["master_seed"], TINY["k"])
+
     def test_default_document_validates(self):
         from cactusnet.config import default_config_dict
         config_from_dict(default_config_dict()).validate()

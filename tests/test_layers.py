@@ -169,6 +169,13 @@ class TestConv2dGemmMatchesEinsum:
         with pytest.raises(ShapeMismatchError):
             conv2d_backward(x, k, np.zeros((2, *out_side, 4), np.float32))
 
+    def test_unbatched_image_rejected(self):
+        # conv2d takes batches only; a single image needs its batch axis
+        x, k, _ = self._arrays((1, 9, 9, 8), (3, 3), 16, 1)
+        with pytest.raises(ShapeMismatchError) as exc:
+            conv2d(x[0], k)
+        assert "(9, 9, 8)" in str(exc.value)
+
     def test_1x1_columns_are_a_view_of_the_input(self):
         x, _, _ = self._arrays((4, 9, 9, 8), (1, 1), 32, 1)
         cols = layers._im2col(x, 1, 1, 1, 9, 9)

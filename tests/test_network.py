@@ -52,6 +52,14 @@ class TestForward:
             forward(net, np.zeros((2, 4), dtype=np.float32))
 
 
+    def test_single_input_without_batch_axis_rejected(self):
+        # one input is a batch of one: [1, *input_shape], never bare
+        net = Network.build([LayerSpec.dense(2)], (3,), seed=0)
+        with pytest.raises(ShapeMismatchError):
+            predict(net, np.zeros(3, dtype=np.float32))
+        assert predict(net, np.zeros((1, 3), dtype=np.float32)).shape == (1, 2)
+
+
 class TestBackwardLoss:
     def test_mse_zero_at_target(self):
         net = identity_dense_net()
