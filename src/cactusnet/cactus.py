@@ -20,6 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .applicability import ApplicabilityTable, subset_average
+# defined beside the config schema, so that loading a config loads no
+# cactus code; tests and demos import all three from here
+from .config import GrowthConfig, Thresholds, compute_thresholds  # noqa: F401
 from .data.manifest import SubsetLabel
 from .errors import ConfigError, DataError, RoutingError
 from .fileio import atomic_open, write_json
@@ -33,26 +36,6 @@ class Verdict(Enum):
     KNOWN = "known"
     OBJECTIVE_UNKNOWN = "objective_unknown"
     NONOBJECTIVE_UNKNOWN = "nonobjective_unknown"
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Upper baseline q, lower baselines y1/y2, derived tau1/tau2."""
-    q: float
-    y1: float
-    y2: float
-    tau1: float
-    tau2: float
-
-
-def compute_thresholds(q: float, y1: float, y2: float) -> Thresholds:
-    """tau_n = q - (1/3)(q - y_n) for n in {1, 2}."""
-    for name, v in (("q", q), ("y1", y1), ("y2", y2)):
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"baseline {name}={v} outside [0, 1]")
-    tau1 = q - (q - y1) / 3.0
-    tau2 = q - (q - y2) / 3.0
-    return Thresholds(q, y1, y2, tau1, tau2)
 
 
 def decide(app: float, thresholds: Thresholds) -> Verdict:
@@ -420,13 +403,6 @@ def create_branch(tree: CactusTree, at_node: CactusNode, seed: int = 0) -> int:
         parent.head = Network.build(head.specs, head.input_shape,
                                     seed=derive_seed(seed, branch_id, 0x4EAD))
     return branch_id
-
-
-@dataclass(frozen=True)
-class GrowthConfig:
-    max_branches_per_node: int = 4
-    consolidation_window: int = 25
-    seed: int = 0
 
 
 @dataclass

@@ -9,12 +9,38 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .cactus import GrowthConfig, Thresholds, compute_thresholds
 from .errors import ConfigError
 from .nn import LayerSpec, TrainConfig
 
 # settings since removed; a document that still carries one loads
 RETIRED_KEYS = ("workers",)
+
+
+@dataclass(frozen=True)
+class Thresholds:
+    """Upper baseline q, lower baselines y1/y2, derived tau1/tau2."""
+    q: float
+    y1: float
+    y2: float
+    tau1: float
+    tau2: float
+
+
+def compute_thresholds(q: float, y1: float, y2: float) -> Thresholds:
+    """tau_n = q - (1/3)(q - y_n) for n in {1, 2}."""
+    for name, v in (("q", q), ("y1", y1), ("y2", y2)):
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(f"baseline {name}={v} outside [0, 1]")
+    tau1 = q - (q - y1) / 3.0
+    tau2 = q - (q - y2) / 3.0
+    return Thresholds(q, y1, y2, tau1, tau2)
+
+
+@dataclass(frozen=True)
+class GrowthConfig:
+    max_branches_per_node: int = 4
+    consolidation_window: int = 25
+    seed: int = 0
 
 
 @dataclass

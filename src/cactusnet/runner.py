@@ -4,6 +4,10 @@ Each phase is a deterministic function of (config, inputs, seeds) and
 communicates with later phases only through files under the output
 directory; rerunning a phase with the same config reproduces its
 outputs byte for byte.
+
+The verbs that call ``cactus`` or ``predictor`` import them in their own
+bodies, so a CLI process loads neither unless its verb runs one: the
+earlier phases skip compiling and importing code they never call.
 """
 
 import csv
@@ -17,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import applicability as app
-from . import cactus
 from .config import ExperimentConfig
 from .data import (DatasetManifest, SubsetLabel, build_splits,
                    generate_synthetic, load_dataset, load_idx,
@@ -27,8 +30,6 @@ from .fileio import atomic_open, write_csv, write_json
 # perfbench's tracer patches and checks the runner.forward binding
 from .nn import (Network, accuracy, checkpoint_load, checkpoint_save,  # noqa: F401
                  forward, train_classifier)
-from .predictor import (evaluate_predictor, load_predictor, predict_batch,
-                        save_predictor, train_predictor)
 from .seeding import derive_seed
 
 BASE_CKPT = "base.ckpt"
@@ -293,6 +294,7 @@ def predictor_ckpt_name(tap: int) -> str:
 
 
 def run_train_predictors(cfg: ExperimentConfig) -> dict:
+    from .predictor import evaluate_predictor, save_predictor, train_predictor
     out = cfg.out_path
     if not (out / RECORDS_CSV).is_file():
         raise ConfigError("applicability records missing: run measure first")
@@ -351,6 +353,8 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------
 
 def build_cactus_tree(cfg: ExperimentConfig, mock=False):
+    from . import cactus
+    from .predictor import load_predictor, predict_batch
     out = cfg.out_path
     net = _load_base(cfg)
     table, manifest = load_table(cfg)
@@ -424,6 +428,7 @@ def read_stream(cfg: ExperimentConfig, manifest, doc):
 
 
 def run_cactus(cfg: ExperimentConfig, stream_path) -> dict:
+    from . import cactus
     out = cfg.out_path
     if not (out / RECORDS_CSV).is_file():
         raise ConfigError("applicability records missing: run measure first")
@@ -462,6 +467,7 @@ def run_cactus(cfg: ExperimentConfig, stream_path) -> dict:
 # ---------------------------------------------------------------------
 
 def run_report(cfg: ExperimentConfig) -> dict:
+    from . import cactus
     out = cfg.out_path
     missing = [name for name in (CURVES_CSV, PREDICTOR_EVAL, GROWTH_LOG)
                if not (out / name).is_file()]

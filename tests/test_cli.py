@@ -603,6 +603,86 @@ def test_module_entry_point(tmp_path):
     assert "not found" in proc.stderr
 
 
+# runs ``python -m cactusnet ARGS`` through runpy, so that the process can
+# report its collector and its loaded modules after the entry returns
+MODULE_ENTRY = """
+import gc, json, runpy, sys
+sys.argv = ["cactusnet", *sys.argv[1:]]
+try:
+    runpy.run_module("cactusnet", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"exit": code, "frozen": gc.get_freeze_count(),
+                  "gc_enabled": gc.isenabled(),
+                  "modules": sorted(m for m in sys.modules
+                                    if m.startswith("cactusnet."))}))
+"""
+
+
+def module_entry(cfg_path, *argv) -> dict:
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULE_ENTRY, "--config", str(cfg_path), *argv],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_module_entry_freezes_the_heap_at_exit(tmp_path):
+    state = module_entry(write_tiny_config(tmp_path), "prepare")
+    assert state["exit"] == 0
+    assert state["frozen"] > 0
+    assert state["gc_enabled"]
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path):
+    import gc
+
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert run(write_tiny_config(tmp_path), "prepare") == 0
+    assert run(write_tiny_config(tmp_path), "train-base") == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_console_script_is_the_function_the_module_entry_calls(monkeypatch):
+    import importlib
+    import runpy
+
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["cactusnet"]
+    module_name, name = target.split(":")
+    calls = []
+    monkeypatch.setattr(importlib.import_module(module_name), name,
+                        lambda: calls.append(name) or 0)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("cactusnet", run_name="__main__")
+    assert exit_.value.code == 0
+    assert calls == [name]
+
+
+# the modules a verb's process must not load: only cactus-run and report
+# route or read a tree, and only train-predictors and cactus-run run a
+# predictor
+NOT_LOADED = {
+    "prepare": {"cactusnet.cactus", "cactusnet.predictor"},
+    "train-base": {"cactusnet.cactus", "cactusnet.predictor"},
+    "measure": {"cactusnet.cactus", "cactusnet.predictor"},
+    "train-predictors": {"cactusnet.cactus"},
+}
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
+    cfg = write_tiny_config(tmp_path)
+    for verb, absent in NOT_LOADED.items():
+        state = module_entry(cfg, verb)
+        assert state["exit"] == 0, verb
+        assert absent.isdisjoint(state["modules"]), (verb, state["modules"])
+        assert "cactusnet.runner" in state["modules"], verb
+
+
 class TestConfig:
     def test_settings_come_from_the_file_and_the_flags_only(self, tmp_path,
                                                             monkeypatch):
