@@ -6,8 +6,7 @@ directory; rerunning a phase with the same config reproduces its
 outputs byte for byte.
 
 The verbs that call ``cactus`` or ``predictor`` import them in their own
-bodies, so a CLI process loads neither unless its verb runs one: the
-earlier phases skip compiling and importing code they never call.
+bodies, so a CLI process loads neither unless its verb runs it.
 """
 
 import csv

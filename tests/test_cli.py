@@ -640,9 +640,10 @@ def test_module_entry_freezes_the_heap_at_exit(tmp_path):
 def test_main_in_process_leaves_the_collector_alone(tmp_path):
     import gc
 
+    cfg = write_tiny_config(tmp_path)
     before = (gc.get_freeze_count(), gc.isenabled())
-    assert run(write_tiny_config(tmp_path), "prepare") == 0
-    assert run(write_tiny_config(tmp_path), "train-base") == 0
+    assert run(cfg, "prepare") == 0
+    assert run(cfg, "train-base") == 0
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
