@@ -4,12 +4,17 @@ Criterion 7 asks that every held-out (class, tap) cell's mean predicted
 applicability lie within 0.05 of the measured one.  This script builds
 the desk-default pipeline once (prepare, train-base, measure and
 train-predictors), then retrains the per-tap predictors under 10 seed
-salts and prints each salt's worst cell and how many salts pass.  Only the predictor seed changes: the base net, the
-records, the held-out classes and the bound stay as the acceptance
-suite has them.  Salt 0 is the shipped seed,
-``derive_seed(master, 0x93ED, tap)``; salt s > 0 trains with
-``derive_seed(master, 0x93ED, tap, s)``.  Salt 0 is checked against the
-``predictor_eval.csv`` that ``train-predictors`` writes.
+salts and prints each salt's worst cell and how many salts pass.  Only
+the predictor seed changes: the base net, the records, the held-out
+classes and the bound stay as the acceptance suite has them.
+
+The script shares ``train-predictors``' fit: each salt trains and scores
+through ``runner.fit_tap_predictor`` on the activations that
+``runner.predictor_activations`` forwards, as ``run_train_predictors``
+does.  Salt 0 is the shipped seed, ``derive_seed(master, 0x93ED, tap)``;
+salt s > 0 trains with ``derive_seed(master, 0x93ED, tap, s)``.  Salt 0
+is checked against the ``predictor_eval.csv`` that ``train-predictors``
+writes.
 
 It is a measurement, not a gate.  The test suite checks only that
 ``worst_cells`` at salt 0 reproduces ``predictor_eval.csv`` on its tiny
@@ -27,12 +32,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from cactusnet import applicability as app
 from cactusnet import runner
 from cactusnet.config import config_from_dict, default_config_dict
 from cactusnet.fileio import fmt_float
-from cactusnet.nn import checkpoint_load
-from cactusnet.predictor import evaluate_predictor, train_predictor
 from cactusnet.seeding import derive_seed
 
 BOUND = 0.05
@@ -53,34 +55,20 @@ def build_pipeline(work: Path):
 
 
 def worst_cells(cfg, salts):
-    """salt -> (worst |mean predicted - actual|, its (class, tap)), with the
-    samples assembled as ``run_train_predictors`` assembles them."""
+    """salt -> (worst |mean predicted - actual|, its (class, tap)), each
+    salt fit as ``train-predictors`` fits its predictors."""
     table, manifest = runner.load_table(cfg)
-    net = checkpoint_load(cfg.out_path / runner.BASE_CKPT)
-    splits = runner._splits(cfg, manifest)
+    net = runner._load_base(cfg)
     heldout = json.loads((cfg.out_path / runner.PREDICTOR_SUMMARY).read_text())[
         "heldout_classes"]
-    train_ids = [c for c in manifest.measured_ids if c not in heldout]
-    train_acts = {cid: app.tap_features(net, splits.train_images(cid), cfg.taps)
-                  for cid in manifest.measured_ids}
-    test_acts = {cid: app.tap_features(net, splits.test_images(cid), cfg.taps)
-                 for cid in heldout}
-
-    def samples(ids, tap):
-        return [(acts, table.app(cid, tap)) for cid in ids
-                for acts in train_acts[cid][tap]]
-
+    train_acts, test_acts = runner.predictor_activations(cfg, net, manifest, heldout)
     out = {}
     for salt in salts:
         cells = []
         for tap in cfg.taps:
             seed = derive_seed(cfg.master_seed, 0x93ED, tap, *([salt] if salt else []))
-            model, _ = train_predictor(net.shapes[tap], samples(train_ids, tap),
-                                       cfg.train.predictor.with_seed(seed),
-                                       heldout=samples(heldout, tap),
-                                       layer_index=tap, train_class_ids=train_ids)
-            ev = evaluate_predictor(model, {cid: (test_acts[cid][tap], table.app(cid, tap))
-                                            for cid in heldout})
+            _, _, ev = runner.fit_tap_predictor(net, table, tap, train_acts, test_acts,
+                                                cfg.train.predictor.with_seed(seed))
             cells += [(row.abs_err, (row.class_id, tap)) for row in ev.rows]
         out[salt] = max(cells)
         print(f"salt {salt}: worst cell {out[salt][0]:.4f} at (class, tap) "
@@ -96,7 +84,7 @@ def main():
         worst = worst_cells(cfg, range(SALTS))
     if fmt_float(worst[0][0]) != shipped:
         print(f"salt 0 gave {fmt_float(worst[0][0])}, train-predictors {shipped}: "
-              "the samples are not assembled as train-predictors assembles them",
+              "this script's fit is not the one train-predictors runs",
               file=sys.stderr)
         return 1
     values = [w for w, _ in worst.values()]

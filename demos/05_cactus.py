@@ -10,7 +10,8 @@ produces one branch, not fifty.
 import numpy as np
 
 from cactusnet.cactus import (GrowthConfig, build_tree, classify_or_flag,
-                              compute_thresholds, grow, replay_log)
+                              grow, replay_log)
+from cactusnet.config import compute_thresholds
 from cactusnet.nn import LayerSpec, Network
 
 # Reference baselines: upper q from the known subset, y1/y2 from the

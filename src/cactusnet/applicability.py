@@ -478,15 +478,17 @@ def layer_sweep(net, classes_to_measure, probe_set, splits, cfg, layers,
 
 def subset_average(table: ApplicabilityTable):
     """Per-(subset, layer) mean applicability curves, each class in the
-    subset of its entry in ``table.classes``."""
+    subset of its entry in ``table.classes``, in ``SubsetLabel`` order and
+    then layer order."""
     by_curve = {}
     for (cid, layer), entry in table.entries.items():
         if cid not in table.classes:
             raise AggregationError(f"class {cid} has no subset label")
         by_curve.setdefault((table.classes[cid].subset, layer), []).append(entry.app)
+    order = list(SubsetLabel)
     return {key: math.fsum(vals) / len(vals)
             for key, vals in sorted(by_curve.items(),
-                                    key=lambda kv: (kv[0][0].value, kv[0][1]))}
+                                    key=lambda kv: (order.index(kv[0][0]), kv[0][1]))}
 
 
 # ---------------------------------------------------------------------
@@ -549,12 +551,7 @@ def write_table_csv(path, table: ApplicabilityTable):
                      "n_records"], rows)
 
 
-_SUBSET_ORDER = [SubsetLabel.OBJECTIVE_KNOWN, SubsetLabel.OBJECTIVE_UNKNOWN,
-                 SubsetLabel.NONOBJECTIVE_UNKNOWN]
-
-
 def write_curves_csv(path, curves):
-    ordered = sorted(curves.items(),
-                     key=lambda kv: (_SUBSET_ORDER.index(kv[0][0]), kv[0][1]))
+    """``subset_average``'s curves, one row each, in its order."""
     write_csv(path, ["subset", "layer", "mean_app"],
-              ([subset.value, layer, mean] for (subset, layer), mean in ordered))
+              ([subset.value, layer, mean] for (subset, layer), mean in curves.items()))

@@ -21,8 +21,8 @@ import numpy as np
 
 from .applicability import ApplicabilityTable, subset_average
 # defined beside the config schema, so that loading a config loads no
-# cactus code; tests and demos import all three from here
-from .config import GrowthConfig, Thresholds, compute_thresholds  # noqa: F401
+# cactus code
+from .config import GrowthConfig, Thresholds
 from .data.manifest import SubsetLabel
 from .errors import ConfigError, DataError, RoutingError
 from .fileio import atomic_open, write_json
@@ -118,13 +118,9 @@ class CactusTree:
     def trunk_chain(self):
         """Trunk nodes root-to-leaf (branch id 0, single child chain)."""
         chain = [self.root]
-        node = self.root
-        while True:
-            nxt = [c for c in node.children if c.branch_id == 0]
-            if not nxt:
-                return chain
-            node = nxt[0]
-            chain.append(node)
+        while nxt := [c for c in chain[-1].children if c.branch_id == 0]:
+            chain.append(nxt[0])
+        return chain
 
     def topology(self) -> dict:
         """Stable description of structure + parameters, for comparison
@@ -164,13 +160,10 @@ def _describe(node, parent, fields):
 def _param_digest(block: Network, head: Network | None) -> str:
     import hashlib
     h = hashlib.sha256()
-    for net in (block, head):
-        if net is None:
-            continue
-        for p in net.params:
-            if p is not None:
-                h.update(np.ascontiguousarray(p["W"], dtype="<f4").tobytes())
-                h.update(np.ascontiguousarray(p["b"], dtype="<f4").tobytes())
+    for p in (*block.params, *(() if head is None else head.params)):
+        if p is not None:
+            h.update(np.ascontiguousarray(p["W"], dtype="<f4").tobytes())
+            h.update(np.ascontiguousarray(p["b"], dtype="<f4").tobytes())
     return h.hexdigest()
 
 
@@ -374,7 +367,7 @@ def _trunk_template(tree: CactusTree, at_node: CactusNode):
     return [n.block for n in below], leaf.head
 
 
-def create_branch(tree: CactusTree, at_node: CactusNode, seed: int = 0) -> int:
+def create_branch(tree: CactusTree, at_node: CactusNode, seed: int) -> int:
     """Grow a fresh provisional branch off ``at_node``.
 
     The new subtree clones the remaining trunk architecture with freshly

@@ -99,6 +99,19 @@ def pin_blas_threads():
     setter(1)
 
 
+# verb -> (its ``runner`` function, help); the function is looked up when
+# the verb runs, so a binding patched after import is the one called
+VERBS = {
+    "prepare": ("prepare", "write the manifest for a synthetic run"),
+    "train-base": ("run_train_base", "train the base classifier"),
+    "measure": ("run_measure", "run the 1-vs-1 applicability sweep"),
+    "train-predictors": ("run_train_predictors",
+                         "train per-layer applicability predictors"),
+    "cactus-run": ("run_cactus", "route a stream through the tree"),
+    "report": ("run_report", "bundle plot-ready outputs"),
+}
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="cactusnet",
@@ -107,14 +120,10 @@ def _parser():
     p.add_argument("--out", help="override the output directory")
     p.add_argument("--seed", type=int, help="override the master seed")
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("prepare", help="write the manifest for a synthetic run")
-    sub.add_parser("train-base", help="train the base classifier")
-    sub.add_parser("measure", help="run the 1-vs-1 applicability sweep")
-    sub.add_parser("train-predictors",
-                   help="train per-layer applicability predictors")
-    cac = sub.add_parser("cactus-run", help="route a stream through the tree")
-    cac.add_argument("stream", help="stream JSON (mock/manifest/dataset)")
-    sub.add_parser("report", help="bundle plot-ready outputs")
+    for verb, (_, text) in VERBS.items():
+        sub.add_parser(verb, help=text)
+    sub.choices["cactus-run"].add_argument(
+        "stream", help="stream JSON (mock/manifest/dataset)")
     return p
 
 
@@ -125,21 +134,8 @@ def main(argv=None) -> int:
     overrides = {"out_dir": args.out, "master_seed": args.seed}
     try:
         cfg = load_config(args.config, cli_overrides=overrides)
-        if args.command == "prepare":
-            path = runner.prepare(cfg)
-            result = {"manifest": str(path)}
-        elif args.command == "train-base":
-            result = runner.run_train_base(cfg)
-        elif args.command == "measure":
-            result = runner.run_measure(cfg)
-        elif args.command == "train-predictors":
-            result = runner.run_train_predictors(cfg)
-        elif args.command == "cactus-run":
-            result = runner.run_cactus(cfg, args.stream)
-        elif args.command == "report":
-            result = runner.run_report(cfg)
-        else:  # pragma: no cover - argparse guards this
-            return EXIT_CONFIG
+        run = getattr(runner, VERBS[args.command][0])
+        result = run(cfg, args.stream) if args.command == "cactus-run" else run(cfg)
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

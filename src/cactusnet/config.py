@@ -117,6 +117,8 @@ class ExperimentConfig:
         for name in ("threshold_reference_tap", "threshold_final_tap"):
             if getattr(self, name) not in self.taps:
                 raise ConfigError(f"{name} must be one of the taps {self.taps}")
+        if len(set(self.heldout_classes)) != len(self.heldout_classes):
+            raise ConfigError(f"duplicate heldout_classes {list(self.heldout_classes)}")
         if self.dataset.type not in ("synthetic", "idx"):
             raise ConfigError(f"unknown dataset type {self.dataset.type!r}")
         return self

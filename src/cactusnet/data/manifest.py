@@ -118,18 +118,16 @@ class DatasetManifest:
                 raise ManifestError(f"{path} is not a manifest: {exc!r}") from exc
 
 
-def sample_probe_set(classes, k, seed, exclude=()):
+def sample_probe_set(classes, k, seed):
     """Draw a balanced probe set from the non-known classes.
 
     ceil(k/2) classes come from objective-unknown and floor(k/2) from
     nonobjective-unknown; deterministic given ``seed``.  ``classes`` is
     an iterable of class entries.
     """
-    excluded = set(exclude)
     pools = {}
     for subset in (SubsetLabel.OBJECTIVE_UNKNOWN, SubsetLabel.NONOBJECTIVE_UNKNOWN):
-        pools[subset] = sorted(c.class_id for c in classes
-                               if c.subset is subset and c.class_id not in excluded)
+        pools[subset] = sorted(c.class_id for c in classes if c.subset is subset)
     need_obj = math.ceil(k / 2)
     need_non = k // 2
     if len(pools[SubsetLabel.OBJECTIVE_UNKNOWN]) < need_obj or \
@@ -207,8 +205,7 @@ def build_splits(manifest: DatasetManifest, sources, class_ids=None) -> SplitSto
 
 
 def synthetic_manifest(ds: SyntheticDataset, num_known, num_objective_unknown,
-                       num_nonobjective_unknown, k, train_fraction, seed,
-                       objective_name="organic-textures"):
+                       num_nonobjective_unknown, k, train_fraction, seed):
     """Manifest over a synthetic dataset mirroring the three-subset design.
 
     The first organic classes become the known set, the next the
@@ -243,5 +240,5 @@ def synthetic_manifest(ds: SyntheticDataset, num_known, num_objective_unknown,
     probe_set = set(probe)
     used = known + measured_obj + measured_non + \
         [c for c in pool_obj + pool_non if c.class_id in probe_set]
-    return DatasetManifest(objective_name, tuple(used), tuple(probe),
+    return DatasetManifest("organic-textures", tuple(used), tuple(probe),
                            k, train_fraction, seed)

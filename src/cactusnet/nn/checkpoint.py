@@ -27,9 +27,10 @@ def checkpoint_save(net: Network, path, magic: bytes = MAGIC, extra: dict | None
                     [p[k] for p in net.params if p is not None for k in ("W", "b")])
 
 
-def checkpoint_load(path, magic: bytes = MAGIC) -> Network:
-    """Load a network; structured errors on bad magic or truncation."""
-    net, _ = checkpoint_load_with_extra(path, magic)
+def checkpoint_load(path) -> Network:
+    """Load a network saved under ``MAGIC``; structured errors on bad
+    magic or truncation."""
+    net, _ = checkpoint_load_with_extra(path)
     return net
 
 

@@ -92,10 +92,10 @@ class Network:
         self.stack = next((p["b"].shape[:-1] for p in self.params if p is not None), ())
 
     @classmethod
-    def build(cls, specs, input_shape, seed, dtype=np.float32):
-        """Initialize a network deterministically from ``seed``."""
+    def build(cls, specs, input_shape, seed):
+        """Initialize a float32 network deterministically from ``seed``."""
         specs, rng = tuple(specs), rng_for(seed)
-        params = [None if shapes is None else _init_params(shapes["W"], rng, dtype)
+        params = [None if shapes is None else _init_params(shapes["W"], rng, np.float32)
                   for shapes in param_shapes(specs, input_shape)]
         return cls(specs, input_shape, params)
 
@@ -193,7 +193,8 @@ def _run_layers(net: Network, x, keep, train_from=None):
 
 
 def _loss_and_delta(net, output, targets, loss_kind):
-    """Loss (one per stacked network) and its gradient at the output."""
+    """Loss (one per stacked network) and its gradient at the output;
+    ``loss_kind`` is one of ``LOSS_KINDS``."""
     t = np.asarray(targets)
     if t.shape != output.shape:
         raise ShapeMismatchError(
@@ -205,14 +206,12 @@ def _loss_and_delta(net, output, targets, loss_kind):
         per_net = tuple(range(sample_axis, diff.ndim))
         loss = np.mean(diff.astype(np.float64) ** 2, axis=per_net)
         return loss, (2.0 / prod(diff.shape[sample_axis:])) * diff, False
-    if loss_kind == "CrossEntropy":
-        p = np.clip(output, 1e-12, None)
-        loss = -np.mean(np.sum(t * np.log(p.astype(np.float64)), axis=-1), axis=-1)
-        if net.specs[-1].kind == "Softmax":
-            # fused softmax + cross-entropy gradient at the softmax input
-            return loss, (output - t) / n, True
-        return loss, -(t / p) / n, False
-    raise ValueError(f"unknown loss kind {loss_kind!r}")
+    p = np.clip(output, 1e-12, None)
+    loss = -np.mean(np.sum(t * np.log(p.astype(np.float64)), axis=-1), axis=-1)
+    if net.specs[-1].kind == "Softmax":
+        # fused softmax + cross-entropy gradient at the softmax input
+        return loss, (output - t) / n, True
+    return loss, -(t / p) / n, False
 
 
 def backward(net: Network, batch, targets, loss_kind="CrossEntropy"):

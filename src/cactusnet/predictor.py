@@ -119,7 +119,7 @@ def _stack_samples(tap_shape, samples):
     y = np.asarray(targets, dtype=np.float32)
     # written so that a NaN target, for which every comparison is false,
     # is refused too
-    if y.size and not (0.0 <= y.min() and y.max() <= 1.0):
+    if not (0.0 <= y.min() and y.max() <= 1.0):
         raise DataError("applicability targets must lie in [0, 1]")
     return x, y
 
@@ -146,21 +146,18 @@ def train_predictor(tap_shape, samples, cfg, heldout=None, layer_index=-1,
     if y.min() == y.max():
         warnings.warn("all predictor targets are identical; the fit cannot "
                       "be validated", stacklevel=2)
-    mean = float(x.mean())
-    scale = float(x.std()) or 1.0
-    xn = ((x - mean) / scale).astype(np.float32)
-
-    net = Network.build(plan, tap_shape, seed=rng_for(cfg.seed, 0xF17).integers(2**31))
+    model = PredictorModel(
+        Network.build(plan, tap_shape, seed=rng_for(cfg.seed, 0xF17).integers(2**31)),
+        layer_index, float(x.mean()), float(x.std()) or 1.0, tuple(train_class_ids))
+    xn = model.normalize(x)
     epoch_losses = []
-    for net, loss in sgd_epochs(net, xn, y[:, None], cfg, "MSE"):
+    for model.net, loss in sgd_epochs(model.net, xn, y[:, None], cfg, "MSE"):
         epoch_losses.append(loss)
 
-    model = PredictorModel(net, layer_index, mean, scale,
-                           tuple(train_class_ids))
-    report = TrainingReport(epoch_losses, len(xn), _mse(net, xn, y))
+    report = TrainingReport(epoch_losses, len(xn), _mse(model.net, xn, y))
     if heldout is not None:
         hx, hy = _stack_samples(tap_shape, heldout)
-        report.heldout_mse = _mse(net, model.normalize(hx), hy)
+        report.heldout_mse = _mse(model.net, model.normalize(hx), hy)
     return model, report
 
 

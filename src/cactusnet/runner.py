@@ -5,8 +5,9 @@ communicates with later phases only through files under the output
 directory; rerunning a phase with the same config reproduces its
 outputs byte for byte.
 
-The verbs that call ``cactus`` or ``predictor`` import them in their own
-bodies, so a CLI process loads neither unless its verb runs it.
+The verbs that call ``applicability``, ``cactus`` or ``predictor`` import
+them in their own bodies, so a CLI process loads none of them unless its
+verb runs it.
 """
 
 import csv
@@ -19,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import applicability as app
-from .config import ExperimentConfig
+from .config import ExperimentConfig, compute_thresholds
 from .data import (DatasetManifest, SubsetLabel, build_splits,
                    generate_synthetic, load_dataset, load_idx,
                    synthetic_manifest)
@@ -79,7 +79,7 @@ def load_manifest(cfg: ExperimentConfig) -> DatasetManifest:
     return DatasetManifest.load(cfg.manifest_path)
 
 
-def prepare(cfg: ExperimentConfig) -> Path:
+def prepare(cfg: ExperimentConfig) -> dict:
     """Write the manifest for a synthetic experiment (the one phase that
     creates rather than consumes the manifest)."""
     if cfg.dataset.type != "synthetic":
@@ -91,7 +91,7 @@ def prepare(cfg: ExperimentConfig) -> Path:
         seed=cfg.dataset.seed)
     cfg.manifest_path.parent.mkdir(parents=True, exist_ok=True)
     manifest.save(cfg.manifest_path)
-    return cfg.manifest_path
+    return {"manifest": str(cfg.manifest_path)}
 
 
 def _load_base(cfg: ExperimentConfig) -> Network:
@@ -169,6 +169,7 @@ def _measure_settings(cfg, manifest) -> dict:
 
 def _check_resume(records_path, records, fingerprint_path, fingerprint):
     """Refuse to resume a journal written by another run."""
+    from . import applicability as app
     for r in records:
         want = app.job_seed(fingerprint["master_seed"], r.x, r.un_j, r.layer_index)
         if r.seed != want:
@@ -202,6 +203,7 @@ def _print_cell(i, cells, x, layer, jobs, failed):
 
 
 def run_measure(cfg: ExperimentConfig) -> dict:
+    from . import applicability as app
     manifest = load_manifest(cfg)
     out = cfg.out_path
     base_path = out / BASE_CKPT
@@ -247,6 +249,9 @@ def run_measure(cfg: ExperimentConfig) -> dict:
 
 
 def load_table(cfg: ExperimentConfig):
+    from . import applicability as app
+    if not (cfg.out_path / RECORDS_CSV).is_file():
+        raise ConfigError("applicability records missing: run measure first")
     manifest = load_manifest(cfg)
     records = app.read_records_csv(cfg.out_path / RECORDS_CSV)
     return app.build_table(records, {c.class_id: c for c in manifest.classes},
@@ -272,19 +277,20 @@ def _auto_heldout(manifest, table, taps) -> list:
     """One held-out class per subset: the most representative member.
 
     Representative means the class whose applicability row is closest
-    (L2 over the tapped layers) to its subset's mean curve; ties break
-    to the lower class id.  Atypical classes stay in the training pool,
-    where their unusual activations broaden predictor coverage.
+    (L2 over the tapped layers) to its subset's mean curve
+    (``subset_average``); ties break to the lower class id.  Atypical
+    classes stay in the training pool, where their unusual activations
+    broaden predictor coverage.
     """
+    from .applicability import subset_average
+    curves = subset_average(table)
     picks = []
     for subset in SubsetLabel:
         ids = [cid for cid in manifest.measured_ids
                if manifest.entry(cid).subset is subset]
-        if not ids:
-            continue
-        mean = {t: sum(table.app(c, t) for c in ids) / len(ids) for t in taps}
-        picks.append(min(ids, key=lambda c: (
-            sum((table.app(c, t) - mean[t]) ** 2 for t in taps), c)))
+        if ids:
+            picks.append(min(ids, key=lambda c: (
+                sum((table.app(c, t) - curves[subset, t]) ** 2 for t in taps), c)))
     return picks
 
 
@@ -292,52 +298,65 @@ def predictor_ckpt_name(tap: int) -> str:
     return f"predictor_tap{tap:02d}.ckpt"
 
 
+def predictor_activations(cfg: ExperimentConfig, net, manifest, heldout):
+    """class -> tap -> activations, of the train split of every measured
+    class and of the test split of each ``heldout`` class; each stack is
+    forwarded once for all taps."""
+    from .applicability import tap_features
+    splits = _splits(cfg, manifest, manifest.measured_ids)
+    return ({cid: tap_features(net, splits.train_images(cid), cfg.taps)
+             for cid in manifest.measured_ids},
+            {cid: tap_features(net, splits.test_images(cid), cfg.taps)
+             for cid in heldout})
+
+
+def fit_tap_predictor(net, table, tap, train_acts, test_acts, budget):
+    """(model, report, evaluation) of ``tap``'s predictor trained under
+    ``budget`` on ``predictor_activations``.  The classes of ``test_acts``
+    are held out: the report scores their train split, the evaluation
+    their test split."""
+    from .predictor import evaluate_predictor, train_predictor
+    train_ids = [cid for cid in train_acts if cid not in test_acts]
+    samples, held_samples = (
+        [(act, table.app(cid, tap)) for cid in ids for act in train_acts[cid][tap]]
+        for ids in (train_ids, test_acts))
+    model, report = train_predictor(net.shapes[tap], samples, budget,
+                                    heldout=held_samples, layer_index=tap,
+                                    train_class_ids=train_ids)
+    evaluation = evaluate_predictor(model, {cid: (acts[tap], table.app(cid, tap))
+                                            for cid, acts in test_acts.items()})
+    return model, report, evaluation
+
+
 def run_train_predictors(cfg: ExperimentConfig) -> dict:
-    from .predictor import evaluate_predictor, save_predictor, train_predictor
+    from .predictor import save_predictor
     out = cfg.out_path
-    if not (out / RECORDS_CSV).is_file():
-        raise ConfigError("applicability records missing: run measure first")
     net = _load_base(cfg)
     table, manifest = load_table(cfg)
     _require_cells(cfg, table, manifest)
-    splits = _splits(cfg, manifest, manifest.measured_ids)
 
     heldout = list(cfg.heldout_classes) or _auto_heldout(manifest, table, cfg.taps)
     bad = [c for c in heldout if c not in manifest.measured_ids]
     if bad:
         raise ConfigError(f"held-out classes {bad} are not measured classes")
-    train_ids = [c for c in manifest.measured_ids if c not in heldout]
-    if not train_ids:
+    if set(manifest.measured_ids) <= set(heldout):
         raise ConfigError(f"held-out classes {sorted(heldout)} are every measured "
                           "class, so no class is left to train the predictors "
                           "on; hold out fewer in heldout_classes")
 
-    train_acts = {cid: app.tap_features(net, splits.train_images(cid), cfg.taps)
-                  for cid in manifest.measured_ids}
-    test_acts = {cid: app.tap_features(net, splits.test_images(cid), cfg.taps)
-                 for cid in heldout}
-
-    summary = []
-    eval_rows = []
+    train_acts, test_acts = predictor_activations(cfg, net, manifest, heldout)
+    summary, eval_rows = [], []
     for tap in cfg.taps:
-        samples, held_samples = (
-            [(act, table.app(cid, tap)) for cid in ids for act in train_acts[cid][tap]]
-            for ids in (train_ids, heldout))
-        budget = cfg.train.predictor.with_seed(
-            derive_seed(cfg.master_seed, 0x93ED, tap))
-        model, report = train_predictor(net.shapes[tap], samples, budget,
-                                        heldout=held_samples,
-                                        layer_index=tap,
-                                        train_class_ids=train_ids)
+        model, report, evaluation = fit_tap_predictor(
+            net, table, tap, train_acts, test_acts,
+            cfg.train.predictor.with_seed(derive_seed(cfg.master_seed, 0x93ED, tap)))
         save_predictor(model, out / predictor_ckpt_name(tap))
         summary.append({"layer": tap,
                         "train_mse": report.final_train_mse,
                         "heldout_mse": report.heldout_mse})
-        held_eval = {cid: (test_acts[cid][tap], table.app(cid, tap))
-                     for cid in heldout}
         eval_rows += [[row.class_id, manifest.entry(row.class_id).subset.value, tap,
                        row.actual_app, row.mean_predicted, row.abs_err]
-                      for row in evaluate_predictor(model, held_eval).rows]
+                      for row in evaluation.rows]
 
     write_json(out / PREDICTOR_SUMMARY,
                 {"layers": summary, "heldout_classes": sorted(heldout)})
@@ -359,13 +378,13 @@ def build_cactus_tree(cfg: ExperimentConfig, mock=False):
     table, manifest = load_table(cfg)
     if not cfg.threshold_overrides:
         _require_cells(cfg, table, manifest)
-    thresholds = cfg.threshold_overrides or cactus.compute_thresholds(
+    thresholds = cfg.threshold_overrides or compute_thresholds(
         *cactus.baseline_from_tables(table, cfg.threshold_reference_tap,
                                      cfg.threshold_final_tap))
     predictors = {}
     for tap in cfg.taps:
         if mock:
-            predictors[tap] = _MockSentinel()
+            predictors[tap] = _mock_only
         else:
             ckpt = out / predictor_ckpt_name(tap)
             if not ckpt.is_file():
@@ -376,9 +395,8 @@ def build_cactus_tree(cfg: ExperimentConfig, mock=False):
                              decision_depth=cfg.decision_depth), manifest
 
 
-class _MockSentinel:
-    def __call__(self, activations):
-        raise ConfigError("mock stream items must carry a mock_app value")
+def _mock_only(activations):
+    raise ConfigError("mock stream items must carry a mock_app value")
 
 
 def read_stream(cfg: ExperimentConfig, manifest, doc):
@@ -429,8 +447,6 @@ def read_stream(cfg: ExperimentConfig, manifest, doc):
 def run_cactus(cfg: ExperimentConfig, stream_path) -> dict:
     from . import cactus
     out = cfg.out_path
-    if not (out / RECORDS_CSV).is_file():
-        raise ConfigError("applicability records missing: run measure first")
     stream_path = Path(stream_path)
     if not stream_path.is_file():
         raise ConfigError(f"stream file not found: {stream_path}")

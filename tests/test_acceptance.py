@@ -18,9 +18,10 @@ from cactusnet import runner
 from cactusnet.applicability import (SeparabilityRecord, class_applicability,
                                      pair_separability)
 from cactusnet.cactus import (GrowthConfig, Thresholds, Verdict, build_tree,
-                              compute_thresholds, decide, grow, replay_log)
+                              decide, grow, replay_log)
 from cactusnet.cli import pin_blas_threads
-from cactusnet.config import config_from_dict, default_config_dict
+from cactusnet.config import (compute_thresholds, config_from_dict,
+                              default_config_dict)
 from cactusnet.data import build_splits, generate_synthetic, synthetic_manifest
 from cactusnet.nn import (LayerSpec, Network, TrainConfig, backward,
                           checkpoint_load, checkpoint_save, forward, predict,

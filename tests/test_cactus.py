@@ -7,10 +7,10 @@ from cactusnet.applicability import ApplicabilityTable
 from cactusnet.cactus import (ROUTE_CHUNK, GrowthConfig, Thresholds, Verdict,
                               baseline_from_tables, build_tree,
                               classify_batch, classify_or_flag,
-                              compute_thresholds,
                               create_branch, decide, grow, load_growth_log,
                               load_tree, replay_log, route_step,
                               save_growth_log, save_tree)
+from cactusnet.config import compute_thresholds
 from cactusnet.data import ClassEntry, SubsetLabel
 from cactusnet.errors import ConfigError, RoutingError
 from cactusnet.nn import LayerSpec, Network, forward

@@ -253,7 +253,7 @@ class TestExitCodes:
         ("growth", 4),
         ("threshold_overrides", {"q": 0.9, "y1": 0.8}),
         ("threshold_overrides", {"q": 0.9, "y1": 0.8, "y2": 0.7, "tau1": 0.9}),
-        ("heldout_classes", [2.0]),
+        ("heldout_classes", [2.0]), ("heldout_classes", [2, 2]),
         ("train", {"pair": [0.05, 2, 16]}),
         ("out_dir", 5), ("manifest", 5),
         ("train_fraction", "0.5"), ("train_fraction", True)])
@@ -578,6 +578,30 @@ def test_seed_spread_salt_zero_matches_train_predictors(pipeline_dir):
     assert fmt_float(worst) == shipped
 
 
+def test_auto_heldout_picks_each_subsets_most_typical_class():
+    from cactusnet.applicability import AppEntry, ApplicabilityTable
+    from cactusnet.data import ClassEntry, DatasetManifest, SubsetLabel
+    from cactusnet.runner import _auto_heldout
+
+    known, obj, non = (SubsetLabel.OBJECTIVE_KNOWN, SubsetLabel.OBJECTIVE_UNKNOWN,
+                       SubsetLabel.NONOBJECTIVE_UNKNOWN)
+    # (class, subset, apps at taps 2 and 5); the nonobjective-unknown
+    # classes are the probes, so that subset has no measured class
+    rows = [(0, known, (0.25, 0.25)), (1, known, (1.0, 1.0)),
+            (2, known, (0.75, 0.75)),
+            # 4 before 3: equally far from their mean of 0.5
+            (4, obj, (0.25, 0.25)), (3, obj, (0.75, 0.75)),
+            (5, non, None), (6, non, None)]
+    classes = tuple(ClassEntry(cid, f"c{cid}", subset) for cid, subset, _ in rows)
+    manifest = DatasetManifest("test", classes, (5, 6), 2, 0.5, 0)
+    entries = {(cid, tap): AppEntry(a, ()) for cid, _, apps in rows if apps
+               for tap, a in zip((2, 5), apps)}
+    table = ApplicabilityTable(entries, 2, {c.class_id: c for c in classes})
+    # known: 2 is nearest the mean curve (2/3, 2/3); objective-unknown:
+    # the tie breaks to the lower id; nonobjective-unknown: skipped
+    assert _auto_heldout(manifest, table, (2, 5)) == [2, 3]
+
+
 def child_env():
     """The environment of a child that imports the package this test
     imported, installed or not."""
@@ -665,11 +689,12 @@ def test_console_script_is_the_function_the_module_entry_calls(monkeypatch):
 
 
 # the modules a verb's process must not load: only cactus-run and report
-# route or read a tree, and only train-predictors and cactus-run run a
-# predictor
+# route or read a tree, only train-predictors and cactus-run run a
+# predictor, and the two phases before measure read no applicability
 NOT_LOADED = {
-    "prepare": {"cactusnet.cactus", "cactusnet.predictor"},
-    "train-base": {"cactusnet.cactus", "cactusnet.predictor"},
+    "prepare": {"cactusnet.applicability", "cactusnet.cactus", "cactusnet.predictor"},
+    "train-base": {"cactusnet.applicability", "cactusnet.cactus",
+                   "cactusnet.predictor"},
     "measure": {"cactusnet.cactus", "cactusnet.predictor"},
     "train-predictors": {"cactusnet.cactus"},
 }
