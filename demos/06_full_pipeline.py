@@ -22,7 +22,6 @@ CONFIG = {
                 "image_side": 16, "seed": 11, "num_known": 2,
                 "num_objective_unknown": 1, "num_nonobjective_unknown": 1},
     "architecture": {
-        "input_shape": [16, 16, 1],
         "layers": [
             {"kind": "Conv2D", "filters": 6, "kernel": [3, 3]},
             {"kind": "ReLU"},
@@ -38,8 +37,6 @@ CONFIG = {
     "taps": [2, 5, 7],
     "k": 2,
     "decision_depth": 1,
-    "threshold_reference_tap": 5,
-    "threshold_final_tap": 7,
     "train": {"base": {"learning_rate": 0.08, "epochs": 10, "batch_size": 16},
               "pair": {"learning_rate": 0.05, "epochs": 3, "batch_size": 16},
               "predictor": {"learning_rate": 0.02, "epochs": 12,

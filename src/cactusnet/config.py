@@ -67,14 +67,11 @@ class PhaseBudgets:
 class ExperimentConfig:
     manifest: str
     dataset: DatasetConfig
-    input_shape: tuple
     layers: tuple                 # LayerSpec sequence of the base network
     taps: tuple
     k: int
     train_fraction: float
     decision_depth: int
-    threshold_reference_tap: int
-    threshold_final_tap: int
     threshold_overrides: Thresholds | None
     train: PhaseBudgets
     growth: GrowthConfig          # its seed is derived per run, not set here
@@ -95,6 +92,11 @@ class ExperimentConfig:
     def out_path(self) -> Path:
         return self.path(self.out_dir)
 
+    @property
+    def decision_tap(self) -> int:
+        """The tap of the trunk node that renders the verdict."""
+        return sorted(self.taps)[self.decision_depth]
+
     def validate(self):
         if not self.taps:
             raise ConfigError("at least one tap index is required")
@@ -109,14 +111,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"tap {tap} outside 0..{head - 1}: the 2-way head (layer "
                     f"{head}) needs a trainable layer above the tap")
-        depth_count = len(self.taps)
-        if not 1 <= self.decision_depth < depth_count:
-            raise ConfigError(
-                f"decision_depth {self.decision_depth} outside 1.."
-                f"{depth_count - 1}")
-        for name in ("threshold_reference_tap", "threshold_final_tap"):
-            if getattr(self, name) not in self.taps:
-                raise ConfigError(f"{name} must be one of the taps {self.taps}")
+        if not 1 <= self.decision_depth < len(self.taps):
+            raise ConfigError(f"decision_depth {self.decision_depth} outside "
+                              f"1..{len(self.taps) - 1}")
         if len(set(self.heldout_classes)) != len(self.heldout_classes):
             raise ConfigError(f"duplicate heldout_classes {list(self.heldout_classes)}")
         if self.dataset.type not in ("synthetic", "idx"):
@@ -143,13 +140,11 @@ DEFAULT_LAYERS = (
 DEFAULTS = {
     "manifest": "manifest.json",
     "dataset": asdict(DatasetConfig()),
-    "architecture": {"input_shape": [20, 20, 1], "layers": list(DEFAULT_LAYERS)},
+    "architecture": {"layers": list(DEFAULT_LAYERS)},
     "taps": [2, 5, 7, 10],
     "k": 6,
     "train_fraction": 2.0 / 3.0,
     "decision_depth": 2,
-    "threshold_reference_tap": 7,
-    "threshold_final_tap": 10,
     "threshold_overrides": None,
     "train": {
         "base": {"learning_rate": 0.08, "epochs": 30, "batch_size": 16},
@@ -244,14 +239,11 @@ def config_from_dict(raw: dict, base_dir=Path("."),
         cfg = ExperimentConfig(
             manifest=merged["manifest"],
             dataset=DatasetConfig(**{**dataset, "groups": groups}),
-            input_shape=tuple(arch["input_shape"]),
             layers=tuple(LayerSpec.from_dict(d) for d in arch["layers"]),
             taps=tuple(merged["taps"]),
             k=merged["k"],
             train_fraction=float(merged["train_fraction"]),
             decision_depth=merged["decision_depth"],
-            threshold_reference_tap=merged["threshold_reference_tap"],
-            threshold_final_tap=merged["threshold_final_tap"],
             threshold_overrides=None if overrides is None else _thresholds(overrides),
             # seed 0: each phase derives its own from the master seed
             train=PhaseBudgets(**{phase: TrainConfig(**budget, seed=0)

@@ -212,6 +212,11 @@ def synthetic_manifest(ds: SyntheticDataset, num_known, num_objective_unknown,
     measured objective-unknown set; probe classes are drawn from the
     remaining pools, balanced across the two families.
     """
+    if min(num_known, num_objective_unknown, num_nonobjective_unknown, k) < 0:
+        raise ManifestError(
+            f"a synthetic dataset's class and probe counts must be 0 or more, got "
+            f"num_known={num_known}, num_objective_unknown={num_objective_unknown}, "
+            f"num_nonobjective_unknown={num_nonobjective_unknown}, k={k}")
     organic = ds.ids_for(ORGANIC)
     manu = ds.ids_for(MANUFACTURED)
     need_organic = num_known + num_objective_unknown + math.ceil(k / 2)

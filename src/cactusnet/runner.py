@@ -133,8 +133,11 @@ def run_train_base(cfg: ExperimentConfig) -> dict:
     splits = _splits(cfg, manifest, manifest.known_ids)
     images, labels, test, test_labels = _known_training_set(manifest, splits)
 
-    net = Network.build(cfg.layers, cfg.input_shape,
+    net = Network.build(cfg.layers, images.shape[1:],
                         seed=derive_seed(cfg.master_seed, 0xBA5E))
+    if net.output_shape[0] != len(manifest.known_ids):
+        raise ConfigError(f"the base net's head has {net.output_shape[0]} outputs but "
+                          f"the manifest has {len(manifest.known_ids)} known classes")
     budget = cfg.train.base.with_seed(derive_seed(cfg.master_seed, 0xBA5E, 1))
     net, history = train_classifier(net, images, labels, budget)
     test_acc = accuracy(net, test, test_labels)
@@ -379,8 +382,7 @@ def build_cactus_tree(cfg: ExperimentConfig, mock=False):
     if not cfg.threshold_overrides:
         _require_cells(cfg, table, manifest)
     thresholds = cfg.threshold_overrides or compute_thresholds(
-        *cactus.baseline_from_tables(table, cfg.threshold_reference_tap,
-                                     cfg.threshold_final_tap))
+        *cactus.baseline_from_tables(table, cfg.decision_tap, max(cfg.taps)))
     predictors = {}
     for tap in cfg.taps:
         if mock:
@@ -399,9 +401,9 @@ def _mock_only(activations):
     raise ConfigError("mock stream items must carry a mock_app value")
 
 
-def read_stream(cfg: ExperimentConfig, manifest, doc):
+def read_stream(cfg: ExperimentConfig, manifest, doc, input_shape):
     """Decode a parsed stream document into ((image, mock_app),
-    subset_tag) items.
+    subset_tag) items; a mock item's image is a blank of ``input_shape``.
 
     Formats: {"type": "mock", "apps": [...]} replays scripted
     applicability values; {"type": "manifest", "classes": [...],
@@ -422,7 +424,7 @@ def read_stream(cfg: ExperimentConfig, manifest, doc):
                                                and 0 <= a <= 1):
                     raise ConfigError(f"stream apps[{i}] must be a number in "
                                       f"[0, 1], got {a!r}")
-            blank = np.zeros(cfg.input_shape, dtype=np.float32)
+            blank = np.zeros(input_shape, dtype=np.float32)
             return [((blank, float(a)), "mock") for a in apps]
         if kind == "manifest":
             per = doc.get("per_class", 1)
@@ -458,7 +460,7 @@ def run_cactus(cfg: ExperimentConfig, stream_path) -> dict:
         raise ConfigError(f"stream file must hold a JSON object, "
                           f"got a {type(doc).__name__}")
     tree, manifest = build_cactus_tree(cfg, mock=doc.get("type") == "mock")
-    items = read_stream(cfg, manifest, doc)
+    items = read_stream(cfg, manifest, doc, tree.root.block.input_shape)
 
     gcfg = replace(cfg.growth, seed=derive_seed(cfg.master_seed, 0x6120))
     log = cactus.grow(tree, [item for item, _ in items], gcfg)
@@ -489,13 +491,13 @@ def run_report(cfg: ExperimentConfig) -> dict:
     if missing:
         raise ConfigError(f"report inputs missing: {missing}")
     # predictor fidelity: one row per held-out class, taken at the
-    # reference tap (the full per-layer sweep stays in predictor_eval.csv)
+    # decision tap (the full per-layer sweep stays in predictor_eval.csv)
     try:
         with open(out / PREDICTOR_EVAL, encoding="utf-8", newline="") as fh:
             eval_rows = sorted(
                 ([r["class"], r["subset"], r["actual_app"], r["mean_predicted"],
                   r["abs_err"]] for r in csv.DictReader(fh)
-                 if int(r["layer"]) == cfg.threshold_reference_tap),
+                 if int(r["layer"]) == cfg.decision_tap),
                 key=lambda row: int(row[0]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{out / PREDICTOR_EVAL} holds a corrupt row: "

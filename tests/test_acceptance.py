@@ -364,7 +364,7 @@ def test_criterion_11_round_trip_and_determinism(desk, tmp_path):
     path = tmp_path / "again.ckpt"
     checkpoint_save(net, path)
     again = checkpoint_load(path)
-    probe = np.random.default_rng(1).random((8,) + cfg.input_shape,
+    probe = np.random.default_rng(1).random((8,) + net.input_shape,
                                             dtype=np.float32)
     roundtrip_ok = np.array_equal(predict(net, probe), predict(again, probe))
 

@@ -639,7 +639,8 @@ class TestCellStacks:
         # stacks five cells, taps 7 and 10 all eleven
         from cactusnet.config import DEFAULTS, config_from_dict
         cfg = config_from_dict(DEFAULTS)
-        net = Network.build(cfg.layers, cfg.input_shape, seed=0)
+        side = cfg.dataset.image_side
+        net = Network.build(cfg.layers, (side, side, 1), seed=0)
         jobs = sweep_jobs(range(11), range(11, 17), cfg.taps)
         stacks = _cell_stacks(net, self.cells(jobs), 32)
         assert [(stack[0][0][2], len(stack)) for stack in stacks] == (

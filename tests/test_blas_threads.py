@@ -83,13 +83,15 @@ def haswell_config(base):
     """The smallest config found on which ``train-base`` writes other bits
     at one and two OpenBLAS threads under the Haswell kernel: the tiny
     dataset at 12 images per class and 20-pixel sides, the default
-    network without its third convolution, one epoch."""
+    network without its third convolution and with a head as wide as
+    the tiny manifest's two known classes, one epoch."""
     desk = default_config_dict()["architecture"]["layers"]
     doc = copy.deepcopy(TINY)
     doc["dataset"].update(per_class=12, image_side=20)
-    doc["architecture"] = {"input_shape": [20, 20, 1],
-                           "layers": desk[:6] + desk[8:]}
-    doc.update(taps=[2, 5, 8], threshold_reference_tap=5, threshold_final_tap=8)
+    layers = desk[:6] + desk[8:]
+    layers[-2]["units"] = 2
+    doc["architecture"] = {"layers": layers}
+    doc.update(taps=[2, 5, 8])
     doc["train"]["base"]["epochs"] = 1
     path = base / "config.json"
     path.write_text(json.dumps(doc))

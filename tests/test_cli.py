@@ -29,7 +29,6 @@ TINY = {
                 "image_side": 12, "seed": 5, "num_known": 2,
                 "num_objective_unknown": 1, "num_nonobjective_unknown": 1},
     "architecture": {
-        "input_shape": [12, 12, 1],
         "layers": [
             {"kind": "Conv2D", "filters": 4, "kernel": [3, 3]},
             {"kind": "ReLU"},
@@ -46,8 +45,6 @@ TINY = {
     "k": 2,
     "train_fraction": 2.0 / 3.0,
     "decision_depth": 1,
-    "threshold_reference_tap": 5,
-    "threshold_final_tap": 7,
     "train": {"base": {"learning_rate": 0.05, "epochs": 6, "batch_size": 16},
               "pair": {"learning_rate": 0.05, "epochs": 2, "batch_size": 16},
               "predictor": {"learning_rate": 0.02, "epochs": 8,
@@ -131,7 +128,7 @@ class TestPipelineOutputs:
         with open(out / "subset_curves.csv", encoding="utf-8", newline="") as fh:
             curves = {(r["subset"], int(r["layer"])): float(r["mean_app"])
                       for r in csv.DictReader(fh)}
-        ref, final = TINY["threshold_reference_tap"], TINY["threshold_final_tap"]
+        ref, final = sorted(TINY["taps"])[TINY["decision_depth"]], max(TINY["taps"])
         want = {"q": curves[("objective_known", ref)],
                 "y1": curves[("objective_unknown", ref)],
                 "y2": curves[("nonobjective_unknown", final)]}
@@ -202,7 +199,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, value", [
         ("k", 6.7), ("k", "2"), ("decision_depth", "1"), ("decision_depth", 1.0),
-        ("threshold_reference_tap", 5.0), ("threshold_final_tap", True),
         ("master_seed", True), ("master_seed", 9.5), ("master_seed", "9")])
     def test_non_integer_top_level_field_exits_2(self, tmp_path, capsys, field,
                                                  value):
@@ -233,7 +229,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("section, key", [
         (None, "tapz"), ("train.pair", "seed"), ("growth", "seed"),
-        ("architecture", "layer")])
+        ("architecture", "layer"), (None, "threshold_reference_tap"),
+        (None, "threshold_final_tap"), ("architecture", "input_shape")])
     def test_unknown_key_exits_2(self, tmp_path, capsys, section, key):
         doc = json.loads(json.dumps(TINY))
         node = doc
@@ -256,7 +253,11 @@ class TestExitCodes:
         ("heldout_classes", [2.0]), ("heldout_classes", [2, 2]),
         ("train", {"pair": [0.05, 2, 16]}),
         ("out_dir", 5), ("manifest", 5),
-        ("train_fraction", "0.5"), ("train_fraction", True)])
+        ("train_fraction", "0.5"), ("train_fraction", True),
+        # counts a synthetic manifest refuses; k = 0 stays legal
+        ("k", -1), ("dataset", {"num_known": -1}),
+        ("dataset", {"num_objective_unknown": -2}),
+        ("dataset", {"num_nonobjective_unknown": -1})])
     def test_ill_formed_section_exits_2(self, tmp_path, capsys, field, value):
         cfg = write_tiny_config(tmp_path, **{field: value})
         capsys.readouterr()
@@ -290,6 +291,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "dataset.groups[0] holds 10 images but 8 labels" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("units", [1, 3])
+    def test_head_width_other_than_the_known_classes_exits_2(self, tmp_path,
+                                                             capsys, units):
+        # TINY's manifest has two known classes
+        arch = json.loads(json.dumps(TINY["architecture"]))
+        arch["layers"][-2]["units"] = units
+        cfg = write_tiny_config(tmp_path, architecture=arch)
+        assert run(cfg, "prepare") == 0
+        capsys.readouterr()
+        assert run(cfg, "train-base") == 2
+        err = capsys.readouterr().err
+        assert f"head has {units} outputs" in err and "2 known classes" in err
+        assert not (tmp_path / "out" / "base.ckpt").exists()
 
     def test_measure_before_train_base_exits_2(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
@@ -497,16 +512,17 @@ def test_cactus_run_on_an_incomplete_table_exits_2(pipeline_dir, tmp_path,
                 if c["subset"] == "objective_known")
     records = base / "out" / "records.csv"
     lines = records.read_text().splitlines(keepends=True)
+    tap = sorted(TINY["taps"])[TINY["decision_depth"]]
     victim = next(i for i, line in enumerate(lines[1:], start=1)
                   if line.split(",")[0] == str(known)
-                  and line.split(",")[2] == str(TINY["threshold_reference_tap"]))
+                  and line.split(",")[2] == str(tap))
     records.write_text("".join(lines[:victim] + lines[victim + 1:]))
     before = snapshot(base)
     capsys.readouterr()
     assert run(base / "config.json", "cactus-run", str(base / "stream.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert f"({known}, {TINY['threshold_reference_tap']})" in err
+    assert f"({known}, {tap})" in err
     assert snapshot(base) == before
     # train-predictors refuses the same table, naming the same cells
     assert run(base / "config.json", "train-predictors") == 2
@@ -735,13 +751,20 @@ class TestConfig:
 
     def test_partial_sections_take_their_defaults(self):
         cfg = config_from_dict({"train": {"pair": {"epochs": 2}},
-                                "architecture": {"input_shape": [20, 20, 1]}})
+                                "architecture": {}})
         defaults = config_from_dict({})
         assert cfg.train.pair.epochs == 2
         assert cfg.train.pair.learning_rate == DEFAULTS["train"]["pair"]["learning_rate"]
         assert (cfg.train.base, cfg.train.predictor) == \
             (defaults.train.base, defaults.train.predictor)
         assert cfg.layers == defaults.layers
+
+    def test_decision_tap_is_the_tap_at_the_decision_depth(self):
+        assert config_from_dict({}).decision_tap == 7
+        assert config_from_dict(TINY).decision_tap == 5
+        # the depth counts along the sorted taps, not the listed order
+        assert config_from_dict({"taps": [7, 10, 2, 5],
+                                 "decision_depth": 1}).decision_tap == 5
 
     def test_every_config_document_the_repo_writes_loads(self):
         """A key added to one of these without a schema entry fails here."""

@@ -112,6 +112,20 @@ def _close(got, want):
     assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
+def _dk_close(dk, x, kernels, dout, stride=1):
+    """``dk`` against a float64 einsum reference.  Each element stays
+    within twice the probabilistic summation bound of Higham and Mary
+    (2019), sqrt(n) * 2**-24 * sum |x_i * d_i| over its n summed terms:
+    a float32 sum's error grows with its length and its terms' sizes,
+    whichever BLAS kernel orders it."""
+    x64, dout64 = x.astype(np.float64), dout.astype(np.float64)
+    want = einsum_conv2d_backward(x64, kernels, dout64, stride)[1]
+    terms = einsum_conv2d_backward(np.abs(x64), kernels, np.abs(dout64), stride)[1]
+    bound = 2 * np.sqrt(dout[..., 0].size) * 2.0 ** -24 * terms
+    assert dk.shape == want.shape
+    assert np.all(np.abs(dk - want) <= bound)
+
+
 class TestConv2dGemmMatchesEinsum:
     """The im2col/col2im kernels against the einsum ones they replaced."""
 
@@ -150,10 +164,21 @@ class TestConv2dGemmMatchesEinsum:
         x, k, dout = self._arrays(shape, kernel, c_out, stride)
         _close(conv2d(x, k, stride), einsum_conv2d(x, k, stride))
         dx, dk = conv2d_backward(x, k, dout, stride)
-        want_dx, want_dk = einsum_conv2d_backward(x, k, dout, stride)
-        _close(dk, want_dk)
-        _close(dx, want_dx)
+        _dk_close(dk, x, k, dout, stride)
+        _close(dx, einsum_conv2d_backward(x, k, dout, stride)[0])
         assert dx.dtype == x.dtype and dk.dtype == k.dtype
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_kernel_gradient_missing_a_column_row_fails_the_bound(self, case):
+        # a seeded fault: the GEMM without the column matrix's first row,
+        # which a zero first row of the output gradient leaves out
+        shape, kernel, c_out, stride = case
+        x, k, dout = self._arrays(shape, kernel, c_out, stride)
+        dropped = dout.copy()
+        dropped[0, 0, 0] = 0
+        _, dk = conv2d_backward(x, k, dropped, stride)
+        with pytest.raises(AssertionError):
+            _dk_close(dk, x, k, dout, stride)
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_need_dx_false_returns_only_the_kernel_gradient(self, case):
@@ -193,9 +218,8 @@ class TestConv2dGemmMatchesEinsum:
             (4, h_out, w_out, 5)).astype(np.float32)
         _close(conv2d(x, k), einsum_conv2d(x, k))
         dx, dk = conv2d_backward(x, k, dout)
-        want_dx, want_dk = einsum_conv2d_backward(x, k, dout)
-        _close(dk, want_dk)
-        _close(dx, want_dx)
+        _dk_close(dk, x, k, dout)
+        _close(dx, einsum_conv2d_backward(x, k, dout)[0])
 
 
 def strided_cols(x, kh, kw, h_out, w_out, stride=1):
