@@ -17,6 +17,7 @@ estimated memory stays within the costliest single cell's.
 
 import csv
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, islice
@@ -29,6 +30,7 @@ from .errors import (AggregationError, DataError, NumericFailureError,
 from .fileio import fmt_float, write_csv
 from .nn import TrainConfig, backward, forward, predict, replace_head, sgd_step
 from .nn.network import Network, head_index, one_hot, split_at, stack
+from .parallel import ordered_map
 from .seeding import derive_seed, rng_for
 
 
@@ -388,53 +390,64 @@ def _cell_stacks(net, cells, batch_size):
     return stacks
 
 
+def _stack_outcomes(net, features, cfg, master_seed, stack_cells):
+    """The record or failure of each job of one stack, in job order.
+
+    If the stack raises, its jobs run again one at a time, so each
+    failure carries its own job's seed and error."""
+    stacked = [job for cell in stack_cells for job in cell]
+    layer = stacked[0][2]
+    seeds = [job_seed(master_seed, *job) for job in stacked]
+    try:
+        xis = stacked_separability(net, layer, [job[:2] for job in stacked],
+                                   features, cfg, seeds)
+    except Exception:  # noqa: BLE001 - each job's own outcome below
+        return [_job_alone(net, job, features, cfg, seed)
+                for job, seed in zip(stacked, seeds)]
+    return [SeparabilityRecord(*job[:2], layer, float(xi), seed)
+            for job, xi, seed in zip(stacked, xis, seeds)]
+
+
 def run_jobs(net, jobs, splits, cfg, master_seed, *, on_record=None,
              on_cell=None):
-    """Execute 1-vs-1 jobs in order in this thread, each seeded purely
-    from its identity.
+    """Execute 1-vs-1 jobs, each seeded purely from its identity.
 
     The features of every (class, split) the jobs touch are forwarded
     once, before any job runs (``TapFeatures``).  Runs of consecutive
     jobs with one (x, layer) cell are cells; consecutive cells of one
     tap train as one stack (``stacked_separability``) while the stack
     fits in the costliest cell's estimated memory (``_cell_stacks``).
-    If a stack raises, its jobs run again one at a time, so each failure
-    carries its own job's seed and error.  Failed jobs are collected,
-    not raised, so a long sweep always completes.  ``on_record`` is
-    called after each record, in job order (used for journaling); an
+    The stacks run in forked workers, one per CPU (``parallel``), which
+    read the features they inherit; each job's outcome has the bits it
+    has in this process.  If a stack raises, its jobs run again one at
+    a time (``_stack_outcomes``).  Failed jobs are collected, not
+    raised, so a long sweep always completes.  ``on_record`` is called
+    here after each record, in job order (used for journaling); an
     error it raises stops the sweep.  ``on_cell(i, cells, x, layer,
     jobs, failed)`` is called after the i-th cell of ``cells``, once its
     stack is done.
     """
     features = TapFeatures.build(net, splits, _taps_by_class(jobs))
     cells = [list(cell) for _, cell in groupby(jobs, key=lambda j: (j[0], j[2]))]
+    stacks = _cell_stacks(net, cells, cfg.batch_size)
     records, failures, i = [], [], 0
-    for stack_cells in _cell_stacks(net, cells, cfg.batch_size):
-        stacked = [job for cell in stack_cells for job in cell]
-        layer = stacked[0][2]
-        seeds = [job_seed(master_seed, *job) for job in stacked]
-        try:
-            xis = stacked_separability(net, layer, [job[:2] for job in stacked],
-                                       features, cfg, seeds)
-            outcomes = [SeparabilityRecord(*job[:2], layer, float(xi), seed)
-                        for job, xi, seed in zip(stacked, xis, seeds)]
-        except Exception:  # noqa: BLE001 - each job's own outcome below
-            outcomes = [_job_alone(net, job, features, cfg, seed)
-                        for job, seed in zip(stacked, seeds)]
-        outcomes = iter(outcomes)
-        for cell in stack_cells:
-            i += 1
-            done = list(islice(outcomes, len(cell)))
-            for rec in done:
-                if isinstance(rec, JobFailure):
-                    failures.append(rec)
-                    continue
-                records.append(rec)
-                if on_record:
-                    on_record(rec)
-            if on_cell:
-                on_cell(i, len(cells), cell[0][0], layer, len(cell),
-                        sum(isinstance(rec, JobFailure) for rec in done))
+    with closing(ordered_map(partial(_stack_outcomes, net, features, cfg,
+                                     master_seed), stacks)) as outcomes:
+        for stack_cells, outcome in zip(stacks, outcomes):
+            outcome = iter(outcome)
+            for cell in stack_cells:
+                i += 1
+                done = list(islice(outcome, len(cell)))
+                for rec in done:
+                    if isinstance(rec, JobFailure):
+                        failures.append(rec)
+                        continue
+                    records.append(rec)
+                    if on_record:
+                        on_record(rec)
+                if on_cell:
+                    on_cell(i, len(cells), cell[0][0], cell[0][2], len(cell),
+                            sum(isinstance(rec, JobFailure) for rec in done))
     records.sort(key=lambda r: (r.x, r.layer_index, r.un_j))
     failures.sort(key=lambda f: (f.x, f.layer_index, f.un_j))
     return records, failures

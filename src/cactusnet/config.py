@@ -9,8 +9,8 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
-from .nn import LayerSpec, TrainConfig
+from .errors import ConfigError, ShapeMismatchError
+from .nn import LayerSpec, TrainConfig, output_shapes
 
 # settings since removed; a document that still carries one loads
 RETIRED_KEYS = ("workers",)
@@ -118,6 +118,14 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate heldout_classes {list(self.heldout_classes)}")
         if self.dataset.type not in ("synthetic", "idx"):
             raise ConfigError(f"unknown dataset type {self.dataset.type!r}")
+        if self.dataset.type == "synthetic":
+            # the images' shape is known before any is rendered
+            side = self.dataset.image_side
+            try:
+                output_shapes(self.layers, (side, side, 1))
+            except ShapeMismatchError as exc:
+                raise ConfigError(f"the layers do not fit the {side}x{side} "
+                                  f"synthetic images: {exc}") from exc
         return self
 
 

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import sys
+from contextlib import closing
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -332,6 +333,7 @@ def fit_tap_predictor(net, table, tap, train_acts, test_acts, budget):
 
 
 def run_train_predictors(cfg: ExperimentConfig) -> dict:
+    from .parallel import ordered_map
     from .predictor import save_predictor
     out = cfg.out_path
     net = _load_base(cfg)
@@ -348,18 +350,24 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
                           "on; hold out fewer in heldout_classes")
 
     train_acts, test_acts = predictor_activations(cfg, net, manifest, heldout)
-    summary, eval_rows = [], []
-    for tap in cfg.taps:
-        model, report, evaluation = fit_tap_predictor(
+
+    def fit(tap):
+        return fit_tap_predictor(
             net, table, tap, train_acts, test_acts,
             cfg.train.predictor.with_seed(derive_seed(cfg.master_seed, 0x93ED, tap)))
-        save_predictor(model, out / predictor_ckpt_name(tap))
-        summary.append({"layer": tap,
-                        "train_mse": report.final_train_mse,
-                        "heldout_mse": report.heldout_mse})
-        eval_rows += [[row.class_id, manifest.entry(row.class_id).subset.value, tap,
-                       row.actual_app, row.mean_predicted, row.abs_err]
-                      for row in evaluation.rows]
+
+    summary, eval_rows = [], []
+    # one forked worker per CPU fits the taps; each fit's bits are the
+    # in-process fit's, and this process writes every file
+    with closing(ordered_map(fit, cfg.taps)) as fits:
+        for tap, (model, report, evaluation) in zip(cfg.taps, fits):
+            save_predictor(model, out / predictor_ckpt_name(tap))
+            summary.append({"layer": tap,
+                            "train_mse": report.final_train_mse,
+                            "heldout_mse": report.heldout_mse})
+            eval_rows += [[row.class_id, manifest.entry(row.class_id).subset.value,
+                           tap, row.actual_app, row.mean_predicted, row.abs_err]
+                          for row in evaluation.rows]
 
     write_json(out / PREDICTOR_SUMMARY,
                 {"layers": summary, "heldout_classes": sorted(heldout)})

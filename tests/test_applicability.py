@@ -1,11 +1,13 @@
 """Separability jobs, applicability aggregation, sweeps, subset curves."""
 
 import math
+import os
 from itertools import groupby
 
 import numpy as np
 import pytest
 
+from cactusnet import parallel
 from cactusnet.applicability import (ApplicabilityTable, SeparabilityRecord,
                                      TapFeatures, _cell_stacks, _job_cost,
                                      _taps_by_class,
@@ -82,6 +84,13 @@ def small_world():
     net = Network.build(SPECS, (12, 12, 1), seed=8)
     cfg = TrainConfig(0.05, 3, 16, seed=0)
     return manifest, splits, net, cfg
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run every stack in this process, so that a patch observing calls
+    through a closure sees them."""
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
 
 
 class TestPairSeparability:
@@ -217,23 +226,46 @@ class TestSweep:
         assert sorted(halves[0] + halves[1],
                       key=lambda r: (r.x, r.layer_index, r.un_j)) == list(a.records)
 
-    def test_every_job_runs_on_the_calling_thread(self, small_world, monkeypatch):
-        import threading
-
+    @pytest.mark.parametrize("patched", [None, "stack_raises"])
+    def test_a_two_worker_sweep_matches_a_one_worker_sweep(
+            self, small_world, monkeypatch, tmp_path, patched):
         import cactusnet.applicability as appmod
         manifest, splits, net, cfg = small_world
-        threads = []
+        # tap 99 is past the head, so its jobs fail
+        jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, [*TAPS, 99])
         real = appmod.stacked_separability
 
-        def tracking(net, layer, pairs, features, cfg, seeds):
-            threads.extend([threading.get_ident()] * len(pairs))
+        def marking(net, layer, pairs, features, cfg, seeds):
+            # a file per process that runs a stack
+            (tmp_path / str(os.getpid())).touch()
+            if patched:
+                raise DataError("synthetic failure")
             return real(net, layer, pairs, features, cfg, seeds)
 
-        monkeypatch.setattr(appmod, "stacked_separability", tracking)
-        result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
-                             splits, cfg, TAPS, master_seed=17)
-        assert result.failures == ()
-        assert threads == [threading.get_ident()] * len(result.records)
+        monkeypatch.setattr(appmod, "stacked_separability", marking)
+        sweeps = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+            seen = []
+            records, failures = run_jobs(net, jobs, splits, cfg, 17,
+                                         on_record=seen.append)
+            ran_in = {int(p.name) for p in tmp_path.iterdir()}
+            for p in tmp_path.iterdir():
+                p.unlink()
+            sweeps[cpus] = records, failures, seen
+            assert (ran_in == {os.getpid()}) == (cpus == 1)
+        assert sweeps[2] == sweeps[1]
+        records, failures, seen = sweeps[2]
+        failed = [job for job in jobs if patched or job[2] == 99]
+        assert [(f.x, f.un_j, f.layer_index, f.seed) for f in failures] == [
+            (*job, job_seed(17, *job))
+            for job in sorted(failed, key=lambda j: (j[0], j[2], j[1]))]
+        assert seen == [r for job in jobs for r in records
+                        if (r.x, r.un_j, r.layer_index) == job]
+        assert len(records) == len(jobs) - len(failed)
+        if patched:
+            assert {f.error for f in failures if f.layer_index != 99} == {
+                "synthetic failure"}
 
     def test_mean_consistency_oracle(self, small_world):
         manifest, splits, net, cfg = small_world
@@ -349,7 +381,8 @@ class TestTapFeatures:
         monkeypatch.setattr(appmod, "stacked_separability", counting_job)
         return counts
 
-    def test_one_forward_per_class_and_split(self, small_world, monkeypatch):
+    def test_one_forward_per_class_and_split(self, small_world, monkeypatch,
+                                             one_worker):
         manifest, splits, net, cfg = small_world
         counts = self.count_forwards(monkeypatch)
         result = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
@@ -358,7 +391,8 @@ class TestTapFeatures:
         classes = set(manifest.measured_ids) | set(manifest.probe_set)
         assert counts == {"outside": 2 * len(classes), "inside": 0}
 
-    def test_completed_resume_runs_no_forward(self, small_world, monkeypatch):
+    def test_completed_resume_runs_no_forward(self, small_world, monkeypatch,
+                                              one_worker):
         manifest, splits, net, cfg = small_world
         done = layer_sweep(net, manifest.measured_ids, manifest.probe_set,
                            splits, cfg, TAPS, master_seed=17).records
@@ -423,7 +457,7 @@ class TestRunJobs:
         for f in failures:
             assert "layer_index 99 out of range" in f.error
 
-    def test_journal_error_stops_the_sweep(self, small_world):
+    def test_journal_error_stops_the_sweep(self, small_world, monkeypatch):
         manifest, splits, net, cfg = small_world
         jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)[:4]
         seen = []
@@ -433,10 +467,14 @@ class TestRunJobs:
             if len(seen) == 1:
                 raise OSError("journal write failed")
 
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
         with pytest.raises(OSError, match="journal write failed"):
             run_jobs(net, jobs, splits, cfg, 17, on_record=on_record)
         # the failed append is neither swallowed nor followed by more
         assert len(seen) == 1
+        # and no worker outlives the sweep
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # two convolutions, so that the suffix of a shallow tap trains a stacked
@@ -472,7 +510,8 @@ class TestStackedCell:
         return trained
 
     @pytest.mark.parametrize("tap", range(9))
-    def test_each_stacked_job_has_its_lone_bits(self, deep, tap, monkeypatch):
+    def test_each_stacked_job_has_its_lone_bits(self, deep, tap, monkeypatch,
+                                                one_worker):
         net, splits, x, others, cfg = deep
         jobs = [(x, un_j, tap) for un_j in others]
         trained = self.capture_training(monkeypatch)
@@ -493,7 +532,7 @@ class TestStackedCell:
 
     @pytest.mark.parametrize("tap", range(9))
     def test_a_stack_spanning_classes_gives_each_job_its_lone_bits(
-            self, deep, tap, monkeypatch):
+            self, deep, tap, monkeypatch, one_worker):
         net, splits, x, others, cfg = deep
         # a four-job cell, then two two-job cells of other classes, which
         # fit in one stack within the four-job cell's cost
@@ -517,7 +556,8 @@ class TestStackedCell:
                 for key in () if p_alone is None else ("W", "b"):
                     assert p_stack[key][j].tobytes() == p_alone[key][0].tobytes()
 
-    def test_a_poisoned_probe_fails_only_its_job(self, deep, monkeypatch):
+    def test_a_poisoned_probe_fails_only_its_job(self, deep, monkeypatch,
+                                                 one_worker):
         from cactusnet.errors import NumericFailureError
         net, splits, x, others, cfg = deep
         tap, victim = 3, others[2]
@@ -548,7 +588,8 @@ class TestStackedCell:
         # the stack raised; then every job ran alone
         assert [t.stack for t in trained] == [(1,)] * (len(jobs) - 1)
 
-    def test_unequal_pairs_stack_by_size_without_padding(self, deep, monkeypatch):
+    def test_unequal_pairs_stack_by_size_without_padding(self, deep, monkeypatch,
+                                                         one_worker):
         from cactusnet.data.manifest import ClassSplit, SplitStore
         net, splits, x, others, cfg = deep
         n = splits.train_images(x).shape[0]
@@ -578,7 +619,8 @@ class TestStackedCell:
                            for job in jobs]
 
     def test_a_resumed_cell_stacks_only_its_remaining_jobs(self, small_world,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           one_worker):
         manifest, splits, net, cfg = small_world
         jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)
         first = pair_separability(net, jobs[0][2], *jobs[0][:2], splits,

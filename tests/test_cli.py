@@ -8,6 +8,7 @@ import ast
 import csv
 import importlib.util
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -306,6 +307,25 @@ class TestExitCodes:
         assert f"head has {units} outputs" in err and "2 known classes" in err
         assert not (tmp_path / "out" / "base.ckpt").exists()
 
+    @pytest.mark.parametrize("verb", ["prepare", "train-base"])
+    def test_layers_that_do_not_fit_the_images_exit_2_before_rendering(
+            self, tmp_path, capsys, monkeypatch, verb):
+        # the default layers need 20x20 images: at 16 the third conv
+        # sees a 2x2 map
+        import cactusnet.runner as runner_module
+        rendered = []
+        monkeypatch.setattr(runner_module, "generate_synthetic",
+                            lambda *args: rendered.append(args))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset": {"image_side": 16}}))
+        capsys.readouterr()
+        assert main(["--config", str(path), verb]) == 2
+        err = capsys.readouterr().err
+        assert "16x16" in err and "layer 6 (Conv2D): window (3, 3) exceeds" in err
+        assert rendered == []
+        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
+
     def test_measure_before_train_base_exits_2(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         assert run(cfg, "prepare") == 0
@@ -418,6 +438,38 @@ def test_every_measured_class_held_out_exits_2(pipeline_dir, tmp_path, capsys):
     assert run(cfg, "train-predictors") == 2
     assert "heldout_classes" in capsys.readouterr().err
     assert not list((base / "out").glob("predictor_*"))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the fits fork only where the CPU set is known")
+def test_a_fit_diverging_in_a_worker_exits_3(pipeline_dir, tmp_path, capsys,
+                                             monkeypatch):
+    from cactusnet import parallel, predictor
+    from cactusnet.errors import NumericFailureError
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    out = base / "out"
+    for name in ("predictor_summary.json", "predictor_eval.csv"):
+        (out / name).unlink()
+    for ckpt in out.glob("predictor_*"):
+        ckpt.unlink()
+    parent, real = os.getpid(), predictor.train_predictor
+
+    def diverging(tap_shape, samples, cfg, **kwargs):
+        assert os.getpid() != parent, "the tap-5 fit ran in the parent"
+        if kwargs["layer_index"] == 5:
+            raise NumericFailureError("non-finite loss at epoch 3", layer_index=5)
+        return real(tap_shape, samples, cfg, **kwargs)
+
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+    monkeypatch.setattr(predictor, "train_predictor", diverging)
+    capsys.readouterr()
+    assert run(base / "config.json", "train-predictors") == 3
+    assert capsys.readouterr().err == "numeric failure: non-finite loss at epoch 3\n"
+    # the taps before it are saved, as one process would save them
+    assert sorted(p.name for p in out.glob("predictor_*")) == ["predictor_tap02.ckpt"]
+    assert (out / "predictor_tap02.ckpt").read_bytes() == \
+        (pipeline_dir / "out" / "predictor_tap02.ckpt").read_bytes()
 
 
 def snapshot(base: Path) -> dict:
