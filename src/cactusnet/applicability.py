@@ -30,7 +30,6 @@ from .errors import (AggregationError, DataError, NumericFailureError,
 from .fileio import fmt_float, write_csv
 from .nn import TrainConfig, backward, forward, predict, replace_head, sgd_step
 from .nn.network import Network, head_index, one_hot, split_at, stack
-from .parallel import ordered_map
 from .seeding import derive_seed, rng_for
 
 
@@ -427,6 +426,7 @@ def run_jobs(net, jobs, splits, cfg, master_seed, *, on_record=None,
     jobs, failed)`` is called after the i-th cell of ``cells``, once its
     stack is done.
     """
+    from .parallel import ordered_map  # loaded by the verbs that train only
     features = TapFeatures.build(net, splits, _taps_by_class(jobs))
     cells = [list(cell) for _, cell in groupby(jobs, key=lambda j: (j[0], j[2]))]
     stacks = _cell_stacks(net, cells, cfg.batch_size)

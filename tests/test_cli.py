@@ -758,11 +758,13 @@ def test_console_script_is_the_function_the_module_entry_calls(monkeypatch):
 
 # the modules a verb's process must not load: only cactus-run and report
 # route or read a tree, only train-predictors and cactus-run run a
-# predictor, and the two phases before measure read no applicability
+# predictor, and the two phases before measure read no applicability and
+# fork no worker
 NOT_LOADED = {
-    "prepare": {"cactusnet.applicability", "cactusnet.cactus", "cactusnet.predictor"},
+    "prepare": {"cactusnet.applicability", "cactusnet.cactus", "cactusnet.predictor",
+                "cactusnet.parallel"},
     "train-base": {"cactusnet.applicability", "cactusnet.cactus",
-                   "cactusnet.predictor"},
+                   "cactusnet.predictor", "cactusnet.parallel"},
     "measure": {"cactusnet.cactus", "cactusnet.predictor"},
     "train-predictors": {"cactusnet.cactus"},
 }
