@@ -226,20 +226,22 @@ class TestSweep:
         assert sorted(halves[0] + halves[1],
                       key=lambda r: (r.x, r.layer_index, r.un_j)) == list(a.records)
 
-    @pytest.mark.parametrize("patched", [None, "stack_raises"])
+    @pytest.mark.parametrize("patched", [None, "stack_raises", "worker_dies"])
     def test_a_two_worker_sweep_matches_a_one_worker_sweep(
             self, small_world, monkeypatch, tmp_path, patched):
         import cactusnet.applicability as appmod
         manifest, splits, net, cfg = small_world
         # tap 99 is past the head, so its jobs fail
         jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, [*TAPS, 99])
-        real = appmod.stacked_separability
+        real, parent = appmod.stacked_separability, os.getpid()
 
         def marking(net, layer, pairs, features, cfg, seeds):
             # a file per process that runs a stack
             (tmp_path / str(os.getpid())).touch()
-            if patched:
+            if patched == "stack_raises":
                 raise DataError("synthetic failure")
+            if patched == "worker_dies" and os.getpid() != parent:
+                os._exit(1)  # unreported: the parent runs the stack itself
             return real(net, layer, pairs, features, cfg, seeds)
 
         monkeypatch.setattr(appmod, "stacked_separability", marking)
@@ -256,14 +258,15 @@ class TestSweep:
             assert (ran_in == {os.getpid()}) == (cpus == 1)
         assert sweeps[2] == sweeps[1]
         records, failures, seen = sweeps[2]
-        failed = [job for job in jobs if patched or job[2] == 99]
+        failed = [job for job in jobs
+                  if patched == "stack_raises" or job[2] == 99]
         assert [(f.x, f.un_j, f.layer_index, f.seed) for f in failures] == [
             (*job, job_seed(17, *job))
             for job in sorted(failed, key=lambda j: (j[0], j[2], j[1]))]
         assert seen == [r for job in jobs for r in records
                         if (r.x, r.un_j, r.layer_index) == job]
         assert len(records) == len(jobs) - len(failed)
-        if patched:
+        if patched == "stack_raises":
             assert {f.error for f in failures if f.layer_index != 99} == {
                 "synthetic failure"}
 

@@ -89,7 +89,7 @@ def test_an_outcome_that_cannot_cross_runs_here(cpus):
 
     cpus(2)
     with pytest.raises(Local) as exc:
-        list(ordered_map(raise_local, range(3)))
+        list(ordered_map(raise_local, range(2)))
     assert exc.value.args == (PARENT,)
     assert no_children()
 
