@@ -6,7 +6,9 @@ big-endian.  Images come back as float32 in [0, 1] with an explicit
 single channel axis.
 """
 
+import os
 import struct
+from math import prod
 
 import numpy as np
 
@@ -21,33 +23,38 @@ def load_idx(path):
     """Load an IDX file.
 
     Image files yield ``[n, rows, cols, 1]`` float32 scaled to [0, 1];
-    label files yield an int64 vector.
+    label files yield an int64 vector.  The declared dims are checked
+    against the file's size before the payload is read into one array.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4:
-        raise DataError(f"IDX file too short for a magic number: {path}")
-    (magic,) = struct.unpack(">i", raw[:4])
-    if magic == IMAGE_MAGIC:
-        ndim = 3
-    elif magic == LABEL_MAGIC:
-        ndim = 1
-    else:
-        raise DataError(f"unknown IDX magic 0x{magic:08x} in {path}")
-    header_end = 4 + 4 * ndim
-    if len(raw) < header_end:
-        raise DataError(f"IDX header truncated: {path}")
-    dims = struct.unpack(f">{ndim}i", raw[4:header_end])
-    expected = int(np.prod(dims))
-    payload = raw[header_end:]
-    if len(payload) != expected:
-        raise DataError(
-            f"IDX payload length {len(payload)} does not match declared "
-            f"dims {dims} ({expected} bytes): {path}")
-    data = np.frombuffer(payload, dtype=np.uint8)
+        size = os.fstat(fh.fileno()).st_size
+        if size < 4:
+            raise DataError(f"IDX file too short for a magic number: {path}")
+        (magic,) = struct.unpack(">i", fh.read(4))
+        if magic == IMAGE_MAGIC:
+            ndim = 3
+        elif magic == LABEL_MAGIC:
+            ndim = 1
+        else:
+            raise DataError(f"unknown IDX magic 0x{magic:08x} in {path}")
+        header_end = 4 + 4 * ndim
+        if size < header_end:
+            raise DataError(f"IDX header truncated: {path}")
+        dims = struct.unpack(f">{ndim}i", fh.read(4 * ndim))
+        if any(d < 0 for d in dims):
+            raise DataError(f"IDX dims {dims} include a negative extent: {path}")
+        expected = prod(dims)
+        if size - header_end != expected:
+            raise DataError(
+                f"IDX payload length {size - header_end} does not match declared "
+                f"dims {dims} ({expected} bytes): {path}")
+        data = np.empty(expected, dtype=np.uint8)
+        if fh.readinto(data) != expected:
+            raise DataError(f"IDX payload truncated while reading: {path}")
     if magic == LABEL_MAGIC:
         return data.astype(np.int64)
-    images = data.reshape(dims).astype(np.float32) / 255.0
+    images = data.reshape(dims).astype(np.float32)
+    np.divide(images, 255.0, out=images)
     return images[..., None]
 
 

@@ -37,11 +37,13 @@ def atomic_open(path, mode="w", **kwargs):
 
 
 def write_container(path, magic: bytes, header: dict, tensors):
+    """Write ``tensors`` as ``<f4``, each from its own memory: a tensor
+    already contiguous ``<f4`` is not copied."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(magic + struct.pack("<I", len(blob)) + blob)
         for t in tensors:
-            fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(t, dtype="<f4"))
 
 
 def read_container(path, magic: bytes, parse):
@@ -49,35 +51,39 @@ def read_container(path, magic: bytes, parse):
 
     ``parse(header)`` returns ``(decoded, shapes)``, the payload tensor
     shapes in order.  Any defect, including a ``KeyError``, ``TypeError``
-    or ``ValueError`` in ``parse``, raises ``CheckpointError``.
+    or ``ValueError`` in ``parse``, raises ``CheckpointError``.  Every
+    length is checked against the file's size before it is read, and
+    each tensor is read straight into its own array, so the payload is
+    held once.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    found, start = raw[:len(magic)], len(magic) + 4
-    if found != magic:
-        raise CheckpointError(f"bad magic {found!r}, expected {magic!r}: {path}",
-                              found_magic=found, expected_magic=magic)
-    if len(raw) < start:
-        raise CheckpointError(f"truncated header: {path}")
-    offset = start + struct.unpack("<I", raw[start - 4:start])[0]
-    if len(raw) < offset:
-        raise CheckpointError(f"truncated header: {path}")
-    try:
-        decoded, shapes = parse(json.loads(raw[start:offset].decode("utf-8")))
-        shapes = [tuple(int(d) for d in shape) for shape in shapes]
-        if any(d < 0 for shape in shapes for d in shape):
-            raise ValueError(f"negative tensor extent in {shapes}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt header: {exc!r}: {path}") from exc
-    surplus = len(raw) - offset - 4 * sum(prod(shape) for shape in shapes)
-    if surplus < 0:
-        raise CheckpointError(f"truncated payload: {path}")
-    if surplus > 0:
-        raise CheckpointError(f"{surplus} trailing bytes after the payload: {path}")
-    tensors = []
-    for shape in shapes:
-        tensors.append(np.frombuffer(raw, "<f4", prod(shape), offset).reshape(shape).copy())
-        offset += 4 * prod(shape)
+        size = os.fstat(fh.fileno()).st_size
+        found = fh.read(len(magic))
+        if found != magic:
+            raise CheckpointError(f"bad magic {found!r}, expected {magic!r}: {path}",
+                                  found_magic=found, expected_magic=magic)
+        start = len(magic) + 4
+        if size < start:
+            raise CheckpointError(f"truncated header: {path}")
+        offset = start + struct.unpack("<I", fh.read(4))[0]
+        if size < offset:
+            raise CheckpointError(f"truncated header: {path}")
+        try:
+            decoded, shapes = parse(json.loads(fh.read(offset - start).decode("utf-8")))
+            shapes = [tuple(int(d) for d in shape) for shape in shapes]
+            if any(d < 0 for shape in shapes for d in shape):
+                raise ValueError(f"negative tensor extent in {shapes}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"corrupt header: {exc!r}: {path}") from exc
+        surplus = size - offset - 4 * sum(prod(shape) for shape in shapes)
+        if surplus < 0:
+            raise CheckpointError(f"truncated payload: {path}")
+        if surplus > 0:
+            raise CheckpointError(f"{surplus} trailing bytes after the payload: {path}")
+        tensors = [np.empty(shape, "<f4") for shape in shapes]
+        for t in tensors:
+            if fh.readinto(t) != t.nbytes:
+                raise CheckpointError(f"truncated payload: {path}")
     return decoded, tensors
 
 

@@ -10,6 +10,7 @@ import importlib.util
 import json
 import os
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,22 @@ class TestExitCodes:
         assert run(cfg, "train-base") == 2
         err = capsys.readouterr().err
         assert "dataset.groups[0] holds 10 images but 8 labels" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_idx_images_with_negative_dims_exit_2(self, tmp_path, capsys):
+        assert run(write_tiny_config(tmp_path), "prepare") == 0
+        # -2 * -5 * 4 = 40 payload bytes, so only the sign gives it away
+        (tmp_path / "images.idx").write_bytes(
+            struct.pack(">i3i", 0x00000803, -2, -5, 4) + b"\x00" * 40)
+        write_idx_labels(tmp_path / "labels.idx", [0] * 8)
+        dataset = dict(TINY["dataset"], type="idx", groups=[
+            {"images": "images.idx", "labels": "labels.idx"}])
+        cfg = write_tiny_config(tmp_path, dataset=dataset)
+        capsys.readouterr()
+        assert run(cfg, "train-base") == 2
+        err = capsys.readouterr().err
+        assert "negative" in err and "images.idx" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("units", [1, 3])

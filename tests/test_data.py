@@ -2,19 +2,36 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cactusnet.applicability import SeparabilityRecord, write_records_csv
 from cactusnet.data import (ClassEntry, DatasetManifest, SubsetLabel,
-                            build_splits, generate_synthetic, load_dataset,
+                            SyntheticDataset, build_splits, generate_synthetic, load_dataset,
                             load_idx, sample_probe_set, save_dataset,
                             synthetic_manifest, write_idx_images,
                             write_idx_labels)
+from cactusnet.data import synthetic as synthetic_module
+from cactusnet.data.synthetic import DATASET_MAGIC
 from cactusnet.errors import CheckpointError, DataError, ManifestError
 from cactusnet.fileio import write_container, write_json
-from cactusnet.nn import LayerSpec, Network, TrainConfig, accuracy, train_classifier
+from cactusnet.nn import (LayerSpec, Network, TrainConfig, accuracy, checkpoint_load,
+                          checkpoint_save, train_classifier)
+from cactusnet.nn import checkpoint as checkpoint_module
+from cactusnet.nn.checkpoint import MAGIC as CKPT_MAGIC
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, numpy's
+    buffers included, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestIdx:
@@ -50,6 +67,22 @@ class TestIdx:
         path.write_bytes(struct.pack(">i", 0x12345678) + b"\x00" * 16)
         with pytest.raises(DataError, match="magic"):
             load_idx(path)
+
+    def test_negative_dims_rejected(self, tmp_path):
+        # -2 * -5 * 4 = 40, the payload's length: only the sign is wrong
+        path = tmp_path / "neg.idx"
+        path.write_bytes(struct.pack(">i3i", 0x00000803, -2, -5, 4) + b"\x00" * 40)
+        with pytest.raises(DataError, match=r"negative.*neg\.idx"):
+            load_idx(path)
+
+    def test_images_scale_as_one_division_in_one_copy(self, tmp_path):
+        # the payload, one float32 array and nothing else held at once
+        pixels = np.random.default_rng(3).integers(0, 256, (500, 28, 28), np.uint8)
+        path = tmp_path / "imgs.idx"
+        write_idx_images(path, pixels)
+        out, peak = traced_peak(load_idx, path)
+        assert peak <= 5.5 * path.stat().st_size
+        assert out[..., 0].tobytes() == (pixels.astype(np.float32) / 255.0).tobytes()
 
 
 class TestSyntheticGenerator:
@@ -361,3 +394,130 @@ class TestAtomicWrites:
         write_json(path, {"a": 1})
         assert json.loads(path.read_text()) == {"a": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def reference_write_container(path, magic, header, tensors):
+    """The container writer as it was, one ``tobytes`` copy per tensor:
+    the bytes the writer must still produce."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<I", len(blob)) + blob)
+        for t in tensors:
+            fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+
+
+def assert_own_memory(arrays):
+    for a in arrays:
+        assert a.dtype == np.float32 and a.base is None
+        assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def dataset_header(ds, **extra):
+    return {"classes": [{"class_id": c.class_id, "name": c.name, "family": c.family}
+                        for c in ds.classes],
+            "image_side": ds.image_side, "per_class": ds.per_class,
+            "seed": ds.seed, **extra}
+
+
+class TestContainer:
+    """Checkpoints and dataset caches: each tensor read once, into an
+    array of its own; every length checked before anything is allocated;
+    the bytes written unchanged."""
+
+    def test_dataset_cache_loads_in_one_copy(self, tmp_path):
+        path = tmp_path / "ds.bin"
+        save_dataset(generate_synthetic(4, 40, 20, seed=3), path)
+        _, peak = traced_peak(load_dataset, path)
+        assert peak <= 1.1 * path.stat().st_size
+
+    def test_tensors_own_aligned_memory_at_every_payload_offset(self, tmp_path):
+        ds = generate_synthetic(2, 3, 8, seed=1)
+        net = Network.build([LayerSpec.conv(2, 3), LayerSpec.flatten(),
+                             LayerSpec.dense(3)], (6, 6, 1), seed=0)
+        residues = set()
+        for pad in range(4):
+            cache, ckpt = tmp_path / f"ds{pad}.bin", tmp_path / f"net{pad}.ckpt"
+            write_container(cache, DATASET_MAGIC, dataset_header(ds, pad="x" * pad),
+                            [ds.images[c.class_id] for c in ds.classes])
+            checkpoint_save(net, ckpt, extra={"pad": "x" * pad})
+            residues.add((12 + struct.unpack("<I", cache.read_bytes()[8:12])[0]) % 4)
+            back = load_dataset(cache)
+            assert_own_memory(list(back.images.values()))
+            for c in ds.classes:
+                assert back.images[c.class_id].tobytes() == \
+                    ds.images[c.class_id].tobytes()
+            params = [p[k] for p in checkpoint_load(ckpt).params
+                      if p is not None for k in ("W", "b")]
+            assert_own_memory(params)
+            assert [t.tobytes() for t in params] == \
+                [p[k].tobytes() for p in net.params if p is not None for k in ("W", "b")]
+        # the payload starts at every offset modulo 4
+        assert residues == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("kind", ["dataset", "checkpoint"])
+    def test_declared_size_checked_before_allocating(self, tmp_path, kind):
+        # the header declares 2**40 floats; the file holds four bytes of them
+        path = tmp_path / "huge.bin"
+        if kind == "dataset":
+            header = {"classes": [{"class_id": 0, "name": "a", "family": "organic"}],
+                      "image_side": 2 ** 10, "per_class": 2 ** 20, "seed": 0}
+            write_container(path, DATASET_MAGIC, header, [np.zeros(1)])
+            load = load_dataset
+        else:
+            header = {"input_shape": [2 ** 20], "extra": {},
+                      "layers": [LayerSpec.dense(2 ** 20).to_dict()],
+                      "param_shapes": [{"W": [2 ** 20, 2 ** 20], "b": [2 ** 20]}]}
+            write_container(path, CKPT_MAGIC, header, [np.zeros(1)])
+            load = checkpoint_load
+
+        def load_and_refuse():
+            with pytest.raises(CheckpointError, match="truncated payload"):
+                load(path)
+
+        _, peak = traced_peak(load_and_refuse)
+        assert peak < 2 ** 20
+
+    def test_declared_header_length_checked_before_reading(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(DATASET_MAGIC + struct.pack("<I", 2 ** 32 - 1) + b"{}")
+
+        def load_and_refuse():
+            with pytest.raises(CheckpointError, match="truncated header"):
+                load_dataset(path)
+
+        _, peak = traced_peak(load_and_refuse)
+        assert peak < 2 ** 20
+
+    def test_writer_bytes_match_the_tobytes_writer(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        tensors = [
+            rng.random((4, 6))[:, ::2],                                # float64, strided
+            np.asfortranarray(rng.random((3, 5), dtype=np.float32)),
+            rng.random((2, 3, 4), dtype=np.float32).transpose(2, 0, 1),
+            rng.random(5).astype(">f4"),                               # big-endian
+            np.zeros((0, 3), np.float32),
+            np.float32(2.5),                                           # 0-d
+            rng.random((2, 2), dtype=np.float32),                      # already <f4
+        ]
+        write_container(tmp_path / "new.bin", b"CNLTEST1", {"n": 7}, tensors)
+        reference_write_container(tmp_path / "old.bin", b"CNLTEST1", {"n": 7}, tensors)
+        assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+
+        net = Network.build([LayerSpec.conv(2, 3), LayerSpec.flatten(),
+                             LayerSpec.dense(3)], (6, 6, 1), seed=0)
+        ds = generate_synthetic(2, 3, 8, seed=1)
+        wide = SyntheticDataset(ds.classes, {c: np.asfortranarray(s.astype(np.float64))
+                                             for c, s in ds.images.items()},
+                                ds.image_side, ds.per_class, ds.seed)
+        cases = [(checkpoint_save, net), (checkpoint_save, net.astype(np.float64)),
+                 (save_dataset, ds), (save_dataset, wide)]
+        for i, (save, obj) in enumerate(cases):
+            save(obj, tmp_path / f"new{i}")
+            with monkeypatch.context() as m:
+                m.setattr(checkpoint_module, "write_container", reference_write_container)
+                m.setattr(synthetic_module, "write_container", reference_write_container)
+                save(obj, tmp_path / f"old{i}")
+            assert (tmp_path / f"new{i}").read_bytes() == \
+                (tmp_path / f"old{i}").read_bytes()
