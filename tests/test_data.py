@@ -9,9 +9,9 @@ import pytest
 
 from cactusnet.applicability import SeparabilityRecord, write_records_csv
 from cactusnet.data import (ClassEntry, DatasetManifest, SubsetLabel,
-                            SyntheticDataset, build_splits, generate_synthetic, load_dataset,
-                            load_idx, sample_probe_set, save_dataset,
-                            synthetic_manifest, write_idx_images,
+                            SyntheticDataset, build_splits, generate_synthetic,
+                            load_dataset, load_idx, sample_probe_set,
+                            save_dataset, synthetic_manifest, write_idx_images,
                             write_idx_labels)
 from cactusnet.data import synthetic as synthetic_module
 from cactusnet.data.synthetic import DATASET_MAGIC
