@@ -176,32 +176,74 @@ class SplitStore:
         return self._splits[class_id].test
 
 
+def split_indices(manifest: DatasetManifest, class_id, n):
+    """(train, test) indices of a class of ``n`` images, each in split
+    order.  The shuffle is seeded from (manifest seed, class id), so a
+    manifest fully determines a class's split, whichever other classes
+    are split with it; a split left empty raises ``ManifestError``."""
+    order = rng_for(manifest.seed, 0x5417, class_id).permutation(n)
+    n_train = int(n * manifest.train_fraction)
+    if n_train == 0 or n_train == n:
+        raise ManifestError(
+            f"class {class_id}: {n} images with fraction "
+            f"{manifest.train_fraction} leaves an empty split")
+    return order[:n_train], order[n_train:]
+
+
+class ClassImages:
+    """``SplitStore``'s interface over a corpus, rendering on demand.
+
+    ``sizes`` maps each class id of the corpus to its image count, and
+    ``render(class_id, indices)`` returns those images of the class, in
+    that order.  Each ``train_images``/``test_images`` call renders its
+    split and keeps nothing, so a caller holds only the images it is
+    using.  The manifest classes ``class_ids`` (default: every one) are
+    checked at construction: one the corpus lacks, or whose split would
+    be empty, raises ``ManifestError`` before any image is rendered.
+    """
+
+    def __init__(self, manifest: DatasetManifest, sizes, render, class_ids=None):
+        entries = (manifest.classes if class_ids is None
+                   else [manifest.entry(c) for c in class_ids])
+        missing = [c.class_id for c in entries if c.class_id not in sizes]
+        if missing:
+            raise ManifestError(f"no image source for class ids {missing}")
+        self._entries = {c.class_id: c for c in entries}
+        self._splits = {c.class_id: split_indices(manifest, c.class_id,
+                                                  sizes[c.class_id])
+                        for c in entries}
+        self.render = render
+
+    @property
+    def class_ids(self):
+        return sorted(self._entries)
+
+    def entry(self, class_id) -> ClassEntry:
+        return self._entries[class_id]
+
+    def split(self, class_id):
+        """(train, test) indices of the class, each in split order."""
+        return self._splits[class_id]
+
+    def train_images(self, class_id) -> np.ndarray:
+        return self.render(class_id, self._splits[class_id][0])
+
+    def test_images(self, class_id) -> np.ndarray:
+        return self.render(class_id, self._splits[class_id][1])
+
+
 def build_splits(manifest: DatasetManifest, sources, class_ids=None) -> SplitStore:
     """Split the manifest classes ``class_ids`` (default: every one) into
-    disjoint train/test pools.
+    disjoint train/test pools (``split_indices``), held in memory.
 
-    ``sources`` maps class_id to an image stack.  The shuffle is seeded
-    from (manifest seed, class id), so a manifest fully determines its
-    splits, whichever other classes are split with a class.
+    ``sources`` maps class_id to an image stack.
     """
-    entries = (manifest.classes if class_ids is None
-               else [manifest.entry(c) for c in class_ids])
-    missing = [c.class_id for c in entries if c.class_id not in sources]
-    if missing:
-        raise ManifestError(f"no image source for class ids {missing}")
-    splits = {}
-    for entry in entries:
-        images = np.asarray(sources[entry.class_id])
-        n = images.shape[0]
-        order = rng_for(manifest.seed, 0x5417, entry.class_id).permutation(n)
-        n_train = int(n * manifest.train_fraction)
-        if n_train == 0 or n_train == n:
-            raise ManifestError(
-                f"class {entry.class_id}: {n} images with fraction "
-                f"{manifest.train_fraction} leaves an empty split")
-        splits[entry.class_id] = ClassSplit(
-            entry, images[order[:n_train]], images[order[n_train:]])
-    return SplitStore(splits)
+    sources = {cid: np.asarray(images) for cid, images in sources.items()}
+    source = ClassImages(manifest, {cid: len(x) for cid, x in sources.items()},
+                         lambda cid, indices: sources[cid][indices], class_ids)
+    return SplitStore({cid: ClassSplit(source.entry(cid), source.train_images(cid),
+                                       source.test_images(cid))
+                       for cid in source.class_ids})
 
 
 def synthetic_manifest(ds: SyntheticDataset, num_known, num_objective_unknown,

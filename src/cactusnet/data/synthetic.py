@@ -125,49 +125,57 @@ def _manufactured_images(period, orient, motif, duty, rngs, side):
     return np.clip(img, 0.0, 1.0)
 
 
+def render_class(num_classes_per_family: int, image_side: int, seed: int,
+                 class_id: int, indices) -> np.ndarray:
+    """Images ``indices`` of class ``class_id``, in that order: ``[len(indices),
+    side, side, 1]`` float32.
+
+    Image ``i`` of class ``c`` draws from ``rng_for(seed, family, c, 1000 +
+    i)`` alone, and each array pass over ``RENDER_CHUNK`` of them computes
+    every image by itself, so any index list gives bitwise the rows of
+    the whole class rendered and then indexed.
+    """
+    n = num_classes_per_family
+    if class_id < n:
+        family, c = 0, class_id
+        draw = partial(_organic_images, _organic_class_params(seed, c))
+    else:
+        family, c = 1, class_id - n
+        periods, orients, motifs, duties = _manufactured_family_params(seed, n)
+        draw = partial(_manufactured_images, periods[c], orients[c], int(motifs[c]),
+                       duties[c])
+    stack = np.empty((len(indices), image_side, image_side, 1), np.float32)
+    for lo in range(0, len(indices), RENDER_CHUNK):
+        rngs = [rng_for(seed, family, c, 1000 + int(i))
+                for i in indices[lo:lo + RENDER_CHUNK]]
+        stack[lo:lo + len(rngs), ..., 0] = draw(rngs, image_side)
+    return stack
+
+
 def generate_synthetic(num_classes_per_family: int, per_class: int,
                        image_side: int, seed: int,
                        class_ids=None) -> SyntheticDataset:
     """Generate both families; deterministic given ``seed``.
 
-    Image ``i`` of class ``c`` draws from ``rng_for(seed, family, c,
-    1000 + i)`` alone; each class is then rendered in array passes over
-    ``RENDER_CHUNK`` images at a time.  So with ``class_ids`` only those
-    classes are rendered (``()`` for names only), each bitwise as in the
-    full corpus; ``classes`` always lists every class.
+    Each class is rendered whole by ``render_class``.  With
+    ``class_ids`` only those classes are rendered (``()`` for names
+    only), each bitwise as in the full corpus; ``classes`` always lists
+    every class.
     """
     if num_classes_per_family < 1 or per_class < 1:
         raise DataError("class and image counts must be >= 1")
     if image_side < 8:
         raise DataError(f"image_side {image_side} is too small (minimum 8)")
-
-    def as_stack(render, family, c):  # [per_class, side, side, 1] float32
-        stack = np.empty((per_class, image_side, image_side, 1), np.float32)
-        for lo in range(0, per_class, RENDER_CHUNK):
-            hi = min(lo + RENDER_CHUNK, per_class)
-            rngs = [rng_for(seed, family, c, 1000 + i) for i in range(lo, hi)]
-            stack[lo:hi, ..., 0] = render(rngs, image_side)
-        return stack
-
     n = num_classes_per_family
+    classes = tuple(
+        [SyntheticClass(c, f"{ORGANIC}_{c:02d}", ORGANIC) for c in range(n)]
+        + [SyntheticClass(n + c, f"{MANUFACTURED}_{c:02d}", MANUFACTURED)
+           for c in range(n)])
     wanted = set(range(2 * n) if class_ids is None else class_ids)
-    classes = []
-    images = {}
-    for c in range(n):
-        classes.append(SyntheticClass(c, f"{ORGANIC}_{c:02d}", ORGANIC))
-        if c in wanted:
-            images[c] = as_stack(partial(_organic_images,
-                                         _organic_class_params(seed, c)), 0, c)
-
-    periods, orients, motifs, duties = _manufactured_family_params(seed, n)
-    for c in range(n):
-        classes.append(SyntheticClass(n + c, f"{MANUFACTURED}_{c:02d}", MANUFACTURED))
-        if n + c in wanted:
-            images[n + c] = as_stack(partial(_manufactured_images, periods[c],
-                                             orients[c], int(motifs[c]), duties[c]),
-                                     1, c)
-
-    return SyntheticDataset(tuple(classes), images, image_side, per_class, seed)
+    images = {c.class_id: render_class(n, image_side, seed, c.class_id,
+                                       range(per_class))
+              for c in classes if c.class_id in wanted}
+    return SyntheticDataset(classes, images, image_side, per_class, seed)
 
 
 # ---------------------------------------------------------------------

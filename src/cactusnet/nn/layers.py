@@ -443,10 +443,14 @@ def _conv_step_forward(spec, p, x, lead, train):
         y, cols = conv2d(x, p["W"], spec.stride, return_cols=True)
     # the bias is added over rows of w*c values, the bias tiled w times: the
     # same float32 sums as over [..., w, c], in loops w times longer; y is
-    # the product's fresh contiguous output, so the reshape is a view
+    # the product's fresh contiguous output, so the reshape is a view.  At
+    # w == 1 the rows are the channels, and tiling would only cost a copy
     b, (w, c) = p["b"], y.shape[-2:]
-    rows = y.reshape(*y.shape[:-2], w * c)
-    rows += b[..., None, :].repeat(w, axis=-2).reshape(*b.shape[:-1], 1, 1, w * c)
+    if w == 1:
+        y += b[..., None, None, None, :]
+    else:
+        rows = y.reshape(*y.shape[:-2], w * c)
+        rows += b[..., None, :].repeat(w, axis=-2).reshape(*b.shape[:-1], 1, 1, w * c)
     return y, cols if train else None
 
 

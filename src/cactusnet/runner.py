@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, compute_thresholds
-from .data import (DatasetManifest, SubsetLabel, build_splits,
-                   generate_synthetic, load_dataset, load_idx,
+from .data import (ClassImages, DatasetManifest, SubsetLabel,
+                   generate_synthetic, load_dataset, load_idx, render_class,
                    synthetic_manifest)
 from .errors import CactusNetError, ConfigError, DataError
 from .fileio import atomic_open, write_csv, write_json
@@ -57,12 +57,17 @@ def _synthetic(cfg: ExperimentConfig, class_ids):
                               cfg.dataset.image_side, cfg.dataset.seed, class_ids)
 
 
-def resolve_sources(cfg: ExperimentConfig, class_ids):
-    """class_id -> image stack; a synthetic corpus renders only
-    ``class_ids``."""
+def class_images(cfg: ExperimentConfig, manifest: DatasetManifest,
+                 class_ids=None) -> ClassImages:
+    """The manifest classes ``class_ids`` (default: every one) of the
+    config's corpus, each split rendered, or cut from its IDX group, only
+    when a phase reads it (``ClassImages``)."""
     if cfg.dataset.type == "synthetic":
-        return _synthetic(cfg, class_ids).images
-    sources = {}
+        d, ds = cfg.dataset, _synthetic(cfg, ())  # its class list; renders none
+        return ClassImages(manifest, {c.class_id: d.per_class for c in ds.classes},
+                           partial(render_class, d.classes_per_family, d.image_side,
+                                   d.seed), class_ids)
+    rows = {}   # class_id -> (its group's images, the class's rows in them)
     for i, group in enumerate(cfg.dataset.groups):
         images = load_idx(cfg.path(group["images"]))
         labels = load_idx(cfg.path(group["labels"]))
@@ -70,8 +75,14 @@ def resolve_sources(cfg: ExperimentConfig, class_ids):
             raise DataError(f"dataset.groups[{i}] holds {len(images)} images "
                             f"but {len(labels)} labels")
         for cid in np.unique(labels):
-            sources[int(cid) + group["id_offset"]] = images[labels == cid]
-    return sources
+            rows[int(cid) + group["id_offset"]] = images, np.flatnonzero(labels == cid)
+
+    def cut(cid, indices):
+        images, where = rows[cid]
+        return images[where[indices]]
+
+    return ClassImages(manifest, {cid: len(where) for cid, (_, where) in rows.items()},
+                       cut, class_ids)
 
 
 def load_manifest(cfg: ExperimentConfig) -> DatasetManifest:
@@ -103,19 +114,11 @@ def _load_base(cfg: ExperimentConfig) -> Network:
     return checkpoint_load(path)
 
 
-def _splits(cfg: ExperimentConfig, manifest: DatasetManifest, class_ids=None):
-    """Train/test splits of the manifest classes ``class_ids`` (default:
-    every one); a synthetic corpus renders only those."""
-    if class_ids is None:
-        class_ids = [c.class_id for c in manifest.classes]
-    return build_splits(manifest, resolve_sources(cfg, class_ids), class_ids)
-
-
-def _known_training_set(manifest, splits):
+def _known_training_set(manifest, source):
     """(train images, labels, test images, labels) of the known classes,
     each labelled by its position in ``known_ids``."""
     out = []
-    for images_of in (splits.train_images, splits.test_images):
+    for images_of in (source.train_images, source.test_images):
         stacks = [images_of(c) for c in manifest.known_ids]
         out += [np.concatenate(stacks),
                 np.concatenate([np.full(len(x), i, dtype=np.int64)
@@ -131,8 +134,8 @@ def run_train_base(cfg: ExperimentConfig) -> dict:
     manifest = load_manifest(cfg)
     if not manifest.known_ids:
         raise ConfigError("manifest has no objective-known classes")
-    splits = _splits(cfg, manifest, manifest.known_ids)
-    images, labels, test, test_labels = _known_training_set(manifest, splits)
+    images, labels, test, test_labels = _known_training_set(
+        manifest, class_images(cfg, manifest, manifest.known_ids))
 
     net = Network.build(cfg.layers, images.shape[1:],
                         seed=derive_seed(cfg.master_seed, 0xBA5E))
@@ -212,7 +215,9 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     out = cfg.out_path
     base_path = out / BASE_CKPT
     net = _load_base(cfg)
-    splits = _splits(cfg, manifest)
+    # every manifest class is checked here; a split is rendered only when
+    # a remaining job reads it
+    source = class_images(cfg, manifest)
 
     settings = _measure_settings(cfg, manifest)
     fingerprint = {**settings, "base_ckpt_sha256": _sha256(base_path)}
@@ -229,7 +234,7 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     app.write_records_csv(records_path, completed)
 
     result = app.layer_sweep(
-        net, manifest.measured_ids, manifest.probe_set, splits,
+        net, manifest.measured_ids, manifest.probe_set, source,
         cfg.train.pair, cfg.taps, master_seed=cfg.master_seed,
         completed=completed,
         on_record=partial(app.append_record_csv, records_path),
@@ -307,10 +312,10 @@ def predictor_activations(cfg: ExperimentConfig, net, manifest, heldout):
     class and of the test split of each ``heldout`` class; each stack is
     forwarded once for all taps."""
     from .applicability import tap_features
-    splits = _splits(cfg, manifest, manifest.measured_ids)
-    return ({cid: tap_features(net, splits.train_images(cid), cfg.taps)
+    source = class_images(cfg, manifest, manifest.measured_ids)
+    return ({cid: tap_features(net, source.train_images(cid), cfg.taps)
              for cid in manifest.measured_ids},
-            {cid: tap_features(net, splits.test_images(cid), cfg.taps)
+            {cid: tap_features(net, source.test_images(cid), cfg.taps)
              for cid in heldout})
 
 
@@ -415,8 +420,9 @@ def read_stream(cfg: ExperimentConfig, manifest, doc, input_shape):
 
     Formats: {"type": "mock", "apps": [...]} replays scripted
     applicability values; {"type": "manifest", "classes": [...],
-    "per_class": n} draws the first n test images (n an integer >= 1,
-    default 1) of manifest classes;
+    "per_class": n} draws the first n test images of manifest classes
+    (n an integer >= 1, default 1, and at most each class's test split),
+    rendering only those;
     {"type": "dataset", "path": ...} walks a binary dataset cache.
     A document missing a field or holding an ill-typed one, or naming a
     dataset file that cannot be opened, raises ``ConfigError``; an error
@@ -440,9 +446,15 @@ def read_stream(cfg: ExperimentConfig, manifest, doc, input_shape):
                 raise ConfigError(
                     f"stream per_class must be an integer >= 1, got {per!r}")
             entries = [manifest.entry(cid) for cid in doc["classes"]]
-            splits = _splits(cfg, manifest, [e.class_id for e in entries])
-            return [((img, None), e.subset.value) for e in entries
-                    for img in splits.test_images(e.class_id)[:per]]
+            source = class_images(cfg, manifest, [e.class_id for e in entries])
+            tests = [source.split(e.class_id)[1] for e in entries]
+            for e, test in zip(entries, tests):
+                if per > len(test):
+                    raise ConfigError(
+                        f"stream per_class {per} exceeds the {len(test)} test "
+                        f"images of class {e.class_id}")
+            return [((img, None), e.subset.value) for e, test in zip(entries, tests)
+                    for img in source.render(e.class_id, test[:per])]
         if kind == "dataset":
             ds = load_dataset(cfg.path(doc["path"]))
             return [((img, None), ds.family(cid))

@@ -228,7 +228,7 @@ def test_criterion_07_predictor_fidelity(desk):
     # by more than 10 percent on held-out data
     table, manifest = runner.load_table(cfg)
     net = checkpoint_load(cfg.out_path / "base.ckpt")
-    splits = runner._splits(cfg, manifest)
+    splits = runner.class_images(cfg, manifest)
     tap = max(cfg.taps)
     doc = json.loads((cfg.out_path / "predictor_summary.json").read_text())
     heldout = doc["heldout_classes"]

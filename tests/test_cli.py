@@ -19,7 +19,8 @@ import pytest
 from cactusnet.cactus import GrowthConfig
 from cactusnet.cli import main
 from cactusnet.config import DEFAULTS, config_from_dict, load_config
-from cactusnet.data import write_idx_images, write_idx_labels
+from cactusnet.data import (DatasetManifest, split_indices, write_idx_images,
+                            write_idx_labels)
 from cactusnet.errors import ConfigError
 from cactusnet.fileio import fmt_float
 from cactusnet.nn import Network, checkpoint_save
@@ -331,8 +332,9 @@ class TestExitCodes:
         # sees a 2x2 map
         import cactusnet.runner as runner_module
         rendered = []
-        monkeypatch.setattr(runner_module, "generate_synthetic",
-                            lambda *args: rendered.append(args))
+        for name in ("generate_synthetic", "render_class"):
+            monkeypatch.setattr(runner_module, name,
+                                lambda *args: rendered.append(args))
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"dataset": {"image_side": 16}}))
         capsys.readouterr()
@@ -381,6 +383,20 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(pipeline_dir / "config.json", "cactus-run", str(stream)) == 2
         assert "stream" in capsys.readouterr().err
+        assert (pipeline_dir / "out" / "growth_log.jsonl").read_bytes() == growth_log
+
+    def test_stream_asking_more_than_a_test_split_exits_2(self, pipeline_dir,
+                                                          tmp_path, capsys):
+        manifest = DatasetManifest.load(pipeline_dir / "manifest.json")
+        held = len(split_indices(manifest, 1, TINY["dataset"]["per_class"])[1])
+        stream = tmp_path / "stream.json"
+        stream.write_text(json.dumps({"type": "manifest", "classes": [1, 0],
+                                      "per_class": held + 1}))
+        growth_log = (pipeline_dir / "out" / "growth_log.jsonl").read_bytes()
+        capsys.readouterr()
+        assert run(pipeline_dir / "config.json", "cactus-run", str(stream)) == 2
+        err = capsys.readouterr().err
+        assert f"per_class {held + 1} exceeds the {held} test images of class 1" in err
         assert (pipeline_dir / "out" / "growth_log.jsonl").read_bytes() == growth_log
 
     def test_corrupt_stream_dataset_keeps_its_error(self, pipeline_dir, tmp_path,
@@ -536,6 +552,156 @@ def test_journal_with_two_records_of_one_job(pipeline_dir, tmp_path, capsys,
         assert snapshot(base) == before
     else:
         assert snapshot(base) == {**before, Path("out/records.csv"): journal}
+
+
+def count_renders(monkeypatch, base):
+    """Patch the runner's renderer; returns its log, one (class, split,
+    images, classes whose earlier stacks are still alive) per call."""
+    import weakref
+
+    import cactusnet.runner as runner_module
+    manifest = DatasetManifest.load(base / "manifest.json")
+    splits = {c.class_id: split_indices(manifest, c.class_id,
+                                        TINY["dataset"]["per_class"])
+              for c in manifest.classes}
+    real, calls, stacks = runner_module.render_class, [], []
+
+    def counting(*args):
+        cid, indices = args[-2:]
+        train, test = splits[cid]
+        split = ("train" if np.array_equal(indices, train) else
+                 "test" if np.array_equal(indices, test[:len(indices)]) else None)
+        calls.append((cid, split, len(indices),
+                      [c for c, ref in stacks if ref() is not None]))
+        stack = real(*args)
+        stacks.append((cid, weakref.ref(stack)))
+        return stack
+
+    monkeypatch.setattr(runner_module, "render_class", counting)
+    return calls
+
+
+def rendered_splits(calls):
+    return sorted((cid, split) for cid, split, *_ in calls)
+
+
+def test_measure_renders_each_split_its_remaining_jobs_read_once(
+        pipeline_dir, tmp_path, monkeypatch):
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    records = base / "out" / "records.csv"
+    journal = records.read_bytes()
+    manifest = DatasetManifest.load(base / "manifest.json")
+    calls = count_renders(monkeypatch, base)
+    # from an empty journal: both splits of every measured and probe
+    # class, one stack at a time
+    records.unlink()
+    assert run(base / "config.json", "measure") == 0
+    assert records.read_bytes() == journal
+    read = sorted([*manifest.measured_ids, *manifest.probe_set])
+    assert rendered_splits(calls) == [(c, s) for c in read for s in ("test", "train")]
+    assert [alive for *_, alive in calls] == [[]] * len(calls)
+    # resumed without the jobs of one class: that class and the probes
+    x = manifest.measured_ids[-1]
+    lines = journal.splitlines(keepends=True)
+    records.write_bytes(b"".join(line for line in lines
+                                 if not line.startswith(f"{x},".encode())))
+    calls.clear()
+    assert run(base / "config.json", "measure") == 0
+    assert records.read_bytes() == journal
+    read = sorted({x, *manifest.probe_set})
+    assert rendered_splits(calls) == [(c, s) for c in read for s in ("test", "train")]
+    # fully resumed: nothing
+    calls.clear()
+    assert run(base / "config.json", "measure") == 0
+    assert calls == []
+
+
+def test_train_predictors_renders_the_test_split_of_held_out_classes_only(
+        pipeline_dir, tmp_path, monkeypatch):
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    manifest = DatasetManifest.load(base / "manifest.json")
+    calls = count_renders(monkeypatch, base)
+    before = snapshot(base)
+    assert run(base / "config.json", "train-predictors") == 0
+    assert snapshot(base) == before
+    assert rendered_splits(calls) == sorted(
+        [(c, "train") for c in manifest.measured_ids]
+        + [(c, "test") for c in TINY["heldout_classes"]])
+
+
+def test_manifest_stream_renders_only_the_images_it_routes(pipeline_dir, tmp_path,
+                                                           monkeypatch):
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    manifest = DatasetManifest.load(base / "manifest.json")
+    classes = [c.class_id for c in manifest.classes]
+    stream = base / "manifest_stream.json"
+    stream.write_text(json.dumps({"type": "manifest", "classes": classes,
+                                  "per_class": 3}))
+    calls = count_renders(monkeypatch, base)
+    assert run(base / "config.json", "cactus-run", str(stream)) == 0
+    assert [(cid, split, n) for cid, split, n, _ in calls] == [
+        (c, "test", 3) for c in classes]
+    lines = (base / "out" / "growth_log.jsonl").read_text().splitlines()
+    assert len(lines) == 1 + 3 * len(classes)
+
+
+def test_idx_classes_are_cut_from_their_groups_as_build_splits_cuts_them(
+        pipeline_dir, tmp_path):
+    # two groups, the second offset past the first's labels
+    import cactusnet.runner as runner_module
+    from cactusnet.data import build_splits, load_idx
+    manifest = DatasetManifest.load(pipeline_dir / "manifest.json")
+    rng = np.random.default_rng(8)
+    groups, sources = [], {}
+    for g, offset in enumerate([0, 4]):
+        labels = rng.permutation(np.repeat(np.arange(4), 60))
+        write_idx_images(tmp_path / f"images{g}.idx",
+                         rng.integers(0, 256, (len(labels), 12, 12), np.uint8))
+        write_idx_labels(tmp_path / f"labels{g}.idx", labels)
+        groups.append({"images": f"images{g}.idx", "labels": f"labels{g}.idx",
+                       "id_offset": offset})
+        images = load_idx(tmp_path / f"images{g}.idx")
+        sources.update({cid + offset: images[labels == cid] for cid in range(4)})
+    cfg = load_config(write_tiny_config(tmp_path, dataset=dict(
+        TINY["dataset"], type="idx", groups=groups)))
+    source = runner_module.class_images(cfg, manifest)
+    want = build_splits(manifest, sources)
+    assert source.class_ids == want.class_ids
+    for cid in want.class_ids:
+        assert source.entry(cid) == want.entry(cid)
+        assert source.train_images(cid).tobytes() == want.train_images(cid).tobytes()
+        assert source.test_images(cid).tobytes() == want.test_images(cid).tobytes()
+
+
+@pytest.mark.parametrize("verb", ["measure", "cactus-run"])
+def test_manifest_class_the_corpus_lacks_exits_2_before_any_output(
+        pipeline_dir, tmp_path, capsys, monkeypatch, verb):
+    # with three classes per family the corpus holds classes 0 to 5
+    base = tmp_path / "run"
+    shutil.copytree(pipeline_dir, base)
+    cfg = write_tiny_config(base, dataset=dict(TINY["dataset"], classes_per_family=3))
+    lacking = [c.class_id for c in DatasetManifest.load(base / "manifest.json").classes
+               if c.class_id >= 6]
+    assert lacking
+    argv = [verb]
+    if verb == "measure":
+        (base / "out" / "records.csv").unlink()
+        (base / "out" / "records_run.json").unlink()
+    else:
+        (base / "out" / "growth_log.jsonl").unlink()
+        argv.append(str(base / "manifest_stream.json"))
+        (base / "manifest_stream.json").write_text(json.dumps(
+            {"type": "manifest", "classes": [0, *lacking]}))
+    calls = count_renders(monkeypatch, base)
+    before = snapshot(base)
+    capsys.readouterr()
+    assert run(cfg, *argv) == 2
+    assert f"no image source for class ids {lacking}" in capsys.readouterr().err
+    assert snapshot(base) == before
+    assert calls == []
 
 
 @pytest.mark.parametrize("xi", ["5.0", "nan"])

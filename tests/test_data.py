@@ -10,8 +10,9 @@ import pytest
 from cactusnet.applicability import SeparabilityRecord, write_records_csv
 from cactusnet.data import (ClassEntry, DatasetManifest, SubsetLabel,
                             SyntheticDataset, build_splits, generate_synthetic,
-                            load_dataset, load_idx, sample_probe_set,
-                            save_dataset, synthetic_manifest, write_idx_images,
+                            load_dataset, load_idx, render_class,
+                            sample_probe_set, save_dataset, split_indices,
+                            synthetic_manifest, write_idx_images,
                             write_idx_labels)
 from cactusnet.data import synthetic as synthetic_module
 from cactusnet.data.synthetic import DATASET_MAGIC
@@ -206,6 +207,37 @@ def test_whole_class_rendering_matches_the_per_image_reference(n, per_class,
         assert ds.images[cid].dtype == np.float32
         assert ds.images[cid].shape == stack.shape
         assert ds.images[cid].tobytes() == stack.tobytes()
+
+
+@pytest.fixture(scope="module")
+def reference_140():
+    """The per-image reference corpus, 140 images per class: more than
+    two render chunks."""
+    assert synthetic_module.RENDER_CHUNK == 64
+    return _reference_images(3, 140, 10, 4)
+
+
+def _real_split(cid):
+    m = DatasetManifest("split", (ClassEntry(cid, "c", SubsetLabel.OBJECTIVE_UNKNOWN),),
+                        (), 0, 2 / 3, seed=6)
+    return split_indices(m, cid, 140)
+
+
+@pytest.mark.parametrize("cid", range(6))
+@pytest.mark.parametrize("order", ["shuffled", "across-a-chunk", "reversed",
+                                   "train-split", "test-split", "empty"])
+def test_an_index_list_renders_those_rows_of_the_per_image_reference(
+        reference_140, cid, order):
+    indices = {"shuffled": [139, 3, 64, 0, 63, 65, 127, 128],
+               "across-a-chunk": list(range(40, 110)),
+               "reversed": range(139, -1, -1),
+               "train-split": _real_split(cid)[0],
+               "test-split": _real_split(cid)[1],
+               "empty": []}[order]
+    got = render_class(3, 10, 4, cid, indices)
+    assert got.dtype == np.float32 and got.shape == (len(indices), 10, 10, 1)
+    want = reference_140[cid][np.asarray(indices, dtype=np.int64)]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_any_two_classes_separable_by_small_cnn():

@@ -358,6 +358,36 @@ class TestStackedConvKeepsBits:
                 assert dx[j].tobytes() == dx_j.tobytes()
 
 
+class TestOneColumnBiasKeepsBits:
+    """At an output one column wide the Conv2D step adds the bias by
+    broadcast; its bits are those of the row-view add it makes at any
+    other width."""
+
+    @staticmethod
+    def row_view_add(y, b):
+        w, c = y.shape[-2:]
+        rows = y.reshape(*y.shape[:-2], w * c)
+        rows += b[..., None, :].repeat(w, axis=-2).reshape(*b.shape[:-1], 1, 1, w * c)
+        return y
+
+    # the base net's third conv (3x3x16 in, 1x1x32 out), and a 3x1 output
+    @pytest.mark.parametrize("in_shape", [(3, 3, 16), (5, 3, 4)], ids=["1x1", "3x1"])
+    @pytest.mark.parametrize("members", [0, 3], ids=["network", "stack-3"])
+    def test_broadcast_add_has_the_row_view_bits(self, in_shape, members):
+        rng = np.random.default_rng(81)
+        spec = LayerSpec.conv(32, 3)
+        lead = (members,) if members else ()
+        x = rng.standard_normal((*lead, 6, *in_shape)).astype(np.float32)
+        p = {"W": rng.uniform(-0.3, 0.3, (*lead, 3, 3, in_shape[2], 32))
+             .astype(np.float32),
+             "b": rng.uniform(-0.1, 0.1, (*lead, 32)).astype(np.float32)}
+        y, _ = layers.KINDS["Conv2D"].forward(spec, p, x, len(lead) + 1, False)
+        bare = (layers._conv2d(x, p["W"], 1)[0] if members
+                else conv2d(x, p["W"], 1))
+        assert y.shape[-2] == 1
+        assert y.tobytes() == self.row_view_add(bare, p["b"]).tobytes()
+
+
 # every layer kind: a single-channel 3x3 conv (the copied im2col), an
 # overlapping 3x3 stride-1 pool, a 1x1 conv, a non-overlapping pool
 FORWARD_SPECS = [LayerSpec.conv(4, 3), LayerSpec.relu(), LayerSpec.maxpool(3, 1),
