@@ -9,8 +9,8 @@ the predictor seed changes: the base net, the records, the held-out
 classes and the bound stay as the acceptance suite has them.
 
 The script shares ``train-predictors``' fit: each salt trains and scores
-through ``runner.fit_tap_predictor`` on the activations that
-``runner.predictor_activations`` forwards, as ``run_train_predictors``
+through ``runner.fit_tap_predictor`` on the features that
+``runner.predictor_features`` forwards, as ``run_train_predictors``
 does.  Salt 0 is the shipped seed, ``derive_seed(master, 0x93ED, tap)``;
 salt s > 0 trains with ``derive_seed(master, 0x93ED, tap, s)``.  Salt 0
 is checked against the ``predictor_eval.csv`` that ``train-predictors``
@@ -61,13 +61,14 @@ def worst_cells(cfg, salts):
     net = runner._load_base(cfg)
     heldout = json.loads((cfg.out_path / runner.PREDICTOR_SUMMARY).read_text())[
         "heldout_classes"]
-    train_acts, test_acts = runner.predictor_activations(cfg, net, manifest, heldout)
+    features = runner.predictor_features(cfg, net, manifest, heldout)
     out = {}
     for salt in salts:
         cells = []
         for tap in cfg.taps:
             seed = derive_seed(cfg.master_seed, 0x93ED, tap, *([salt] if salt else []))
-            _, _, ev = runner.fit_tap_predictor(net, table, tap, train_acts, test_acts,
+            _, _, ev = runner.fit_tap_predictor(net, table, tap, features,
+                                                manifest.measured_ids, heldout,
                                                 cfg.train.predictor.with_seed(seed))
             cells += [(row.abs_err, (row.class_id, tap)) for row in ev.rows]
         out[salt] = max(cells)

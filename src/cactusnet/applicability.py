@@ -17,6 +17,7 @@ estimated memory stays within the costliest single cell's.
 
 import csv
 import math
+import mmap
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
@@ -24,7 +25,7 @@ from itertools import groupby, islice
 
 import numpy as np
 
-from .data.manifest import SplitStore, SubsetLabel
+from .data.manifest import SubsetLabel
 from .errors import (AggregationError, DataError, NumericFailureError,
                      ShapeMismatchError)
 from .fileio import fmt_float, write_csv
@@ -83,41 +84,96 @@ def tap_features(net: Network, images, taps) -> dict:
     return dict(zip(taps, forward(split_at(net, taps[-1])[0], images, taps)))
 
 
+SPLITS = ("train", "test")
+
+
 class TapFeatures:
     """Frozen-prefix outputs of (class, split) image stacks at their taps.
 
     Every job at a tap freezes the layers at and below it, so their
     output for an image is a constant of the base network: each stack is
-    forwarded once, and jobs only read it.
+    forwarded once, and jobs only read it.  The outputs share one
+    anonymous mapping, which every process forked from this one sees,
+    and are read-only once built.
     """
 
     def __init__(self, entries):
         self._entries = entries  # (class_id, split, tap) -> array | Exception
 
     @classmethod
-    def build(cls, net: Network, splits: SplitStore,
-              taps_by_class) -> "TapFeatures":
-        """Forward the train and test stacks of each class to its taps.
+    def build(cls, net: Network, splits, taps_by_stack) -> "TapFeatures":
+        """Forward each (class_id, split) stack of ``taps_by_stack`` to its
+        taps; ``splits`` is a ``SplitStore`` or a ``ClassImages``.
+
+        Every array is laid out in one mapping before any image is
+        rendered: a stack's rows from ``splits.split``, a tap's shape from
+        ``net.shapes``, each in the network's dtype.  The stacks are then
+        rendered and forwarded in forked workers, one per CPU
+        (``parallel``), each writing its taps in place, so that only the
+        errors of the stacks come back.
 
         A stack that fails keeps the error for every tap it could not
         reach, and each job reading one of those taps raises it: a
         non-finite activation at layer i fails that stack's taps at and
         above i, and any other error in the forward fails its deepest
         tap; the shallower ones are forwarded again up to the deepest of
-        them.  A stack whose images cannot be read fails all its taps.
+        them.  A stack whose images cannot be read, or whose features do
+        not fit their place, fails all its taps.
         """
-        images_of = {"train": splits.train_images, "test": splits.test_images}
-        return cls({(cid, split, tap): value
-                    for cid, taps in sorted(taps_by_class.items())
-                    for split in ("train", "test")
-                    for tap, value in _stack_features(
-                        net, partial(images_of[split], cid), sorted(taps)).items()})
+        from .parallel import ordered_map  # loaded by the verbs that train only
+        dtype = np.result_type(*(p["W"].dtype for p in net.params if p is not None))
+        entries, units, layout, size = {}, [], [], 0
+        for (cid, split), taps in sorted(taps_by_stack.items()):
+            try:
+                rows = len(splits.split(cid)[SPLITS.index(split)])
+            except Exception as exc:  # noqa: BLE001 - fails its jobs only
+                entries.update(dict.fromkeys(((cid, split, tap) for tap in taps),
+                                             exc.with_traceback(None)))
+                continue
+            units.append((cid, split, sorted(taps)))
+            for tap in taps:
+                if 0 <= tap < len(net.shapes):  # any other tap fails its forward
+                    shape = (rows, *net.shapes[tap])
+                    layout.append(((cid, split, tap), shape, size))
+                    size += -(-math.prod(shape) * dtype.itemsize // 64) * 64
+        # mmap refuses a length of 0, as when every job is done
+        buffer = mmap.mmap(-1, size) if size else bytearray()
+        slots = {key: np.frombuffer(buffer, dtype, math.prod(shape), offset).reshape(shape)
+                 for key, shape, offset in layout}
+        with closing(ordered_map(partial(_fill_stack, net, splits, slots),
+                                 units)) as filled:
+            for (cid, split, _), errors in zip(units, filled):
+                entries.update({(cid, split, tap): exc for tap, exc in errors.items()})
+        for key, slot in slots.items():
+            slot.flags.writeable = False
+            entries.setdefault(key, slot)
+        return cls(entries)
 
     def get(self, class_id, split, tap):
         value = self._entries[(class_id, split, tap)]
         if isinstance(value, Exception):
-            raise value
+            # each raise would add its frames to the kept error's traceback
+            raise value.with_traceback(None)
         return value
+
+
+def _fill_stack(net, splits, slots, stack) -> dict:
+    """Render and forward one ``(class_id, split, taps)`` stack and write
+    each tap it reaches into its slot; returns tap -> the error of each
+    tap it could not (``TapFeatures.build``).  An error is kept without
+    its traceback, whose frames would keep the stack's images alive."""
+    cid, split, taps = stack
+    errors = {}
+    for tap, value in _stack_features(
+            net, partial(getattr(splits, f"{split}_images"), cid), taps).items():
+        if not isinstance(value, Exception):
+            try:
+                np.copyto(slots[cid, split, tap], value, casting="no")
+                continue
+            except (TypeError, ValueError) as exc:  # not the laid-out shape or dtype
+                value = exc
+        errors[tap] = value.with_traceback(None)
+    return errors
 
 
 def _stack_features(net, images, taps) -> dict:
@@ -142,12 +198,13 @@ def _stack_features(net, images, taps) -> dict:
     return entries
 
 
-def _taps_by_class(jobs) -> dict:
-    """class_id -> the taps at which some job reads its features."""
+def _stack_taps(jobs) -> dict:
+    """(class_id, split) -> the taps at which some job reads the stack."""
     taps = {}
     for x, un_j, layer in jobs:
         for cid in (x, un_j):
-            taps.setdefault(cid, set()).add(layer)
+            for split in SPLITS:
+                taps.setdefault((cid, split), set()).add(layer)
     return taps
 
 
@@ -272,7 +329,7 @@ def pair_separability(net: Network, layer_index: int, x: int, un_j: int,
     this job alone.
     """
     if not isinstance(splits, TapFeatures):
-        splits = TapFeatures.build(net, splits, _taps_by_class([(x, un_j, layer_index)]))
+        splits = TapFeatures.build(net, splits, _stack_taps([(x, un_j, layer_index)]))
     try:
         xi, = stacked_separability(net, layer_index, [(x, un_j)], splits, cfg,
                                    [cfg.seed])
@@ -412,22 +469,23 @@ def run_jobs(net, jobs, splits, cfg, master_seed, *, on_record=None,
     """Execute 1-vs-1 jobs, each seeded purely from its identity.
 
     The features of every (class, split) the jobs touch are forwarded
-    once, before any job runs (``TapFeatures``).  Runs of consecutive
-    jobs with one (x, layer) cell are cells; consecutive cells of one
-    tap train as one stack (``stacked_separability``) while the stack
-    fits in the costliest cell's estimated memory (``_cell_stacks``).
-    The stacks run in forked workers, one per CPU (``parallel``), which
-    read the features they inherit; each job's outcome has the bits it
-    has in this process.  If a stack raises, its jobs run again one at
-    a time (``_stack_outcomes``).  Failed jobs are collected, not
-    raised, so a long sweep always completes.  ``on_record`` is called
-    here after each record, in job order (used for journaling); an
-    error it raises stops the sweep.  ``on_cell(i, cells, x, layer,
-    jobs, failed)`` is called after the i-th cell of ``cells``, once its
-    stack is done.
+    once, in forked workers, before any job runs (``TapFeatures``).
+    Runs of consecutive jobs with one (x, layer) cell are cells;
+    consecutive cells of one tap train as one stack
+    (``stacked_separability``) while the stack fits in the costliest
+    cell's estimated memory (``_cell_stacks``).  The stacks run in a
+    second round of forked workers, one per CPU (``parallel``), which
+    read the features from the mapping they inherit; each job's outcome
+    has the bits it has in this process.  If a stack raises, its jobs
+    run again one at a time (``_stack_outcomes``).  Failed jobs are
+    collected, not raised, so a long sweep always completes.
+    ``on_record`` is called here after each record, in job order (used
+    for journaling); an error it raises stops the sweep.  ``on_cell(i,
+    cells, x, layer, jobs, failed)`` is called after the i-th cell of
+    ``cells``, once its stack is done.
     """
     from .parallel import ordered_map  # loaded by the verbs that train only
-    features = TapFeatures.build(net, splits, _taps_by_class(jobs))
+    features = TapFeatures.build(net, splits, _stack_taps(jobs))
     cells = [list(cell) for _, cell in groupby(jobs, key=lambda j: (j[0], j[2]))]
     stacks = _cell_stacks(net, cells, cfg.batch_size)
     records, failures, i = [], [], 0

@@ -169,6 +169,12 @@ class SplitStore:
     def entry(self, class_id) -> ClassEntry:
         return self._splits[class_id].entry
 
+    def split(self, class_id):
+        """(train, test) indices of the class's images in its arrays, as
+        ``ClassImages.split`` gives them."""
+        s = self._splits[class_id]
+        return np.arange(len(s.train)), np.arange(len(s.test))
+
     def train_images(self, class_id) -> np.ndarray:
         return self._splits[class_id].train
 

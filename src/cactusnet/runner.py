@@ -307,33 +307,39 @@ def predictor_ckpt_name(tap: int) -> str:
     return f"predictor_tap{tap:02d}.ckpt"
 
 
-def predictor_activations(cfg: ExperimentConfig, net, manifest, heldout):
-    """class -> tap -> activations, of the train split of every measured
-    class and of the test split of each ``heldout`` class; each stack is
-    forwarded once for all taps."""
-    from .applicability import tap_features
-    source = class_images(cfg, manifest, manifest.measured_ids)
-    return ({cid: tap_features(net, source.train_images(cid), cfg.taps)
-             for cid in manifest.measured_ids},
-            {cid: tap_features(net, source.test_images(cid), cfg.taps)
-             for cid in heldout})
+def predictor_features(cfg: ExperimentConfig, net, manifest, heldout):
+    """The ``TapFeatures`` the predictors train on: the train split of
+    every measured class and the test split of each ``heldout`` class,
+    at every tap.  A stack that could not be forwarded raises its error
+    here, before any predictor is fitted."""
+    from .applicability import TapFeatures
+    stacks = [*((cid, "train") for cid in manifest.measured_ids),
+              *((cid, "test") for cid in heldout)]
+    features = TapFeatures.build(net, class_images(cfg, manifest, manifest.measured_ids),
+                                 dict.fromkeys(stacks, cfg.taps))
+    for cid, split in stacks:
+        for tap in cfg.taps:
+            features.get(cid, split, tap)
+    return features
 
 
-def fit_tap_predictor(net, table, tap, train_acts, test_acts, budget):
+def fit_tap_predictor(net, table, tap, features, measured, heldout, budget):
     """(model, report, evaluation) of ``tap``'s predictor trained under
-    ``budget`` on ``predictor_activations``.  The classes of ``test_acts``
-    are held out: the report scores their train split, the evaluation
-    their test split."""
+    ``budget`` on ``predictor_features``.  The ``heldout`` classes of
+    ``measured`` are held out: the report scores their train split, the
+    evaluation their test split."""
     from .predictor import evaluate_predictor, train_predictor
-    train_ids = [cid for cid in train_acts if cid not in test_acts]
+    train_ids = [cid for cid in measured if cid not in heldout]
     samples, held_samples = (
-        [(act, table.app(cid, tap)) for cid in ids for act in train_acts[cid][tap]]
-        for ids in (train_ids, test_acts))
+        [(act, table.app(cid, tap)) for cid in ids
+         for act in features.get(cid, "train", tap)]
+        for ids in (train_ids, heldout))
     model, report = train_predictor(net.shapes[tap], samples, budget,
                                     heldout=held_samples, layer_index=tap,
                                     train_class_ids=train_ids)
-    evaluation = evaluate_predictor(model, {cid: (acts[tap], table.app(cid, tap))
-                                            for cid, acts in test_acts.items()})
+    evaluation = evaluate_predictor(model, {cid: (features.get(cid, "test", tap),
+                                                  table.app(cid, tap))
+                                            for cid in heldout})
     return model, report, evaluation
 
 
@@ -354,11 +360,11 @@ def run_train_predictors(cfg: ExperimentConfig) -> dict:
                           "class, so no class is left to train the predictors "
                           "on; hold out fewer in heldout_classes")
 
-    train_acts, test_acts = predictor_activations(cfg, net, manifest, heldout)
+    features = predictor_features(cfg, net, manifest, heldout)
 
     def fit(tap):
         return fit_tap_predictor(
-            net, table, tap, train_acts, test_acts,
+            net, table, tap, features, manifest.measured_ids, heldout,
             cfg.train.predictor.with_seed(derive_seed(cfg.master_seed, 0x93ED, tap)))
 
     summary, eval_rows = [], []

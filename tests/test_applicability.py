@@ -10,7 +10,7 @@ import pytest
 from cactusnet import parallel
 from cactusnet.applicability import (ApplicabilityTable, SeparabilityRecord,
                                      TapFeatures, _cell_stacks, _job_cost,
-                                     _taps_by_class,
+                                     _stack_taps,
                                      class_applicability, job_seed,
                                      layer_sweep, pair_separability,
                                      read_records_csv, run_jobs,
@@ -226,14 +226,24 @@ class TestSweep:
         assert sorted(halves[0] + halves[1],
                       key=lambda r: (r.x, r.layer_index, r.un_j)) == list(a.records)
 
-    @pytest.mark.parametrize("patched", [None, "stack_raises", "worker_dies"])
+    @pytest.mark.parametrize("patched", [None, "stack_raises", "worker_dies",
+                                         "forward_non_finite", "fill_worker_dies"])
     def test_a_two_worker_sweep_matches_a_one_worker_sweep(
             self, small_world, monkeypatch, tmp_path, patched):
         import cactusnet.applicability as appmod
+        from cactusnet.data.manifest import ClassSplit, SplitStore
         manifest, splits, net, cfg = small_world
         # tap 99 is past the head, so its jobs fail
         jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, [*TAPS, 99])
         real, parent = appmod.stacked_separability, os.getpid()
+        real_fill = appmod._fill_stack
+        victim = manifest.measured_ids[0]
+        if patched == "forward_non_finite":
+            # the victim's train split is NaN, so its forward fails at layer 0
+            splits = SplitStore({cid: ClassSplit(
+                splits.entry(cid),
+                splits.train_images(cid) * (np.nan if cid == victim else 1),
+                splits.test_images(cid)) for cid in splits.class_ids})
 
         def marking(net, layer, pairs, features, cfg, seeds):
             # a file per process that runs a stack
@@ -244,7 +254,16 @@ class TestSweep:
                 os._exit(1)  # unreported: the parent runs the stack itself
             return real(net, layer, pairs, features, cfg, seeds)
 
+        def marking_fill(net, splits, slots, stack):
+            # and per process that renders and forwards a stack
+            (tmp_path / str(os.getpid())).touch()
+            if (patched == "fill_worker_dies" and stack[0] == victim
+                    and os.getpid() != parent):
+                os._exit(1)  # unreported: the parent fills the stack's slots
+            return real_fill(net, splits, slots, stack)
+
         monkeypatch.setattr(appmod, "stacked_separability", marking)
+        monkeypatch.setattr(appmod, "_fill_stack", marking_fill)
         sweeps = {}
         for cpus in (1, 2):
             monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
@@ -259,7 +278,8 @@ class TestSweep:
         assert sweeps[2] == sweeps[1]
         records, failures, seen = sweeps[2]
         failed = [job for job in jobs
-                  if patched == "stack_raises" or job[2] == 99]
+                  if patched == "stack_raises" or job[2] == 99
+                  or patched == "forward_non_finite" and job[0] == victim]
         assert [(f.x, f.un_j, f.layer_index, f.seed) for f in failures] == [
             (*job, job_seed(17, *job))
             for job in sorted(failed, key=lambda j: (j[0], j[2], j[1]))]
@@ -269,6 +289,13 @@ class TestSweep:
         if patched == "stack_raises":
             assert {f.error for f in failures if f.layer_index != 99} == {
                 "synthetic failure"}
+        if patched == "forward_non_finite":
+            for f in failures:
+                if f.layer_index != 99:
+                    assert f.error == (
+                        f"1-vs-1 job (x={victim}, un_j={f.un_j}, layer="
+                        f"{f.layer_index}) diverged: non-finite activation at "
+                        "layer 0 (Conv2D)")
 
     def test_mean_consistency_oracle(self, small_world):
         manifest, splits, net, cfg = small_world
@@ -352,7 +379,7 @@ class TestTapFeatures:
     def test_each_tap_equals_its_prefix_forward(self, small_world):
         manifest, splits, net, _ = small_world
         cid = manifest.measured_ids[0]
-        store = TapFeatures.build(net, splits, {cid: TAPS})
+        store = TapFeatures.build(net, splits, _stack_taps([(cid, cid, t) for t in TAPS]))
         for split, images in (("train", splits.train_images(cid)),
                               ("test", splits.test_images(cid))):
             for tap in TAPS:
@@ -360,6 +387,86 @@ class TestTapFeatures:
                 got = store.get(cid, split, tap)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("taps", [[2], [2, 99]])
+    def test_a_failed_stack_keeps_none_of_its_images(self, small_world, one_worker,
+                                                     taps):
+        # tap 99 cannot be forwarded; the error kept for it must not keep
+        # the stack it failed on
+        import weakref
+        from cactusnet.data import ClassImages
+        from cactusnet.errors import ShapeMismatchError
+        manifest, _, net, _ = small_world
+        classes = manifest.measured_ids[:2]
+        rendered = []
+
+        def render(cid, indices):
+            stack = np.full((len(indices), 12, 12, 1), 0.5, np.float32)
+            rendered.append(weakref.ref(stack))
+            return stack
+
+        source = ClassImages(manifest, dict.fromkeys(classes, 120), render, classes)
+        store = TapFeatures.build(net, source, _stack_taps(
+            [(cid, cid, tap) for cid in classes for tap in taps]))
+        assert len(rendered) == 4
+        assert [ref for ref in rendered if ref() is not None] == []
+        for cid in classes:
+            assert store.get(cid, "test", 2).shape == (60, *net.shapes[2])
+            if 99 in taps:
+                with pytest.raises(ShapeMismatchError):
+                    store.get(cid, "train", 99)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_build_with_no_stack_maps_nothing(self, small_world, monkeypatch,
+                                                cpus):
+        import mmap
+        manifest, splits, net, _ = small_world
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(mmap, "mmap", None)  # a call would raise
+        assert TapFeatures.build(net, splits, {})._entries == {}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_features_are_read_only(self, small_world, monkeypatch, cpus):
+        manifest, splits, net, _ = small_world
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        cid = manifest.measured_ids[0]
+        store = TapFeatures.build(net, splits, _stack_taps([(cid, cid, 2)]))
+        features = store.get(cid, "train", 2)
+        with pytest.raises(ValueError, match="read-only"):
+            features[0] = 0
+        assert features.tobytes() == forward(split_at(net, 2)[0],
+                                             splits.train_images(cid))[-1].tobytes()
+
+    def test_a_stack_of_another_dtype_fails_its_taps(self, small_world):
+        # the store holds the network's float32; a float64 stack's
+        # features do not fit their place
+        from cactusnet.data.manifest import ClassSplit, SplitStore
+        manifest, splits, net, _ = small_world
+        cid = manifest.measured_ids[0]
+        wide = SplitStore({cid: ClassSplit(splits.entry(cid),
+                                           splits.train_images(cid).astype(np.float64),
+                                           splits.test_images(cid))})
+        store = TapFeatures.build(net, wide, _stack_taps([(cid, cid, 2)]))
+        with pytest.raises(TypeError, match="float64"):
+            store.get(cid, "train", 2)
+        assert store.get(cid, "test", 2).dtype == np.float32
+
+    def test_a_kept_error_holds_no_earlier_reader(self):
+        # each job reading a failed tap raises the one kept error; the
+        # frames of the jobs that raised it before must not pile up on it
+        import weakref
+        store = TapFeatures({(0, "train", 2): DataError("unreachable tap")})
+        held = []
+
+        def job():
+            rows = np.zeros(8)
+            held.append(weakref.ref(rows))
+            store.get(0, "train", 2)
+
+        for _ in range(2):
+            with pytest.raises(DataError, match="unreachable tap"):
+                job()
+        assert held[0]() is None
 
     @staticmethod
     def count_forwards(monkeypatch):
@@ -480,6 +587,58 @@ class TestRunJobs:
             os.waitpid(-1, os.WNOHANG)
 
 
+    def test_a_stack_cannot_write_the_features(self, small_world, monkeypatch,
+                                               tmp_path):
+        import cactusnet.applicability as appmod
+        manifest, splits, net, cfg = small_world
+        jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)
+        clean, _ = run_jobs(net, jobs, splits, cfg, 17)
+        real, parent = appmod.stacked_separability, os.getpid()
+
+        def writing(net, layer, pairs, features, cfg, seeds):
+            try:
+                features.get(pairs[0][0], "train", layer)[0] = 0
+            except ValueError as exc:
+                (tmp_path / str(os.getpid())).write_text(str(exc))
+            return real(net, layer, pairs, features, cfg, seeds)
+
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        monkeypatch.setattr(appmod, "stacked_separability", writing)
+        records, failures = run_jobs(net, jobs, splits, cfg, 17)
+        assert failures == [] and records == clean
+        refused = {int(p.name): p.read_text() for p in tmp_path.iterdir()}
+        assert refused and parent not in refused
+        assert all("read-only" in text for text in refused.values())
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_an_error_out_of_the_fill_leaves_no_worker(self, small_world,
+                                                       monkeypatch, error):
+        # an OSError crosses the pipe and is raised here at its stack's
+        # turn; a worker interrupted dies unreported, and the rerun of
+        # its stack here is interrupted too
+        import cactusnet.applicability as appmod
+        manifest, splits, net, cfg = small_world
+        jobs = sweep_jobs(manifest.measured_ids, manifest.probe_set, TAPS)
+        real, parent = appmod._fill_stack, os.getpid()
+        victim = manifest.probe_set[0]
+
+        def raising(net, splits, slots, stack):
+            if stack[0] == victim:
+                if error is KeyboardInterrupt and os.getpid() != parent:
+                    os._exit(1)
+                raise error("the fill stops")
+            return real(net, splits, slots, stack)
+
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        monkeypatch.setattr(appmod, "_fill_stack", raising)
+        seen = []
+        with pytest.raises(error, match="the fill stops"):
+            run_jobs(net, jobs, splits, cfg, 17, on_record=seen.append)
+        assert seen == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 # two convolutions, so that the suffix of a shallow tap trains a stacked
 # Conv2D: 12x12 -> 10x10x4 -> 5x5x4 -> 4x4x6 -> 2x2x6 -> 24 -> 8 -> 3
 DEEP_SPECS = [LayerSpec.conv(4, 3), LayerSpec.relu(), LayerSpec.maxpool(2),
@@ -522,7 +681,7 @@ class TestStackedCell:
         assert failures == [] and len(trained) == 1
         stacked = trained.pop()
         assert stacked.stack == (len(jobs),)
-        features = TapFeatures.build(net, splits, {c: [tap] for c in (x, *others)})
+        features = TapFeatures.build(net, splits, _stack_taps(jobs))
         for j, (rec, job) in enumerate(zip(records, jobs)):
             alone = pair_separability(net, tap, x, job[1], features,
                                       cfg.with_seed(job_seed(5, *job)))
@@ -547,7 +706,7 @@ class TestStackedCell:
         stacks = {job: (trained[0], j) for j, job in enumerate(jobs[:4])}
         stacks.update({job: (trained[1], j) for j, job in enumerate(jobs[4:])})
         del trained[:]
-        features = TapFeatures.build(net, splits, _taps_by_class(jobs))
+        features = TapFeatures.build(net, splits, _stack_taps(jobs))
         by_job = {(r.x, r.un_j, r.layer_index): r for r in records}
         for job in jobs:
             alone = pair_separability(net, tap, *job[:2], features,
@@ -568,10 +727,10 @@ class TestStackedCell:
         clean, _ = run_jobs(net, jobs, splits, cfg, 5)
         real_build = TapFeatures.build.__func__
 
-        def poisoned_build(cls, net, splits, taps_by_class):
+        def poisoned_build(cls, net, splits, taps_by_stack):
             # the victim's train features are infinite, so its stack's
             # first step raises
-            store = real_build(cls, net, splits, taps_by_class)
+            store = real_build(cls, net, splits, taps_by_stack)
             key = (victim, "train", tap)
             store._entries[key] = np.full_like(store._entries[key], np.inf)
             return store

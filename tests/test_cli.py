@@ -554,9 +554,32 @@ def test_journal_with_two_records_of_one_job(pipeline_dir, tmp_path, capsys,
         assert snapshot(base) == {**before, Path("out/records.csv"): journal}
 
 
+class RenderLog:
+    """The renders ``count_renders`` logs, one JSON line per call."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.clear()
+
+    def _lines(self):
+        return [json.loads(line) for line in self.path.read_text().splitlines()]
+
+    def calls(self):
+        """(class, split, images, classes whose earlier stacks are still
+        alive in the rendering process) per call, in the log's order."""
+        return [(cid, split, n, alive) for cid, split, n, alive, _ in self._lines()]
+
+    def pids(self):
+        """The processes that rendered."""
+        return {pid for *_, pid in self._lines()}
+
+    def clear(self):
+        self.path.write_text("")
+
+
 def count_renders(monkeypatch, base):
-    """Patch the runner's renderer; returns its log, one (class, split,
-    images, classes whose earlier stacks are still alive) per call."""
+    """Patch the runner's renderer to log each call, in whichever process
+    makes it, to a file beside ``base``; returns its ``RenderLog``."""
     import weakref
 
     import cactusnet.runner as runner_module
@@ -564,71 +587,178 @@ def count_renders(monkeypatch, base):
     splits = {c.class_id: split_indices(manifest, c.class_id,
                                         TINY["dataset"]["per_class"])
               for c in manifest.classes}
-    real, calls, stacks = runner_module.render_class, [], []
+    real, stacks = runner_module.render_class, []
+    log = RenderLog(base.parent / f"{base.name}.renders")
 
     def counting(*args):
         cid, indices = args[-2:]
         train, test = splits[cid]
         split = ("train" if np.array_equal(indices, train) else
                  "test" if np.array_equal(indices, test[:len(indices)]) else None)
-        calls.append((cid, split, len(indices),
-                      [c for c, ref in stacks if ref() is not None]))
+        alive = [c for c, ref in stacks if ref() is not None]
+        with open(log.path, "a") as fh:
+            fh.write(json.dumps([int(cid), split, len(indices), alive,
+                                 os.getpid()]) + "\n")
         stack = real(*args)
-        stacks.append((cid, weakref.ref(stack)))
+        stacks.append((int(cid), weakref.ref(stack)))
         return stack
 
     monkeypatch.setattr(runner_module, "render_class", counting)
-    return calls
+    return log
 
 
 def rendered_splits(calls):
     return sorted((cid, split) for cid, split, *_ in calls)
 
 
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def rendered_here(renders, cpus):
+    """Whether the renders ran where they should: with one CPU this
+    process renders every split, with two its forked workers do."""
+    if cpus == 1:
+        return renders.pids() == {os.getpid()}
+    return os.getpid() not in renders.pids()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
 def test_measure_renders_each_split_its_remaining_jobs_read_once(
-        pipeline_dir, tmp_path, monkeypatch):
+        pipeline_dir, tmp_path, monkeypatch, cpus):
+    from cactusnet import parallel
     base = tmp_path / "run"
     shutil.copytree(pipeline_dir, base)
     records = base / "out" / "records.csv"
     journal = records.read_bytes()
     manifest = DatasetManifest.load(base / "manifest.json")
-    calls = count_renders(monkeypatch, base)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    renders = count_renders(monkeypatch, base)
     # from an empty journal: both splits of every measured and probe
     # class, one stack at a time
     records.unlink()
     assert run(base / "config.json", "measure") == 0
     assert records.read_bytes() == journal
     read = sorted([*manifest.measured_ids, *manifest.probe_set])
+    calls = renders.calls()
     assert rendered_splits(calls) == [(c, s) for c in read for s in ("test", "train")]
     assert [alive for *_, alive in calls] == [[]] * len(calls)
+    assert rendered_here(renders, cpus)
+    assert_no_worker_left()
     # resumed without the jobs of one class: that class and the probes
     x = manifest.measured_ids[-1]
     lines = journal.splitlines(keepends=True)
     records.write_bytes(b"".join(line for line in lines
                                  if not line.startswith(f"{x},".encode())))
-    calls.clear()
+    renders.clear()
     assert run(base / "config.json", "measure") == 0
     assert records.read_bytes() == journal
     read = sorted({x, *manifest.probe_set})
-    assert rendered_splits(calls) == [(c, s) for c in read for s in ("test", "train")]
+    assert rendered_splits(renders.calls()) == [
+        (c, s) for c in read for s in ("test", "train")]
     # fully resumed: nothing
-    calls.clear()
+    renders.clear()
     assert run(base / "config.json", "measure") == 0
-    assert calls == []
+    assert renders.calls() == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 def test_train_predictors_renders_the_test_split_of_held_out_classes_only(
-        pipeline_dir, tmp_path, monkeypatch):
+        pipeline_dir, tmp_path, monkeypatch, cpus):
+    from cactusnet import parallel
     base = tmp_path / "run"
     shutil.copytree(pipeline_dir, base)
     manifest = DatasetManifest.load(base / "manifest.json")
-    calls = count_renders(monkeypatch, base)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    renders = count_renders(monkeypatch, base)
     before = snapshot(base)
     assert run(base / "config.json", "train-predictors") == 0
     assert snapshot(base) == before
+    calls = renders.calls()
     assert rendered_splits(calls) == sorted(
         [(c, "train") for c in manifest.measured_ids]
         + [(c, "test") for c in TINY["heldout_classes"]])
+    assert [alive for *_, alive in calls] == [[]] * len(calls)
+    assert rendered_here(renders, cpus)
+    assert_no_worker_left()
+
+
+def fresh_predictors(pipeline_dir, base):
+    """A copy of the pipeline at ``base`` without the outputs of
+    train-predictors."""
+    shutil.copytree(pipeline_dir, base)
+    out = base / "out"
+    for name in ("predictor_summary.json", "predictor_eval.csv"):
+        (out / name).unlink()
+    for ckpt in out.glob("predictor_*"):
+        ckpt.unlink()
+    return out
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the forwards fork only where the CPU set is known")
+def test_a_forward_failing_in_a_worker_exits_3_before_any_fit(
+        pipeline_dir, tmp_path, capsys, monkeypatch):
+    import cactusnet.runner as runner_module
+    from cactusnet import parallel
+    manifest = DatasetManifest.load(pipeline_dir / "manifest.json")
+    victim = next(c for c in manifest.measured_ids
+                  if c not in TINY["heldout_classes"])
+    real, log = runner_module.render_class, tmp_path / "victim.renders"
+
+    def poisoned(*args):
+        stack = real(*args)
+        if args[-2] == victim:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            stack[:] = np.nan
+        return stack
+
+    monkeypatch.setattr(runner_module, "render_class", poisoned)
+    errors = {}
+    for cpus in (1, 2):
+        base = tmp_path / f"cpus{cpus}"
+        fresh_predictors(pipeline_dir, base)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        log.write_text("")
+        before = snapshot(base)
+        capsys.readouterr()
+        assert run(base / "config.json", "train-predictors") == 3
+        errors[cpus] = capsys.readouterr().err
+        # no predictor is fitted, so nothing is written
+        assert snapshot(base) == before
+        assert_no_worker_left()
+        rendered_in = {int(pid) for pid in log.read_text().split()}
+        assert (rendered_in == {os.getpid()}) == (cpus == 1)
+    assert errors[2] == errors[1] == \
+        "numeric failure: non-finite activation at layer 0 (Conv2D)\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the fits fork only where the CPU set is known")
+def test_a_fit_cannot_write_the_features(pipeline_dir, tmp_path, monkeypatch):
+    from cactusnet import parallel, predictor
+    out = fresh_predictors(pipeline_dir, tmp_path / "run")
+    real, parent, refused = predictor.train_predictor, os.getpid(), tmp_path / "refused"
+    refused.mkdir()
+
+    def writing(tap_shape, samples, cfg, **kwargs):
+        try:
+            samples[0][0][...] = 0
+        except ValueError as exc:
+            (refused / str(os.getpid())).write_text(str(exc))
+        return real(tap_shape, samples, cfg, **kwargs)
+
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+    monkeypatch.setattr(predictor, "train_predictor", writing)
+    assert run(tmp_path / "run" / "config.json", "train-predictors") == 0
+    by_pid = {int(p.name): p.read_text() for p in refused.iterdir()}
+    assert by_pid and parent not in by_pid
+    assert all("read-only" in text for text in by_pid.values())
+    assert_no_worker_left()
+    for path in out.glob("predictor_*"):
+        assert path.read_bytes() == (pipeline_dir / "out" / path.name).read_bytes()
 
 
 def test_manifest_stream_renders_only_the_images_it_routes(pipeline_dir, tmp_path,
@@ -640,9 +770,9 @@ def test_manifest_stream_renders_only_the_images_it_routes(pipeline_dir, tmp_pat
     stream = base / "manifest_stream.json"
     stream.write_text(json.dumps({"type": "manifest", "classes": classes,
                                   "per_class": 3}))
-    calls = count_renders(monkeypatch, base)
+    renders = count_renders(monkeypatch, base)
     assert run(base / "config.json", "cactus-run", str(stream)) == 0
-    assert [(cid, split, n) for cid, split, n, _ in calls] == [
+    assert [(cid, split, n) for cid, split, n, _ in renders.calls()] == [
         (c, "test", 3) for c in classes]
     lines = (base / "out" / "growth_log.jsonl").read_text().splitlines()
     assert len(lines) == 1 + 3 * len(classes)
@@ -695,13 +825,13 @@ def test_manifest_class_the_corpus_lacks_exits_2_before_any_output(
         argv.append(str(base / "manifest_stream.json"))
         (base / "manifest_stream.json").write_text(json.dumps(
             {"type": "manifest", "classes": [0, *lacking]}))
-    calls = count_renders(monkeypatch, base)
+    renders = count_renders(monkeypatch, base)
     before = snapshot(base)
     capsys.readouterr()
     assert run(cfg, *argv) == 2
     assert f"no image source for class ids {lacking}" in capsys.readouterr().err
     assert snapshot(base) == before
-    assert calls == []
+    assert renders.calls() == []
 
 
 @pytest.mark.parametrize("xi", ["5.0", "nan"])
