@@ -20,7 +20,8 @@ It is a measurement, not a gate.  The test suite checks only that
 ``worst_cells`` at salt 0 reproduces ``predictor_eval.csv`` on its tiny
 CLI pipeline.
 
-Usage (from the root of a checkout, about 5 minutes on 2 cores):
+Usage (from the root of a checkout; 72 s on 2 vCPUs of an Intel Xeon
+with one BLAS thread):
 
     PYTHONPATH=src python3 benchmarks/predictor_seed_spread.py
 """

@@ -9,9 +9,10 @@ per subset.  Also shows the chance-level self-control.
 
 import numpy as np
 
-from cactusnet.applicability import layer_sweep, pair_separability, subset_average
+from cactusnet.applicability import layer_sweep, pair_separability
 from cactusnet.data import build_splits, generate_synthetic, synthetic_manifest
 from cactusnet.nn import LayerSpec, Network, TrainConfig, accuracy, train_classifier
+from cactusnet.table import subset_average
 
 ds = generate_synthetic(num_classes_per_family=4, per_class=120,
                         image_side=16, seed=21)

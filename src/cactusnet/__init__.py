@@ -7,7 +7,8 @@ The package is organized around five pieces:
 * :mod:`cactusnet.data` -- IDX ingestion, a two-family synthetic image
   generator, and the three-subset experiment splits.
 * :mod:`cactusnet.applicability` -- freeze-and-finetune pair separability
-  and per-(class, layer) applicability tables.
+  sweeps, whose records build the per-(class, layer) applicability
+  tables of :mod:`cactusnet.table`.
 * :mod:`cactusnet.predictor` -- per-layer regressors that estimate an
   input's applicability from its activations.
 * :mod:`cactusnet.cactus` -- thresholds, routing, and unsupervised

@@ -15,11 +15,11 @@ import json
 import shutil
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .applicability import ApplicabilityTable, subset_average
 # defined beside the config schema, so that loading a config loads no
 # cactus code
 from .config import GrowthConfig, Thresholds
@@ -30,6 +30,7 @@ from .fileio import atomic_open, write_json
 from .nn import (Network, checkpoint_load, checkpoint_save, forward,  # noqa: F401
                  predict)
 from .seeding import derive_seed
+from .table import ApplicabilityTable, subset_average
 
 
 class Verdict(Enum):
@@ -223,31 +224,36 @@ class RouteDecision:
                 "path": list(self.path), "apps": [float(a) for a in self.apps]}
 
 
-def route_step(node: CactusNode, predicted_apps):
-    """Select among the node's routable children.
+def route_step(node: CactusNode, apps) -> np.ndarray:
+    """Each row's pick among the node's routable children.
 
-    Children whose predicted App strictly exceeds their own tau2
-    qualify; the highest App wins, ties to the lowest branch id.
-    Returns (child, app) or None when no child qualifies (branch
-    needed).
+    ``apps`` is ``[rows, candidates]``, one column per routable child in
+    ``node.children`` order.  A child qualifies for a row when its App
+    strictly exceeds the child's own tau2; the highest qualifying App
+    wins, ties to the lowest branch id.  Returns each row's column, or
+    -1 where no child qualifies (branch needed).
     """
     candidates = [c for c in node.children if c.routable]
-    if len(candidates) != len(predicted_apps):
+    apps = np.asarray(apps, dtype=np.float64)
+    if apps.ndim != 2 or apps.shape[1] != len(candidates):
         raise RoutingError(
-            f"{len(candidates)} routable candidates but "
-            f"{len(predicted_apps)} predicted apps at node {node.node_id}")
-    best = None
-    for child, app in zip(candidates, predicted_apps):
-        if app > child.thresholds.tau2:
-            if best is None or app > best[1] or \
-                    (app == best[1] and child.branch_id < best[0].branch_id):
-                best = (child, app)
-    return best
+            f"{len(candidates)} routable candidates but apps of shape "
+            f"{apps.shape} at node {node.node_id}")
+    # columns in branch-id order, so argmax's first maximum is the tie's
+    # lowest branch id
+    order = np.argsort([c.branch_id for c in candidates], kind="stable")
+    ordered = apps[:, order]
+    qualified = ordered > [candidates[j].thresholds.tau2 for j in order]
+    best = np.where(qualified, ordered, -np.inf).argmax(axis=1)
+    return np.where(qualified.any(axis=1), order[best], -1)
 
 
 # Rows of a stream routed together.  A chunk holds every layer output of
 # the block it runs, for its rows: at the default config the root block
-# is the largest, about 23 KB a row, so 32 rows stay under 1 MB.
+# is the largest, about 23 KB a row, so 32 rows stay under 1 MB.  A
+# row's predicted apps can differ in their last bits with the other rows
+# of its chunk (see ``classify_batch``), so this size is part of what a
+# rerun must hold to give the same log.
 ROUTE_CHUNK = 32
 
 
@@ -259,10 +265,17 @@ def classify_batch(tree: CactusTree, images, mock_apps=None) -> list:
     the rows that reached that node: a predictor maps activations
     ``[n, *tap]`` to ``n`` applicabilities.  A row whose ``mock_apps``
     entry is not None takes that value for every candidate (regime
-    replays and dry runs) and is never shown to a predictor.  Each row
-    picks its child by ``route_step``; the three-way verdict is rendered
-    at the decision depth, and rows that reach a leaf are labelled by
-    its head, once per leaf.
+    replays and dry runs) and is never shown to a predictor.  One
+    ``route_step`` call per node picks every row's child; the three-way
+    verdict is rendered at the decision depth, and rows that reach a
+    leaf are labelled by its head, once per leaf.
+
+    A row's predicted apps depend in their last bits on the other rows
+    of its batch: routed one at a time instead of in chunks of 32, 606 of
+    the first 640 rows of a ``full``-size benchmark stream read other
+    apps (by up to 5.4e-7), though no verdict moved.  So
+    ``classify_or_flag`` on one image can differ in the last bits from
+    the same image routed inside ``grow``'s chunks.
     """
     x = np.asarray(images, dtype=np.float32)
     n = len(x)
@@ -290,29 +303,31 @@ def classify_batch(tree: CactusTree, images, mock_apps=None) -> list:
             cand_acts = [predict(c.block, act) for c in candidates]
             apps = _candidate_apps(candidates, cand_acts,
                                    [mocks[r] for r in rows])
-            chosen = {}  # candidate index -> positions in rows
-            for i, row in enumerate(rows):
+            picks = route_step(node, apps)
+            # the picked app, or the row's highest where none qualified
+            logged = np.where(picks >= 0, apps[np.arange(len(rows)), picks],
+                              apps.max(axis=1)).tolist()
+            for i, (row, pick, app) in enumerate(zip(rows.tolist(), picks.tolist(),
+                                                     logged)):
                 decision = decisions[row]
-                row_apps = apps[i].tolist()
-                best = route_step(node, row_apps)
-                if best is None:
+                decision.apps.append(app)
+                if pick < 0:
                     decision.verdict = Verdict.NONOBJECTIVE_UNKNOWN
                     decision.stopped_at = node.node_id
-                    decision.apps.append(max(row_apps))
                     continue
-                child, app = best
+                child = candidates[pick]
                 decision.path.append(child.node_id)
-                decision.apps.append(app)
                 # route_step only picks children with app > tau2, so
                 # decide() here is known or objective unknown, never
                 # nonobjective
                 if depth == tree.decision_depth and \
                         decide(app, child.thresholds) is Verdict.OBJECTIVE_UNKNOWN:
                     decision.verdict = Verdict.OBJECTIVE_UNKNOWN
-                    continue
-                chosen.setdefault(candidates.index(child), []).append(i)
-            for j, picked in sorted(chosen.items()):
-                below.append((candidates[j], rows[picked], cand_acts[j][picked]))
+                    picks[i] = -1  # stops here
+            for j, (child, child_act) in enumerate(zip(candidates, cand_acts)):
+                picked = np.flatnonzero(picks == j)
+                if picked.size:
+                    below.append((child, rows[picked], child_act[picked]))
         level = below
     return decisions
 
@@ -536,11 +551,41 @@ def load_tree(tree_dir) -> CactusTree:
 # Growth-log persistence (JSON lines, one decision per line)
 # ---------------------------------------------------------------------
 
+# One decision line: ``json.dumps(d.to_dict(), sort_keys=True)`` spelled
+# out over RouteDecision's fields, in sorted key order
+_DECISION_LINE = (
+    '{{"apps": [{apps}], "branch_created": {branch_created}, '
+    '"input_index": {input_index}, "label": {label}, "path": [{path}], '
+    '"provisional_label": {provisional_label}, "routed_branch": {routed_branch}, '
+    '"stopped_at": {stopped_at}, "unrouted": {unrouted}, "verdict": {verdict}}}\n')
+
+
+def _int_or_null(value):
+    return "null" if value is None else repr(value)
+
+
 def save_growth_log(log: GrowthLog, path):
+    """A header line with the growth config, then one line per decision,
+    each the bytes ``json.dumps(d.to_dict(), sort_keys=True)`` gives,
+    written from ``_DECISION_LINE``: floats by ``repr`` and strings by
+    ``encode_basestring_ascii``, as ``json`` writes them.  ``repr`` and
+    ``json`` differ only on non-finite floats, and routed apps are
+    finite: predictors clamp to [0, 1], and a stream's mock apps are
+    checked to lie in it."""
     with atomic_open(path, encoding="utf-8") as fh:
         fh.write(json.dumps({"config": asdict(log.config)}, sort_keys=True) + "\n")
-        for d in log.decisions:
-            fh.write(json.dumps(d.to_dict(), sort_keys=True) + "\n")
+        fh.writelines(_DECISION_LINE.format(
+            apps=", ".join([repr(float(a)) for a in d.apps]),
+            branch_created=_int_or_null(d.branch_created),
+            input_index=_int_or_null(d.input_index),
+            label=_int_or_null(d.label),
+            path=", ".join(map(repr, d.path)),
+            provisional_label="null" if d.provisional_label is None
+            else encode_basestring_ascii(d.provisional_label),
+            routed_branch=_int_or_null(d.routed_branch),
+            stopped_at=_int_or_null(d.stopped_at),
+            unrouted="true" if d.unrouted else "false",
+            verdict=encode_basestring_ascii(d.verdict.value)) for d in log.decisions)
 
 
 def load_growth_log(path) -> GrowthLog:

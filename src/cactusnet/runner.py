@@ -7,7 +7,8 @@ outputs byte for byte.
 
 The verbs that call ``applicability``, ``cactus`` or ``predictor`` import
 them in their own bodies, so a CLI process loads none of them unless its
-verb runs it.
+verb runs it; the applicability table every later phase reads is in
+``table``, which holds no sweep code.
 """
 
 import csv
@@ -31,6 +32,9 @@ from .fileio import atomic_open, write_csv, write_json
 from .nn import (Network, accuracy, checkpoint_load, checkpoint_save,  # noqa: F401
                  forward, train_classifier)
 from .seeding import derive_seed
+from .table import (append_record_csv, build_table, read_records_csv,
+                    subset_average, write_curves_csv, write_records_csv,
+                    write_table_csv)
 
 BASE_CKPT = "base.ckpt"
 BASE_METRICS = "base_metrics.csv"
@@ -176,9 +180,9 @@ def _measure_settings(cfg, manifest) -> dict:
 
 def _check_resume(records_path, records, fingerprint_path, fingerprint):
     """Refuse to resume a journal written by another run."""
-    from . import applicability as app
+    from .applicability import job_seed
     for r in records:
-        want = app.job_seed(fingerprint["master_seed"], r.x, r.un_j, r.layer_index)
+        want = job_seed(fingerprint["master_seed"], r.x, r.un_j, r.layer_index)
         if r.seed != want:
             raise ConfigError(
                 f"{records_path} holds another run's record (x={r.x}, "
@@ -210,7 +214,7 @@ def _print_cell(i, cells, x, layer, jobs, failed):
 
 
 def run_measure(cfg: ExperimentConfig) -> dict:
-    from . import applicability as app
+    from .applicability import layer_sweep
     manifest = load_manifest(cfg)
     out = cfg.out_path
     base_path = out / BASE_CKPT
@@ -225,28 +229,28 @@ def run_measure(cfg: ExperimentConfig) -> dict:
     fingerprint_path = out / RUN_FINGERPRINT
     completed = []
     if records_path.is_file():
-        completed = app.read_records_csv(records_path)
+        completed = read_records_csv(records_path)
         _check_resume(records_path, completed, fingerprint_path, fingerprint)
     else:
         # written before the journal, so a journal always has one
         write_json(fingerprint_path, fingerprint)
     # rewrite the journal without a torn last row, so appends start a line
-    app.write_records_csv(records_path, completed)
+    write_records_csv(records_path, completed)
 
-    result = app.layer_sweep(
+    result = layer_sweep(
         net, manifest.measured_ids, manifest.probe_set, source,
         cfg.train.pair, cfg.taps, master_seed=cfg.master_seed,
         completed=completed,
-        on_record=partial(app.append_record_csv, records_path),
+        on_record=partial(append_record_csv, records_path),
         on_cell=_print_cell)
     for f in result.failures:
         print(f"job failed (x={f.x}, un_j={f.un_j}, layer={f.layer_index}): "
               f"{f.error}", file=sys.stderr)
 
     # canonical rewrite: byte-identical regardless of completion order
-    app.write_records_csv(records_path, result.records)
-    app.write_table_csv(out / TABLE_CSV, result.table)
-    app.write_curves_csv(out / CURVES_CSV, app.subset_average(result.table))
+    write_records_csv(records_path, result.records)
+    write_table_csv(out / TABLE_CSV, result.table)
+    write_curves_csv(out / CURVES_CSV, subset_average(result.table))
     write_json(out / MEASURE_META, {
         **settings,
         "jobs": len(result.records),
@@ -258,12 +262,11 @@ def run_measure(cfg: ExperimentConfig) -> dict:
 
 
 def load_table(cfg: ExperimentConfig):
-    from . import applicability as app
     if not (cfg.out_path / RECORDS_CSV).is_file():
         raise ConfigError("applicability records missing: run measure first")
     manifest = load_manifest(cfg)
-    records = app.read_records_csv(cfg.out_path / RECORDS_CSV)
-    return app.build_table(records, {c.class_id: c for c in manifest.classes},
+    records = read_records_csv(cfg.out_path / RECORDS_CSV)
+    return build_table(records, {c.class_id: c for c in manifest.classes},
                            manifest.k), manifest
 
 
@@ -291,7 +294,6 @@ def _auto_heldout(manifest, table, taps) -> list:
     classes stay in the training pool, where their unusual activations
     broaden predictor coverage.
     """
-    from .applicability import subset_average
     curves = subset_average(table)
     picks = []
     for subset in SubsetLabel:

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from cactusnet import runner
-from cactusnet.applicability import (SeparabilityRecord, class_applicability,
-                                     pair_separability)
+from cactusnet.applicability import pair_separability
 from cactusnet.cactus import (GrowthConfig, Thresholds, Verdict, build_tree,
                               decide, grow, replay_log)
 from cactusnet.cli import pin_blas_threads
@@ -28,6 +27,7 @@ from cactusnet.nn import (LayerSpec, Network, TrainConfig, backward,
                           replace_head, sgd_step)
 from cactusnet.predictor import train_predictor
 from cactusnet.seeding import derive_seed
+from cactusnet.table import SeparabilityRecord, class_applicability
 
 from test_cli import run_full
 from test_layers import (assert_grads_close, draw_kink_safe,

@@ -8,20 +8,18 @@ import numpy as np
 import pytest
 
 from cactusnet import parallel
-from cactusnet.applicability import (ApplicabilityTable, SeparabilityRecord,
-                                     TapFeatures, _cell_stacks, _job_cost,
-                                     _stack_taps,
-                                     class_applicability, job_seed,
-                                     layer_sweep, pair_separability,
-                                     read_records_csv, run_jobs,
-                                     subset_average, sweep_jobs,
-                                     write_records_csv, write_table_csv)
+from cactusnet.applicability import (TapFeatures, _cell_stacks, _job_cost,
+                                     _stack_taps, job_seed, layer_sweep,
+                                     pair_separability, run_jobs, sweep_jobs)
 from cactusnet.data import (SubsetLabel, build_splits, generate_synthetic,
                             synthetic_manifest)
 from cactusnet.errors import AggregationError, DataError
 from cactusnet.nn import LayerSpec, Network, TrainConfig, forward
 from cactusnet.nn.network import split_at
 from cactusnet.seeding import derive_seed
+from cactusnet.table import (ApplicabilityTable, SeparabilityRecord,
+                             class_applicability, read_records_csv,
+                             subset_average, write_records_csv, write_table_csv)
 
 # The ten separability values of one probe row, frozen from the source
 # experiment record; the independent oracle below recomputes their mean.

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cactusnet.applicability import ApplicabilityTable
 from cactusnet.cactus import (ROUTE_CHUNK, GrowthConfig, Thresholds, Verdict,
                               baseline_from_tables, build_tree,
                               classify_batch, classify_or_flag,
@@ -14,6 +13,7 @@ from cactusnet.config import compute_thresholds
 from cactusnet.data import ClassEntry, SubsetLabel
 from cactusnet.errors import ConfigError, RoutingError
 from cactusnet.nn import LayerSpec, Network, forward
+from cactusnet.table import ApplicabilityTable
 
 
 class TestComputeThresholds:
@@ -154,56 +154,86 @@ class FixedApps:
         return [self.values.pop(0)]
 
 
+def reference_pick(branch_ids, taus, row):
+    """One row's pick, written as a plain loop: the column of the highest
+    app strictly above its own tau2, ties to the lowest branch id; -1
+    when no column qualifies."""
+    best = -1
+    for j, (bid, tau, app) in enumerate(zip(branch_ids, taus, row)):
+        if app > tau and (best < 0 or app > row[best] or
+                          (app == row[best] and bid < branch_ids[best])):
+            best = j
+    return best
+
+
 class TestRouteStep:
-    def make_node_with_children(self, apps_taus):
+    def node_with_children(self, taus, branch_ids=None):
         from cactusnet.cactus import CactusNode
         tree = small_tree()
         node = tree.root
         node.children = []
-        for i, (_, tau2) in enumerate(apps_taus):
+        for i, tau2 in enumerate(taus):
             node.children.append(CactusNode(
-                node_id=10 + i, branch_id=i, block=tree.nodes[1].block,
-                predictor=never_called,
-                thresholds=Thresholds(1, 0, 0, 0.99, tau2)))
+                node_id=10 + i,
+                branch_id=i if branch_ids is None else int(branch_ids[i]),
+                block=tree.nodes[1].block, predictor=never_called,
+                thresholds=Thresholds(1, 0, 0, 0.99, float(tau2))))
         return node
 
     def test_max_app_selected(self):
-        node = self.make_node_with_children([(0.97, 0.965), (0.99, 0.965)])
-        child, app = route_step(node, [0.97, 0.99])
-        assert app == 0.99 and child.branch_id == 1
+        node = self.node_with_children([0.965, 0.965])
+        picks = route_step(node, np.array([[0.97, 0.99], [0.99, 0.97]]))
+        assert picks.tolist() == [1, 0]
 
     def test_single_below_threshold_is_branch_needed(self):
-        node = self.make_node_with_children([(0.95, 0.965)])
-        assert route_step(node, [0.95]) is None
+        node = self.node_with_children([0.965])
+        assert route_step(node, np.array([[0.95], [0.965]])).tolist() == [-1, -1]
 
     def test_tie_breaks_to_lowest_branch_id(self):
-        node = self.make_node_with_children([(0.98, 0.9), (0.98, 0.9)])
-        child, _ = route_step(node, [0.98, 0.98])
-        assert child.branch_id == 0
+        node = self.node_with_children([0.9, 0.9, 0.9], branch_ids=[4, 2, 7])
+        picks = route_step(node, np.array([[0.98, 0.98, 0.98], [0.98, 0.97, 0.98]]))
+        assert picks.tolist() == [1, 0]
 
     def test_count_mismatch(self):
-        node = self.make_node_with_children([(0.98, 0.9)])
+        node = self.node_with_children([0.9])
         with pytest.raises(RoutingError):
-            route_step(node, [0.98, 0.97])
+            route_step(node, np.array([[0.98, 0.97]]))
+        with pytest.raises(RoutingError):
+            route_step(node, np.array([0.98]))
+
+    def test_matches_a_per_row_reference(self):
+        rng = np.random.default_rng(4)
+        seen = dict.fromkeys(("tie", "at_tau2", "none", "picked"), 0)
+        for _ in range(300):
+            k = int(rng.integers(1, 5))
+            branch_ids = rng.permutation(np.arange(0, 3 * k, 3))  # out of order
+            taus = rng.uniform(0.5, 1, size=k)
+            # apps drawn from the taus and a few more values give exact ties
+            # and apps equal to a tau2; the last rows are drawn freely
+            pool = np.concatenate([taus, rng.uniform(0.5, 1, size=3)])
+            apps = np.concatenate([rng.choice(pool, size=(12, k)),
+                                   rng.uniform(0.5, 1, size=(4, k))])
+            picks = route_step(self.node_with_children(taus, branch_ids), apps)
+            for row, pick in zip(apps.tolist(), picks.tolist()):
+                assert pick == reference_pick(branch_ids.tolist(), taus.tolist(), row)
+                qualified = [a for a, t in zip(row, taus) if a > t]
+                seen["none"] += not qualified
+                seen["picked"] += bool(qualified)
+                seen["tie"] += len(qualified) > 1 and \
+                    qualified.count(max(qualified)) > 1
+                seen["at_tau2"] += any(a == t for a, t in zip(row, taus))
+        assert min(seen.values()) > 20, seen
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            apps = rng.uniform(0, 1, size=3)
-            taus = rng.uniform(0, 1, size=3)
-            node = self.make_node_with_children(
-                [(a, t) for a, t in zip(apps, taus)])
-            before = route_step(node, list(apps))
-            # strictly increasing map applied to apps and thresholds alike
-            f = lambda v: v ** 3 + 2 * v
-            node2 = self.make_node_with_children(
-                [(f(a), f(t)) for a, t in zip(apps, taus)])
-            after = route_step(node2, [f(a) for a in apps])
-            if before is None:
-                assert after is None
-            else:
-                assert after is not None
-                assert after[0].branch_id == before[0].branch_id
+        apps = rng.uniform(0, 1, size=(200, 3))
+        taus = rng.uniform(0.5, 1, size=3)
+        # strictly increasing map applied to apps and thresholds alike
+        f = lambda v: v ** 3 + 2 * v
+        before = route_step(self.node_with_children(taus), apps)
+        after = route_step(self.node_with_children(f(taus)), f(apps))
+        assert (before >= 0).any() and (before < 0).any()
+        assert before.tolist() == after.tolist()
 
 
 class TestClassifyOrFlag:
@@ -306,6 +336,48 @@ class TestClassifyBatch:
 
     def test_empty_batch(self):
         assert classify_batch(small_tree(), np.zeros((0, 10, 10, 1))) == []
+
+    def test_each_row_goes_to_its_pick_of_two_routable_children(self):
+        from cactusnet.cactus import CactusNode
+        tree = small_tree()
+        trunk = tree.nodes[1]
+        trunk.predictor = scorer(2)
+        other = CactusNode(
+            node_id=2, branch_id=1, predictor=scorer(1), thresholds=PAPER_T,
+            block=Network.build(trunk.block.specs, trunk.block.input_shape, seed=8),
+            head=Network.build(trunk.head.specs, trunk.head.input_shape, seed=9),
+            labels=(7, 8, 9))
+        tree.root.children.insert(0, other)  # listed before the trunk
+        tree.nodes[2] = other
+        images = np.random.default_rng(6).random((ROUTE_CHUNK, 10, 10, 1),
+                                                  dtype=np.float32)
+        got = classify_batch(tree, images)
+
+        root_act = forward(tree.root.block, images)[-1]
+        acts = [forward(c.block, root_act)[-1] for c in tree.root.children]
+        apps = np.stack([c.predictor(a) for c, a in zip(tree.root.children, acts)],
+                        axis=1)
+        outcomes = set()
+        for i, (d, row) in enumerate(zip(got, apps.tolist())):
+            pick = reference_pick([1, 0], [PAPER_T.tau2] * 2, row)
+            assert d.apps == [row[pick] if pick >= 0 else max(row)]
+            if pick < 0:
+                assert (d.verdict, d.path, d.stopped_at) == \
+                    (Verdict.NONOBJECTIVE_UNKNOWN, [0], 0)
+                outcomes.add("none")
+                continue
+            child = tree.root.children[pick]
+            assert d.path == [0, child.node_id] and d.stopped_at is None
+            if row[pick] <= PAPER_T.tau1:
+                assert (d.verdict, d.label) == (Verdict.OBJECTIVE_UNKNOWN, None)
+                outcomes.add("objective_unknown")
+                continue
+            logits = forward(child.head, acts[pick][i:i + 1])[-1]
+            assert d.verdict is Verdict.KNOWN
+            assert d.label == child.labels[int(logits.argmax())]
+            outcomes.add(f"known via {child.node_id}")
+        assert outcomes == {"none", "objective_unknown", "known via 1",
+                            "known via 2"}
 
 
 class TestCreateBranch:
@@ -431,6 +503,35 @@ class TestPersistence:
         with pytest.raises(OSError):
             save_tree(small_tree(), tmp_path / "tree")
         assert load_tree(tmp_path / "tree").topology() == old.topology()
+
+    def test_growth_log_lines_are_json_dumps_with_sorted_keys(self, tmp_path):
+        # the reference every line is held to; a RouteDecision field the
+        # writer's template does not spell out fails here
+        from dataclasses import asdict
+        import json
+        from cactusnet.cactus import GrowthLog, RouteDecision
+        decisions = [
+            RouteDecision(Verdict.KNOWN, label=2, path=[0, 1, 3],
+                          apps=[1e-07, 0.1, 1.0], input_index=0, unrouted=False),
+            RouteDecision(Verdict.NONOBJECTIVE_UNKNOWN, path=[0], apps=[0.0],
+                          branch_created=4, routed_branch=4, input_index=1,
+                          provisional_label="new-class-4", stopped_at=0),
+            RouteDecision(Verdict.OBJECTIVE_UNKNOWN, path=[0, 1], apps=[0.975],
+                          input_index=12, provisional_label="objective-unknown-12"),
+            RouteDecision(Verdict.NONOBJECTIVE_UNKNOWN, path=[0, 1, 2],
+                          apps=[0.5, 2 / 3, 0.96], input_index=123456789012,
+                          unrouted=True, stopped_at=2,
+                          provisional_label='q"\\/\n\t\x00 é\u2603\U0001f335'),
+            RouteDecision(Verdict.KNOWN),
+        ]
+        log = GrowthLog(GrowthConfig(seed=3), decisions)
+        save_growth_log(log, tmp_path / "log.jsonl")
+        want = "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in (
+            {"config": asdict(log.config)}, *(d.to_dict() for d in decisions)))
+        assert (tmp_path / "log.jsonl").read_bytes() == want.encode("utf-8")
+        back = load_growth_log(tmp_path / "log.jsonl")
+        assert [d.to_dict() for d in back.decisions] == \
+            [d.to_dict() for d in decisions]
 
     def test_growth_log_round_trip(self, tmp_path):
         tree = small_tree()

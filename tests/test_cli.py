@@ -960,7 +960,7 @@ def test_seed_spread_salt_zero_matches_train_predictors(pipeline_dir):
 
 
 def test_auto_heldout_picks_each_subsets_most_typical_class():
-    from cactusnet.applicability import AppEntry, ApplicabilityTable
+    from cactusnet.table import AppEntry, ApplicabilityTable
     from cactusnet.data import ClassEntry, DatasetManifest, SubsetLabel
     from cactusnet.runner import _auto_heldout
 
@@ -1071,8 +1071,9 @@ def test_console_script_is_the_function_the_module_entry_calls(monkeypatch):
 
 # the modules a verb's process must not load: only cactus-run and report
 # route or read a tree, only train-predictors and cactus-run run a
-# predictor, and the two phases before measure read no applicability and
-# fork no worker
+# predictor, and only measure and train-predictors run sweep code or fork
+# a worker (the applicability table a later phase reads is in
+# cactusnet.table)
 NOT_LOADED = {
     "prepare": {"cactusnet.applicability", "cactusnet.cactus", "cactusnet.predictor",
                 "cactusnet.parallel"},
@@ -1080,13 +1081,18 @@ NOT_LOADED = {
                    "cactusnet.predictor", "cactusnet.parallel"},
     "measure": {"cactusnet.cactus", "cactusnet.predictor"},
     "train-predictors": {"cactusnet.cactus"},
+    "cactus-run": {"cactusnet.applicability", "cactusnet.parallel"},
+    "report": {"cactusnet.applicability", "cactusnet.parallel", "cactusnet.predictor"},
 }
 
 
 def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
     cfg = write_tiny_config(tmp_path)
+    stream = tmp_path / "stream.json"
+    stream.write_text(json.dumps({"type": "manifest", "classes": [0, 4]}))
     for verb, absent in NOT_LOADED.items():
-        state = module_entry(cfg, verb)
+        argv = [str(stream)] if verb == "cactus-run" else []
+        state = module_entry(cfg, verb, *argv)
         assert state["exit"] == 0, verb
         assert absent.isdisjoint(state["modules"]), (verb, state["modules"])
         assert "cactusnet.runner" in state["modules"], verb

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cactusnet.applicability import SeparabilityRecord, write_records_csv
 from cactusnet.data import (ClassEntry, DatasetManifest, SubsetLabel,
                             SyntheticDataset, build_splits, generate_synthetic,
                             load_dataset, load_idx, render_class,
@@ -22,6 +21,7 @@ from cactusnet.nn import (LayerSpec, Network, TrainConfig, accuracy, checkpoint_
                           checkpoint_save, train_classifier)
 from cactusnet.nn import checkpoint as checkpoint_module
 from cactusnet.nn.checkpoint import MAGIC as CKPT_MAGIC
+from cactusnet.table import SeparabilityRecord, write_records_csv
 
 
 def traced_peak(fn, *args):
