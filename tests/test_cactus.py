@@ -206,7 +206,7 @@ class TestRouteStep:
         seen = dict.fromkeys(("tie", "at_tau2", "none", "picked"), 0)
         for _ in range(300):
             k = int(rng.integers(1, 5))
-            branch_ids = rng.permutation(np.arange(0, 3 * k, 3))  # out of order
+            branch_ids = rng.permutation(np.arange(0, 3 * k, 3))  # in any order
             taus = rng.uniform(0.5, 1, size=k)
             # apps drawn from the taus and a few more values give exact ties
             # and apps equal to a tau2; the last rows are drawn freely
@@ -263,13 +263,13 @@ class TestClassifyOrFlag:
         assert d.apps == [0.99]
 
 
-def scorer(seed):
-    """A batch predictor smooth in its input: apps in (0.95, 1.0)."""
+def scorer(seed, lo=0.95, span=0.05):
+    """A batch predictor smooth in its input: apps in (lo, lo + span)."""
     w = np.random.default_rng(seed).normal(size=8)
 
     def predictor(acts):
         z = acts.reshape(len(acts), -1) @ w
-        return 0.95 + 0.05 / (1 + np.exp(-4 * z))
+        return lo + span / (1 + np.exp(-4 * z))
     return predictor
 
 
@@ -341,15 +341,16 @@ class TestClassifyBatch:
         from cactusnet.cactus import CactusNode
         tree = small_tree()
         trunk = tree.nodes[1]
-        trunk.predictor = scorer(2)
+        trunk.predictor = scorer(2, lo=0.9, span=0.1)
         other = CactusNode(
-            node_id=2, branch_id=1, predictor=scorer(1), thresholds=PAPER_T,
+            node_id=2, branch_id=1, predictor=scorer(1, lo=0.9, span=0.1),
+            thresholds=PAPER_T,
             block=Network.build(trunk.block.specs, trunk.block.input_shape, seed=8),
             head=Network.build(trunk.head.specs, trunk.head.input_shape, seed=9),
             labels=(7, 8, 9))
         tree.root.children.insert(0, other)  # listed before the trunk
         tree.nodes[2] = other
-        images = np.random.default_rng(6).random((ROUTE_CHUNK, 10, 10, 1),
+        images = np.random.default_rng(7).random((ROUTE_CHUNK, 10, 10, 1),
                                                   dtype=np.float32)
         got = classify_batch(tree, images)
 
@@ -364,7 +365,7 @@ class TestClassifyBatch:
             if pick < 0:
                 assert (d.verdict, d.path, d.stopped_at) == \
                     (Verdict.NONOBJECTIVE_UNKNOWN, [0], 0)
-                outcomes.add("none")
+                outcomes.add(f"none, highest app of {int(np.argmax(row))}")
                 continue
             child = tree.root.children[pick]
             assert d.path == [0, child.node_id] and d.stopped_at is None
@@ -376,8 +377,8 @@ class TestClassifyBatch:
             assert d.verdict is Verdict.KNOWN
             assert d.label == child.labels[int(logits.argmax())]
             outcomes.add(f"known via {child.node_id}")
-        assert outcomes == {"none", "objective_unknown", "known via 1",
-                            "known via 2"}
+        assert outcomes == {"none, highest app of 0", "none, highest app of 1",
+                            "objective_unknown", "known via 1", "known via 2"}
 
 
 class TestCreateBranch:
